@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks: the distance-bounded bidirectional BFS
 //! (Algorithm 2) against the unbounded search it replaces — the paper's
-//! core query-time argument in miniature.
+//! core query-time argument in miniature — and, beside that skip-closure
+//! reference, the sparse kernel the serving path actually runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hcl_core::HighwayCoverLabelling;
@@ -44,6 +45,19 @@ fn bench_bounded_search(c: &mut Criterion) {
             let (s, t) = pairs[idx];
             i += 1;
             black_box(space.bounded_bibfs(&g, s, t, bounds[idx], |v| highway.is_landmark(v)))
+        })
+    });
+
+    // The serving kernel: the same bounded search on the materialised
+    // `G[V∖R]` (no skip closure, one visit word, probe-only last level).
+    let sparse = g.without_vertices(&landmarks);
+    let mut i = 0usize;
+    group.bench_function("sparse-kernel-on-materialised", |b| {
+        b.iter(|| {
+            let idx = i % pairs.len();
+            let (s, t) = pairs[idx];
+            i += 1;
+            black_box(space.bounded_bibfs_sparse(&sparse, s, t, bounds[idx]))
         })
     });
 

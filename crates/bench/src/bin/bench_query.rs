@@ -29,11 +29,15 @@
 //! * sizes — labelling bytes, sparsified-view bytes/edges, graph bytes,
 //!   plus packed store bytes and the packed/plain compression ratio.
 //!
-//! Usage: `bench_query [--quick] [--out <path>]`. `--quick` shrinks the
-//! instance for CI; without `--out` the JSON goes to stdout only. Every
-//! record carries its provenance — `git_rev`, `nproc`, and `mode` — so
-//! numbers from different machines or configurations are never compared
-//! blindly.
+//! Usage: `bench_query [--quick] [--out <path>] [--history <path>]`.
+//! `--quick` shrinks the instance for CI; without `--out` the JSON goes to
+//! stdout only. `--history` **appends** the headline fields as one JSON
+//! line to the append-only trajectory (`BENCH_history.jsonl`; one line per
+//! side of each PR's A/B) — that file is never rewritten, so a slide
+//! across PRs stays visible. Every record carries its provenance —
+//! `git_rev` (`-dirty` when the tree has uncommitted changes), `nproc`,
+//! and `mode` — so numbers from different machines or configurations are
+//! never compared blindly.
 
 use hcl_core::{HighwayCoverLabelling, QueryContext, SharedOracle};
 use hcl_graph::generate;
@@ -60,10 +64,13 @@ const QUICK: Config =
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out requires a path").clone());
+    let path_arg = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} requires a path")).clone())
+    };
+    let out = path_arg("--out");
+    let history = path_arg("--history");
     let cfg = if quick { QUICK } else { FULL };
 
     let g = Arc::new(generate::barabasi_albert(cfg.vertices, cfg.degree, 42));
@@ -221,6 +228,9 @@ fn main() {
     let update_speedup = rebuild_ms / update_add_ms.max(update_del_ms).max(1e-9);
 
     let view = oracle.sparse_view();
+    let mode = if quick { "quick" } else { "full" };
+    let git_rev = git_rev();
+    let nproc = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"bench\": \"query\",\n  \"mode\": \"{}\",\n  \"git_rev\": \"{}\",\n  \
          \"nproc\": {},\n  \"vertices\": {},\n  \
@@ -237,9 +247,9 @@ fn main() {
          \"reload_speedup\": {:.1},\n  \
          \"update_add_ms\": {:.3},\n  \"update_del_ms\": {:.3},\n  \
          \"rebuild_ms\": {:.1},\n  \"update_speedup\": {:.1}\n}}",
-        if quick { "quick" } else { "full" },
-        git_rev(),
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        mode,
+        git_rev,
+        nproc,
         g.num_vertices(),
         g.num_edges(),
         cfg.landmarks,
@@ -274,13 +284,31 @@ fn main() {
         std::fs::write(&path, format!("{json}\n")).expect("writing BENCH_query.json");
         eprintln!("wrote {path}");
     }
+    if let Some(path) = history {
+        use std::io::Write;
+        let line = format!(
+            "{{\"bench\": \"query\", \"mode\": \"{mode}\", \"git_rev\": \"{git_rev}\", \
+             \"nproc\": {nproc}, \"queries_per_sec_sequential\": {seq_qps:.0}, \
+             \"queries_per_sec_packed\": {packed_qps:.0}, \
+             \"merge_ns_per_query\": {merge_ns_per_query:.0}, \
+             \"bfs_ns_per_query\": {bfs_ns_per_query:.0}}}\n"
+        );
+        // Append-only: the trajectory is never truncated or rewritten.
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(line.as_bytes()))
+            .expect("appending to the benchmark history");
+        eprintln!("appended to {path}");
+    }
 }
 
 /// The commit the numbers were measured at (`unknown` outside a git
 /// checkout), so trajectory entries are comparable across PRs.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
         .output()
         .ok()
         .filter(|o| o.status.success())

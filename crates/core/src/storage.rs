@@ -28,7 +28,17 @@
 //! space**: [`SparseNeighbors::view_of`] translates the two endpoints once
 //! at the query boundary, and every frontier expansion then touches the
 //! relabelled CSR, where high-degree vertices share cache lines (labels,
-//! cache keys, and all public APIs stay in original ids).
+//! cache keys, and all public APIs stay in original ids). Its per-context
+//! state is **one `u32` visit word per vertex** (`epoch << 1 | side`, `4n`
+//! bytes, shared by both directions — the marked balls are disjoint and a
+//! meeting vertex is always on the other side's current level, so no
+//! second array and no stored distance), one load per neighbour examined,
+//! and the last level the bound allows only *probes* those words for a
+//! meeting: on an index that misses cache a query's time is the number of
+//! cache lines it touches. See
+//! [`SearchSpace::bounded_bibfs_sparse`](hcl_graph::SearchSpace::bounded_bibfs_sparse),
+//! which also records that software-prefetching the visit words gained
+//! nothing.
 //!
 //! Because both backends run the same monomorphised code, packed-vs-memory
 //! equivalence reduces to the storage traits returning the same sequences —
@@ -304,12 +314,17 @@ pub struct QueryPhases {
     pub search_ns: u64,
     /// Whether the bounded search ran at all.
     pub searched: bool,
+    /// Sparse-graph edges the bounded search scanned (sum of the frontier
+    /// degrees of every level it began; 0 when it did not run).
+    pub edges_scanned: u64,
+    /// Vertices the bounded search marked, endpoints included.
+    pub vertices_settled: u64,
 }
 
-/// [`distance_on`] with per-phase wall-clock accounting, for observability
-/// (server `METRICS`) and the committed benchmark's merge-vs-BFS split.
-/// Semantically identical to [`distance_on`]; the two `Instant` reads per
-/// query keep it off the raw throughput loops.
+/// [`distance_on`] with per-phase wall-clock and search-effort accounting,
+/// for observability (server `METRICS`) and the committed benchmark's
+/// merge-vs-BFS split. Semantically identical to [`distance_on`]; the two
+/// `Instant` reads per query keep it off the raw throughput loops.
 pub fn distance_on_timed<S: LabelStorage + SparseNeighbors + ?Sized>(
     index: &S,
     ctx: &mut QueryContext,
@@ -329,9 +344,13 @@ pub fn distance_on_timed<S: LabelStorage + SparseNeighbors + ?Sized>(
     }
     let (vs, vt) = (index.view_of(s), index.view_of(t));
     let start = std::time::Instant::now();
-    let d = ctx.search_space().bounded_bibfs_sparse(&SparseAdj(index), vs, vt, bound);
+    let space = ctx.search_space();
+    let d = space.bounded_bibfs_sparse(&SparseAdj(index), vs, vt, bound);
     phases.search_ns = start.elapsed().as_nanos() as u64;
     phases.searched = true;
+    let effort = space.effort();
+    phases.edges_scanned = effort.edges_scanned;
+    phases.vertices_settled = effort.vertices_settled;
     (if d == INF { None } else { Some(d) }, phases)
 }
 
@@ -606,10 +625,12 @@ mod tests {
                 assert_eq!(d, distance_on(&index, &mut ctx, s, t), "{s}->{t}");
                 if s != t && !hcl.highway().is_landmark(s) && !hcl.highway().is_landmark(t) {
                     assert!(phases.searched);
+                    assert!(phases.vertices_settled >= 2, "both endpoints are marked");
                     searched_any = true;
                 } else {
                     assert!(!phases.searched);
                     assert_eq!(phases.search_ns, 0);
+                    assert_eq!((phases.edges_scanned, phases.vertices_settled), (0, 0));
                 }
             }
         }

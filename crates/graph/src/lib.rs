@@ -37,7 +37,7 @@ pub mod wgraph;
 
 pub use csr::{Adjacency, CsrGraph, GraphBuilder};
 pub use oracle::DistanceOracle;
-pub use traversal::SearchSpace;
+pub use traversal::{SearchEffort, SearchSpace};
 pub use wgraph::{WeightedGraph, WeightedGraphBuilder};
 
 /// Vertex identifier. Graphs are limited to `u32::MAX - 1` vertices, which

@@ -80,60 +80,92 @@ pub fn bfs_distances_into(g: &CsrGraph, src: VertexId, dist: &mut Vec<u32>) {
 /// parallel querying give each thread its own.
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
+    /// Query counter, `1..=MAX_EPOCH` (31 bits, so `epoch << 1 | side`
+    /// fits a `u32`).
     epoch: u32,
-    /// Fused per-vertex visit words for the forward search:
-    /// `epoch << 32 | dist`. Packing the mark and the distance into one
-    /// word means the inner BFS loop touches a single cache line per
-    /// neighbour examination and side (mark test, distance read on a
-    /// meet, and mark+distance write are all one load or one store),
-    /// where separate mark/dist arrays cost two.
-    visit_fwd: Vec<u64>,
-    /// Fused visit words for the reverse search (same layout).
-    visit_rev: Vec<u64>,
+    /// The one per-vertex visit word, shared by both search directions and
+    /// by every search on this space: `epoch << 1 | side` (`side` 0 =
+    /// forward / the only side of a unidirectional search, 1 = reverse).
+    /// A vertex is marked by at most one side per query, and a meeting
+    /// vertex always sits on the other side's current level (see
+    /// [`bounded_bibfs_sparse`](Self::bounded_bibfs_sparse) for both
+    /// invariants), so neither a second array nor a stored distance is
+    /// needed: examining a neighbour is one 4-byte load, and a context
+    /// costs `4n` bytes.
+    visit: Vec<u32>,
     frontier: Vec<VertexId>,
     frontier_other: Vec<VertexId>,
     next: Vec<VertexId>,
+    effort: SearchEffort,
 }
 
-/// Low 32 bits of a fused visit word: the BFS level the vertex settled at.
-const DIST_MASK: u64 = 0xFFFF_FFFF;
+/// Work done by the most recent
+/// [`bounded_bibfs_sparse`](SearchSpace::bounded_bibfs_sparse) call,
+/// accumulated once per BFS *level* from values the kernel carries anyway
+/// (no per-neighbour increment), so it is exact and repeats run to run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchEffort {
+    /// Sum of the frontier degrees of every level the search began to
+    /// expand or probe (a level cut short by a meeting counts in full).
+    pub edges_scanned: u64,
+    /// Vertices marked, the two endpoints included. The probe-only last
+    /// level marks nothing.
+    pub vertices_settled: u64,
+}
+
+/// Largest epoch whose reverse-side word `epoch << 1 | 1` fits a `u32`.
+const MAX_EPOCH: u32 = u32::MAX >> 1;
 
 impl SearchSpace {
     /// Creates a search space for graphs with `n` vertices.
     pub fn new(n: usize) -> Self {
         SearchSpace {
             epoch: 0,
-            visit_fwd: vec![0; n],
-            visit_rev: vec![0; n],
+            visit: vec![0; n],
             frontier: Vec::new(),
             frontier_other: Vec::new(),
             next: Vec::new(),
+            effort: SearchEffort::default(),
         }
     }
 
     /// Grows the buffers to accommodate `n` vertices (no-op if large enough).
     pub fn ensure(&mut self, n: usize) {
-        if self.visit_fwd.len() < n {
-            self.visit_fwd.resize(n, 0);
-            self.visit_rev.resize(n, 0);
+        if self.visit.len() < n {
+            self.visit.resize(n, 0);
         }
     }
 
-    /// Bumps the epoch and returns the visit-word *stamp* of the new query:
-    /// `epoch << 32`. A vertex counts as visited this query iff its word is
-    /// `>= stamp` — epochs only grow, so any word from an earlier query
-    /// compares below every stamp of a later one, and `stamp | dist`
-    /// settles a vertex at `dist` in a single store.
-    fn next_stamp(&mut self) -> u64 {
-        // On wrap-around, reset the visit words; with 32-bit epochs this
-        // happens once every 4 billion queries.
-        if self.epoch == u32::MAX {
-            self.visit_fwd.iter_mut().for_each(|m| *m = 0);
-            self.visit_rev.iter_mut().for_each(|m| *m = 0);
+    /// Effort counters of the most recent
+    /// [`bounded_bibfs_sparse`](Self::bounded_bibfs_sparse) call (all zero
+    /// if it returned before searching).
+    pub fn effort(&self) -> SearchEffort {
+        self.effort
+    }
+
+    /// Bumps the epoch and returns the *stamp* of the new query,
+    /// `epoch << 1`: the forward side's visit word (`stamp | 1` is the
+    /// reverse side's). A vertex counts as visited this query iff its word
+    /// is `>= stamp` — epochs only grow, so any word from an earlier query
+    /// compares below every stamp of a later one.
+    fn next_stamp(&mut self) -> u32 {
+        // On wrap-around, reset the visit words; with 31-bit epochs this
+        // happens once every 2 billion queries.
+        if self.epoch == MAX_EPOCH {
+            self.visit.iter_mut().for_each(|m| *m = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
-        (self.epoch as u64) << 32
+        self.epoch << 1
+    }
+
+    /// Test hook: makes the next search run at epoch `epoch + 1` (or wrap
+    /// if `epoch` is the maximum), so the wrap path is reachable without
+    /// 2³¹ queries.
+    #[cfg(test)]
+    fn set_epoch(&mut self, epoch: u32) {
+        assert!(epoch <= MAX_EPOCH);
+        self.epoch = epoch;
     }
 
     /// Unidirectional early-exit BFS distance from `s` to `t`.
@@ -145,18 +177,18 @@ impl SearchSpace {
         let stamp = self.next_stamp();
         self.frontier.clear();
         self.frontier.push(s);
-        self.visit_fwd[s as usize] = stamp;
+        self.visit[s as usize] = stamp;
         let mut d = 0u32;
         while !self.frontier.is_empty() {
             self.next.clear();
             for i in 0..self.frontier.len() {
                 let u = self.frontier[i];
                 for &v in g.neighbors(u) {
-                    if self.visit_fwd[v as usize] < stamp {
+                    if self.visit[v as usize] < stamp {
                         if v == t {
                             return Some(d + 1);
                         }
-                        self.visit_fwd[v as usize] = stamp;
+                        self.visit[v as usize] = stamp;
                         self.next.push(v);
                     }
                 }
@@ -212,14 +244,15 @@ impl SearchSpace {
             return 0;
         }
         let stamp = self.next_stamp();
+        let (word_fwd, word_rev) = (stamp, stamp | 1);
 
         self.frontier.clear();
         self.frontier.push(s);
-        self.visit_fwd[s as usize] = stamp;
+        self.visit[s as usize] = word_fwd;
 
         self.frontier_other.clear();
         self.frontier_other.push(t);
-        self.visit_rev[t as usize] = stamp;
+        self.visit[t as usize] = word_rev;
 
         let mut d_fwd = 0u32;
         let mut d_rev = 0u32;
@@ -241,38 +274,35 @@ impl SearchSpace {
             }
 
             let forward = settled_fwd <= settled_rev;
-            let (frontier, visit_same, visit_other, d_same, d_other) = if forward {
-                (&mut self.frontier, &mut self.visit_fwd, &self.visit_rev, &mut d_fwd, d_rev)
+            let (frontier, mine, theirs, d_same, d_other) = if forward {
+                (&mut self.frontier, word_fwd, word_rev, &mut d_fwd, d_rev)
             } else {
-                (&mut self.frontier_other, &mut self.visit_rev, &self.visit_fwd, &mut d_rev, d_fwd)
+                (&mut self.frontier_other, word_rev, word_fwd, &mut d_rev, d_fwd)
             };
 
             self.next.clear();
-            let mut settled_this_level = 0usize;
             for &u in frontier.iter() {
                 for &v in g.neighbors(u) {
                     let vi = v as usize;
                     if skip(v) {
                         continue;
                     }
-                    if visit_other[vi] >= stamp {
-                        // The searches met. Level-synchronous expansion
-                        // guarantees the other side settled `v` at `d_other`
-                        // (a closer meeting point would have been found in
-                        // an earlier level), so this is the exact filtered
-                        // distance.
-                        let met =
-                            (*d_same + 1).saturating_add((visit_other[vi] & DIST_MASK) as u32);
-                        debug_assert_eq!((visit_other[vi] & DIST_MASK) as u32, d_other);
-                        return met.min(bound);
+                    let word = self.visit[vi];
+                    if word == theirs {
+                        // The searches met. The other side settled `v` at
+                        // its current level `d_other` (see the invariants
+                        // on `bounded_bibfs_sparse`; a closer meeting point
+                        // would have been found in an earlier level), so
+                        // this is the exact filtered distance.
+                        return (*d_same + 1).saturating_add(d_other).min(bound);
                     }
-                    if visit_same[vi] < stamp {
-                        visit_same[vi] = stamp | (*d_same + 1) as u64;
+                    if word < stamp {
+                        self.visit[vi] = mine;
                         self.next.push(v);
-                        settled_this_level += 1;
                     }
                 }
             }
+            let settled_this_level = self.next.len();
             std::mem::swap(frontier, &mut self.next);
             *d_same += 1;
             if forward {
@@ -295,15 +325,42 @@ impl SearchSpace {
     /// index (whose sparsified CSR sections are `&[u32]` slices straight
     /// over the mapping).
     ///
-    /// Two additional constant-factor refinements over the reference:
+    /// On an index that misses cache the search is bound by memory
+    /// latency, so the kernel is built around how few cache lines a query
+    /// touches. It relies on two invariants, both consequences of
+    /// level-synchronous expansion in which every mark tests the other
+    /// side first:
+    ///
+    /// 1. **The marked balls are disjoint.** A vertex already marked by
+    ///    the other side is a meeting (the search returns), never a mark —
+    ///    so one visit word `epoch << 1 | side` per vertex serves both
+    ///    directions, and any still-undiscovered path is longer than
+    ///    `d_fwd + d_rev`.
+    /// 2. **A meeting vertex is on the other side's current level.** Had
+    ///    the other side marked `v` at an earlier level it would since
+    ///    have expanded `v`, and so either met or marked the neighbour `u`
+    ///    we reach `v` from — but `u` carries *our* mark. So no distance
+    ///    is stored: a meeting is a path of exactly `d_fwd + d_rev + 1`.
+    ///
+    /// Refinements over the reference:
     ///
     /// * the side to expand is chosen by pending frontier *edge* weight
     ///   (sum of frontier degrees — the cost actually about to be paid)
     ///   rather than settled-vertex count;
-    /// * the cutoff uses the tight bidirectional lower bound: once the
-    ///   marked balls are disjoint, any undiscovered path has length
-    ///   `>= d_fwd + d_rev + 1`, so the search stops one level earlier
-    ///   than the `d_fwd + d_rev >= bound` test.
+    /// * the cutoff uses the tight bidirectional lower bound of invariant
+    ///   1: once `d_fwd + d_rev + 1 >= bound` the bound is the answer, one
+    ///   level earlier than the `d_fwd + d_rev >= bound` test;
+    /// * the **last level is probe-only**: when `d_fwd + d_rev + 2 >=
+    ///   bound` the cutoff will fire right after this level, so only a
+    ///   meeting can still change the answer — the level just tests each
+    ///   neighbour's word against the other side's, with no store, no
+    ///   `next` push and no degree lookup. On a uniform workload that is
+    ///   the largest level of the search.
+    ///
+    /// Software prefetch of the visit words a few neighbours ahead was
+    /// measured and gained nothing (the probe loop has no dependent
+    /// stores, so the core already overlaps the loads); it is
+    /// deliberately absent.
     pub fn bounded_bibfs_sparse<A: crate::csr::Adjacency + ?Sized>(
         &mut self,
         g: &A,
@@ -312,6 +369,7 @@ impl SearchSpace {
         bound: u32,
     ) -> u32 {
         self.ensure(g.num_vertices());
+        self.effort = SearchEffort::default();
         if s == t {
             return 0;
         }
@@ -319,14 +377,17 @@ impl SearchSpace {
             return 0;
         }
         let stamp = self.next_stamp();
+        let (word_fwd, word_rev) = (stamp, stamp | 1);
+        let visit = &mut self.visit[..];
 
         self.frontier.clear();
         self.frontier.push(s);
-        self.visit_fwd[s as usize] = stamp;
+        visit[s as usize] = word_fwd;
 
         self.frontier_other.clear();
         self.frontier_other.push(t);
-        self.visit_rev[t as usize] = stamp;
+        visit[t as usize] = word_rev;
+        self.effort.vertices_settled = 2;
 
         let mut d_fwd = 0u32;
         let mut d_rev = 0u32;
@@ -341,46 +402,58 @@ impl SearchSpace {
                 // other: d_g(s, t) = INF, so the bound is the answer.
                 return bound;
             }
-            // The marked balls are disjoint (every new mark checks the
-            // other side first), so d_g(s, t) >= d_fwd + d_rev + 1; once
-            // that reaches the bound the bound is the answer.
-            if d_fwd.saturating_add(d_rev).saturating_add(1) >= bound {
+            // Invariant 1: d_g(s, t) >= d_fwd + d_rev + 1, and by invariant
+            // 2 that is exactly the length a meeting in this level finds.
+            let through = d_fwd.saturating_add(d_rev).saturating_add(1);
+            if through >= bound {
                 return bound;
             }
 
             let forward = edges_fwd <= edges_rev;
-            let (frontier, visit_same, visit_other, d_same) = if forward {
-                (&mut self.frontier, &mut self.visit_fwd, &self.visit_rev, &mut d_fwd)
+            let (frontier, mine, theirs, d_same, edges_same) = if forward {
+                (&mut self.frontier, word_fwd, word_rev, &mut d_fwd, &mut edges_fwd)
             } else {
-                (&mut self.frontier_other, &mut self.visit_rev, &self.visit_fwd, &mut d_rev)
+                (&mut self.frontier_other, word_rev, word_fwd, &mut d_rev, &mut edges_rev)
             };
+            self.effort.edges_scanned += *edges_same;
+
+            if through.saturating_add(1) >= bound {
+                // Last level the cutoff allows: anything marked here would
+                // never be expanded, so only look for a meeting.
+                for &u in frontier.iter() {
+                    if g.neighbors(u).iter().any(|&v| visit[v as usize] == theirs) {
+                        return through;
+                    }
+                }
+                return bound;
+            }
 
             self.next.clear();
             let mut next_edges = 0u64;
-            for &u in frontier.iter() {
-                for &v in g.neighbors(u) {
-                    let vi = v as usize;
-                    if visit_other[vi] >= stamp {
-                        // The searches met; as in the reference, the
-                        // disjoint-ball invariant makes this exact.
-                        let met =
-                            (*d_same + 1).saturating_add((visit_other[vi] & DIST_MASK) as u32);
-                        return met.min(bound);
-                    }
-                    if visit_same[vi] < stamp {
-                        visit_same[vi] = stamp | (*d_same + 1) as u64;
-                        next_edges += g.degree(v) as u64;
-                        self.next.push(v);
+            let met = 'level: {
+                for &u in frontier.iter() {
+                    for &v in g.neighbors(u) {
+                        let vi = v as usize;
+                        let word = visit[vi];
+                        if word == theirs {
+                            break 'level true;
+                        }
+                        if word < stamp {
+                            visit[vi] = mine;
+                            next_edges += g.degree(v) as u64;
+                            self.next.push(v);
+                        }
                     }
                 }
+                false
+            };
+            self.effort.vertices_settled += self.next.len() as u64;
+            if met {
+                return through;
             }
             std::mem::swap(frontier, &mut self.next);
             *d_same += 1;
-            if forward {
-                edges_fwd = next_edges;
-            } else {
-                edges_rev = next_edges;
-            }
+            *edges_same = next_edges;
         }
     }
 }
@@ -588,6 +661,101 @@ mod tests {
         let cut = g.without_vertices(&[5]);
         assert_eq!(space.bounded_bibfs_sparse(&cut, 0, 9, 7), 7);
         assert_eq!(space.bounded_bibfs_sparse(&cut, 0, 9, INF), INF);
+    }
+
+    /// Answers of all three searches for every pair of `g`, on `space`.
+    fn all_answers(space: &mut SearchSpace, g: &CsrGraph) -> Vec<(Option<u32>, u32, u32)> {
+        let mut out = Vec::new();
+        for s in g.vertices() {
+            for t in g.vertices() {
+                out.push((
+                    space.bfs_distance(g, s, t),
+                    space.bounded_bibfs(g, s, t, 4, |_| false),
+                    space.bounded_bibfs_sparse(g, s, t, 4),
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn epoch_wrap_clears_and_stays_correct() {
+        let g = generate::erdos_renyi(40, 70, 3);
+        let want = all_answers(&mut SearchSpace::new(g.num_vertices()), &g);
+        // 3 searches per pair: start close enough to the maximum that the
+        // wrap lands mid-run, with stale maximum-epoch words of both sides
+        // still in the array.
+        let searches = 3 * (g.num_vertices() * g.num_vertices()) as u32;
+        let mut space = SearchSpace::new(g.num_vertices());
+        space.set_epoch(MAX_EPOCH - searches / 2);
+        assert_eq!(all_answers(&mut space, &g), want);
+        assert!(space.epoch < searches, "the run must have wrapped");
+
+        // The two searches either side of the wrap, by hand: the last
+        // epoch's words are `u32::MAX - 1` / `u32::MAX`, the first epoch's
+        // are 2 / 3, and the clear keeps the old marks from reading as
+        // visited.
+        let path = path_graph(8);
+        let mut space = SearchSpace::new(8);
+        space.set_epoch(MAX_EPOCH - 1);
+        assert_eq!(space.bounded_bibfs_sparse(&path, 0, 7, INF), 7);
+        assert_eq!(space.epoch, MAX_EPOCH);
+        assert!(space.visit.contains(&u32::MAX));
+        assert_eq!(space.bounded_bibfs_sparse(&path, 7, 0, INF), 7);
+        assert_eq!(space.epoch, 1);
+        assert_eq!(space.bfs_distance(&path, 2, 6), Some(4));
+    }
+
+    #[test]
+    fn search_space_owns_four_bytes_of_visit_state_per_vertex() {
+        let space = SearchSpace::new(1000);
+        assert_eq!(std::mem::size_of_val(&space.visit[..]), 4 * 1000);
+        assert_eq!(space.visit.capacity(), 1000);
+        // Nothing else in the space scales with n up front.
+        assert_eq!(space.frontier.capacity() + space.frontier_other.capacity(), 0);
+        assert_eq!(space.next.capacity(), 0);
+    }
+
+    #[test]
+    fn effort_counts_levels_and_is_zero_without_a_search() {
+        // Path 0..=9 from both ends, bound INF: levels alternate fwd/rev
+        // (ties go forward), every frontier is one vertex.
+        let g = path_graph(10);
+        let mut space = SearchSpace::new(10);
+        assert_eq!(space.bounded_bibfs_sparse(&g, 0, 9, INF), 9);
+        let full = space.effort();
+        assert_eq!(full.vertices_settled, 10, "every vertex marked exactly once");
+        // Endpoint frontiers have degree 1, inner ones degree 2; 9 levels
+        // were begun (the 9th finds the meeting).
+        assert_eq!(full.edges_scanned, 1 + 1 + 7 * 2);
+
+        // Bound 9 = the true distance: the cutoff stops after level 7 and
+        // level 8 only probes, so less is marked and the answer is equal.
+        assert_eq!(space.bounded_bibfs_sparse(&g, 0, 9, 9), 9);
+        let bounded = space.effort();
+        assert!(bounded.vertices_settled < full.vertices_settled);
+        assert_eq!(space.bounded_bibfs_sparse(&g, 0, 9, 9), 9);
+        assert_eq!(space.effort(), bounded, "counts repeat exactly");
+
+        assert_eq!(space.bounded_bibfs_sparse(&g, 4, 4, 9), 0);
+        assert_eq!(space.effort(), SearchEffort::default());
+        assert_eq!(space.bounded_bibfs_sparse(&g, 0, 9, 0), 0);
+        assert_eq!(space.effort(), SearchEffort::default());
+    }
+
+    #[test]
+    fn probe_only_level_marks_nothing() {
+        // Star with centre 0: d(1, 2) = 2. With bound 2 the first level is
+        // already the last one allowed, so it only probes: nothing beyond
+        // the two endpoints is marked, and the bound comes back.
+        let g = generate::star(6);
+        let mut space = SearchSpace::new(6);
+        assert_eq!(space.bounded_bibfs_sparse(&g, 1, 2, 2), 2);
+        assert_eq!(space.effort().vertices_settled, 2);
+        // With bound 3 the centre is marked, then the probe finds the
+        // meeting at distance 2 = bound - 1.
+        assert_eq!(space.bounded_bibfs_sparse(&g, 1, 2, 3), 2);
+        assert_eq!(space.effort().vertices_settled, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate: CSR invariants, search
 //! equivalences, serialisation robustness.
 
-use hcl_graph::{connectivity, io, traversal, CsrGraph, SearchSpace, INF};
+use hcl_graph::{connectivity, generate, io, traversal, CsrGraph, SearchSpace, INF};
 use proptest::prelude::*;
 
 fn arbitrary_graph() -> impl Strategy<Value = CsrGraph> {
@@ -11,8 +11,71 @@ fn arbitrary_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// One graph from each family the search kernel should not care about:
+/// sparse random, power-law, tree (deep levels), grid (wide levels), and
+/// a disconnected union (`INF` answers).
+fn family_graph() -> impl Strategy<Value = CsrGraph> {
+    (0u8..5, 3usize..36, 0u64..1 << 32).prop_map(|(family, n, seed)| match family {
+        0 => generate::erdos_renyi(n, 2 * n, seed),
+        1 => generate::barabasi_albert(n, 2, seed),
+        2 => generate::random_tree(n, seed),
+        3 => generate::grid(1 + n % 5, 1 + n / 5),
+        _ => {
+            let (a, b) = (generate::random_tree(n, seed), generate::erdos_renyi(n, n, seed));
+            let shifted = b.edges().map(|(u, v)| (u + n as u32, v + n as u32));
+            CsrGraph::from_edges(2 * n, &a.edges().chain(shifted).collect::<Vec<_>>())
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The probe-only last level, pinned on both sides of its boundary:
+    /// a true distance of `bound − 1` must still be found, a true distance
+    /// of `bound` needs no expansion, and every answer is `min(d, bound)`.
+    /// The three searches share one visit array, so they are interleaved
+    /// on one `SearchSpace` throughout.
+    #[test]
+    fn sparse_kernel_is_min_of_distance_and_bound(g in family_graph()) {
+        let mut space = SearchSpace::new(g.num_vertices());
+        for s in g.vertices() {
+            let dist = traversal::bfs_distances(&g, s);
+            for t in g.vertices() {
+                let d = dist[t as usize];
+                prop_assert_eq!(space.bfs_distance(&g, s, t), (d != INF).then_some(d));
+                let bounds =
+                    [0, 1, d.saturating_sub(1), d, d.saturating_add(1), d.saturating_add(2), INF];
+                for bound in bounds {
+                    let got = space.bounded_bibfs_sparse(&g, s, t, bound);
+                    prop_assert_eq!(got, d.min(bound), "sparse {}->{} bound {}", s, t, bound);
+                    let reference = space.bounded_bibfs(&g, s, t, bound, |_| false);
+                    prop_assert_eq!(reference, d.min(bound), "ref {}->{} bound {}", s, t, bound);
+                }
+            }
+        }
+    }
+
+    /// Sparse kernel on the materialised `G[V∖R]` ≡ skip-closure reference
+    /// on `G`, with the top-degree vertices as `R`.
+    #[test]
+    fn sparse_kernel_matches_reference_on_filtered_graph(
+        g in family_graph(),
+        bound in 0u32..10,
+    ) {
+        let removed = hcl_graph::order::top_degree(&g, 2);
+        let sparse = g.without_vertices(&removed);
+        let mut space = SearchSpace::new(g.num_vertices());
+        for s in g.vertices().filter(|v| !removed.contains(v)) {
+            for t in g.vertices().filter(|v| !removed.contains(v)) {
+                for bound in [bound, INF] {
+                    let want = space.bounded_bibfs(&g, s, t, bound, |v| removed.contains(&v));
+                    let got = space.bounded_bibfs_sparse(&sparse, s, t, bound);
+                    prop_assert_eq!(got, want, "{}->{} bound {}", s, t, bound);
+                }
+            }
+        }
+    }
 
     #[test]
     fn csr_invariants(g in arbitrary_graph()) {

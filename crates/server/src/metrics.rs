@@ -48,6 +48,11 @@ pub struct ServeMetrics {
     /// Single `QUERY` cache misses whose bounded search actually ran (the
     /// rest were answered by the label merge alone).
     pub searched_queries: AtomicU64,
+    /// Cumulative sparse-graph edges those searches scanned (per-level
+    /// frontier degree sums; see `hcl_graph::SearchEffort`).
+    pub search_edges_scanned: AtomicU64,
+    /// Cumulative vertices those searches marked, endpoints included.
+    pub search_vertices_settled: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -86,6 +91,8 @@ impl ServeMetrics {
             merge_ns: self.merge_ns.load(Ordering::Relaxed),
             search_ns: self.search_ns.load(Ordering::Relaxed),
             searched_queries: self.searched_queries.load(Ordering::Relaxed),
+            search_edges_scanned: self.search_edges_scanned.load(Ordering::Relaxed),
+            search_vertices_settled: self.search_vertices_settled.load(Ordering::Relaxed),
         }
     }
 }
@@ -125,6 +132,10 @@ pub struct MetricsSnapshot {
     pub search_ns: u64,
     /// Single-`QUERY` misses whose bounded search ran.
     pub searched_queries: u64,
+    /// Cumulative sparse-graph edges scanned by those searches.
+    pub search_edges_scanned: u64,
+    /// Cumulative vertices marked by those searches.
+    pub search_vertices_settled: u64,
 }
 
 impl MetricsSnapshot {

@@ -343,6 +343,8 @@ impl QueryService {
         ServeMetrics::add(&self.metrics.search_ns, phases.search_ns);
         if phases.searched {
             ServeMetrics::bump(&self.metrics.searched_queries);
+            ServeMetrics::add(&self.metrics.search_edges_scanned, phases.edges_scanned);
+            ServeMetrics::add(&self.metrics.search_vertices_settled, phases.vertices_settled);
         }
         d
     }

@@ -603,6 +603,7 @@ pub fn format_stats_response(
          active_connections={} rejected_connections={} timed_out_connections={} errors={} \
          shed_requests={} deadline_expired={} \
          epoch={} reloads={} updates_applied={} update_affected_vertices={} \
+         search_ns={} searched_queries={} search_edges_scanned={} search_vertices_settled={} \
          index_bytes={} sparse_bytes={} sparse_edges={} \
          sparse_relabelled=1 rank_lane_bytes={} dist_lane_bytes={} store_bytes={} \
          plain_index_bytes={} load_us={} max_connections={} idle_timeout_ms={} cache_hits={} \
@@ -621,6 +622,10 @@ pub fn format_stats_response(
         metrics.reloads,
         metrics.updates_applied,
         metrics.update_affected_vertices,
+        metrics.search_ns,
+        metrics.searched_queries,
+        metrics.search_edges_scanned,
+        metrics.search_vertices_settled,
         sizes.index_bytes,
         sizes.sparse_bytes,
         sizes.sparse_edges,
@@ -1068,6 +1073,9 @@ mod tests {
         assert!(body.contains("reloads=0"));
         assert!(body.contains("updates_applied=0"));
         assert!(body.contains("update_affected_vertices=0"));
+        assert!(body.contains("search_ns=0"));
+        assert!(body.contains("search_edges_scanned=0"));
+        assert!(body.contains("search_vertices_settled=0"));
         assert!(body.contains("index_bytes=1024"));
         assert!(body.contains("sparse_bytes=2048"));
         assert!(body.contains("sparse_edges=96"));

@@ -58,11 +58,15 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
             }
         }
         let gate = Gate(Arc::clone(&shared));
-        loop {
+        // The drain's last completion, held back until the gate is free.
+        let held = loop {
             // Pop under a short lock; the apply itself runs unlocked so
             // the reactor can keep parking new jobs meanwhile.
-            let job = shared.pending_updates.lock().expect("update queue poisoned").pop_front();
-            let Some(job) = job else { break };
+            let (job, last) = {
+                let mut pending = shared.pending_updates.lock().expect("update queue poisoned");
+                (pending.pop_front(), pending.is_empty())
+            };
+            let Some(job) = job else { break None };
             let line = match shared.service.apply_update(job.edit) {
                 Ok((epoch, affected)) => protocol::format_update_response(epoch, affected),
                 Err(e) => {
@@ -70,9 +74,19 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
                     protocol::format_error(e)
                 }
             };
-            shared.queue.push(Completion { conn: job.conn, seq: job.seq, line });
-        }
+            let done = Completion { conn: job.conn, seq: job.seq, line };
+            if last {
+                break Some(done);
+            }
+            shared.queue.push(done);
+        };
+        // Release the gate before the last response is visible (the order
+        // the RELOAD thread uses): a client that reads `UPDATED` and sends
+        // `RELOAD` at once must not find the gate still held by us.
         drop(gate);
+        if let Some(done) = held {
+            shared.queue.push(done);
+        }
         if shared.pending_updates.lock().expect("update queue poisoned").is_empty()
             || shared.reload_busy.swap(true, std::sync::atomic::Ordering::AcqRel)
         {
@@ -157,6 +171,7 @@ impl ServerHooks {
              \"shed_requests\":{},\"deadline_expired\":{},\
              \"reloads\":{},\"updates_applied\":{},\"update_affected_vertices\":{},\
              \"merge_ns\":{},\"search_ns\":{},\"searched_queries\":{},\
+             \"search_edges_scanned\":{},\"search_vertices_settled\":{},\
              \"load_us\":{},\"index_bytes\":{},\"sparse_bytes\":{},\
              \"store_bytes\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\
              \"max_connections\":{},\"idle_timeout_ms\":{},\"drain_grace_ms\":{}}}",
@@ -177,6 +192,8 @@ impl ServerHooks {
             m.merge_ns,
             m.search_ns,
             m.searched_queries,
+            m.search_edges_scanned,
+            m.search_vertices_settled,
             service.last_load_micros(),
             sizes.index_bytes,
             sizes.sparse_bytes,

@@ -132,6 +132,48 @@ fn stats_errors_and_graceful_shutdown_over_the_wire() {
     );
 }
 
+/// Search effort is a count, not a timing: the same seeded pair set
+/// reports exactly the same `search_edges_scanned` /
+/// `search_vertices_settled` on every run, in `METRICS` and in `STATS`.
+#[test]
+fn search_effort_counters_repeat_exactly() {
+    let run = || -> (u64, u64, u64) {
+        let (g, labelling) = hcl_core::testing::ba_fixture(N, 5, 77, 16);
+        // No cache: every query (single and batched) reaches the index.
+        let service = Arc::new(QueryService::from_parts(g, labelling, 0));
+        let handle =
+            Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        let pairs: Vec<(u32, u32)> = (0..300).map(|i| pair_for(1, i)).collect();
+        for &(s, t) in &pairs[..100] {
+            client.query(s, t).unwrap();
+        }
+        client.batch(&pairs[100..]).unwrap();
+
+        // Read the counts off STATS, then require METRICS to agree.
+        let stats = client.stats().unwrap();
+        let json = client.metrics().unwrap();
+        let get = |key: &str| -> u64 {
+            let value: u64 = stats
+                .split_ascii_whitespace()
+                .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
+                .unwrap_or_else(|| panic!("{key} missing from {stats}"))
+                .parse()
+                .unwrap();
+            assert!(json.contains(&format!("\"{key}\":{value},")), "{key}={value}: {json}");
+            value
+        };
+        let effort =
+            (get("searched_queries"), get("search_edges_scanned"), get("search_vertices_settled"));
+        handle.shutdown();
+        effort
+    };
+    let first = run();
+    assert!(first.0 > 0, "the pair set must exercise the bounded search");
+    assert!(first.1 > 0 && first.2 >= 2 * first.0, "every search marks its two endpoints");
+    assert_eq!(run(), first);
+}
+
 #[test]
 fn shutdown_drains_inflight_connections() {
     let (g, labelling) = hcl_core::testing::ba_fixture(200, 4, 9, 6);

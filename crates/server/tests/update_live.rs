@@ -242,6 +242,42 @@ fn pipelined_updates_apply_in_order_and_are_never_refused() {
     handle.shutdown();
 }
 
+/// `UPDATED` must not be visible while the update drain still holds the
+/// busy gate it shares with `RELOAD`: a client that reads the
+/// acknowledgement and sends `RELOAD` at once is alone on the server, so
+/// `ERR reload already in progress` would be a lie.
+#[test]
+fn reload_right_after_updated_is_never_refused() {
+    let (graph, labelling) = ba_fixture(N, 4, 21, 12);
+    let truth = truth_map(&graph, all_pairs());
+    let (u, v) = pick_absent_edge(&graph, &truth);
+
+    let graph_path = temp_path("after-update.hclg");
+    let index_path = temp_path("after-update.hcl");
+    hcl_graph::io::save_binary(&graph, &graph_path).unwrap();
+    hcl_core::io::save_labelling(&labelling, &index_path).unwrap();
+
+    let service = Arc::new(QueryService::from_parts(Arc::clone(&graph), labelling, 64));
+    let handle =
+        Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for round in 0..200u64 {
+        // Each RELOAD restores the original graph, so the ADD is valid
+        // every round.
+        let (epoch, _) = client.update(true, u, v).unwrap();
+        assert_eq!(epoch, 2 * round + 1);
+        let reloaded = client
+            .reload(graph_path.to_str().unwrap(), index_path.to_str())
+            .unwrap_or_else(|e| panic!("round {round}: RELOAD after UPDATED refused: {e}"));
+        assert_eq!(reloaded, 2 * round + 2);
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_file(&graph_path);
+    let _ = std::fs::remove_file(&index_path);
+}
+
 /// A packed (mmap-served) generation cannot be patched in place: the
 /// update is refused with a pointed error and the serving generation is
 /// untouched; reloading a plain index makes updates work again.
