@@ -3,8 +3,9 @@
 //! The serving stack (server reactor, router, store) funnels every raw
 //! syscall-ish operation — stream reads/writes, `accept`, `epoll_wait`,
 //! non-blocking `connect`, eventfd wakeups, `mmap` — through a single
-//! [`check`] hook keyed by [`Op`]. Tests install a [`Script`]: an ordered
-//! rule table saying "on the N-th `Read`, return `EINTR`", "every other
+//! [`check`] hook keyed by [`Op`]. Tests install a `Script` (the type
+//! exists only under the `fault-injection` feature): an ordered rule table
+//! saying "on the N-th `Read`, return `EINTR`", "every other
 //! `Write` is short", "the first `Mmap` fails with `ENOMEM`". The faulted
 //! call *does not happen*; the injected outcome flows through the exact
 //! error-handling arm the real syscall result would have taken, so retry

@@ -14,7 +14,13 @@
 //! router performs no graph computation — every frame either resolves
 //! locally (`PING`, `METRICS`, errors) or becomes upstream request
 //! lines whose responses are merged by [`aggregate`](crate::aggregate)
-//! and completed into the client's response slot.
+//! and completed into the client's response slot. Both legs move a
+//! pass's worth at a time: upstream requests are buffered and flushed
+//! once per pass per replica, and finished responses are completed into
+//! their client slots and then settled with one
+//! [`flush`](hcl_server::transport::ClientDriver::flush) — one `write`
+//! per client connection per pass, however many of its requests the pass
+//! resolved.
 //!
 //! # Resilience
 //!
@@ -116,9 +122,11 @@ struct Core {
     next_request_id: u64,
     reload_busy: bool,
     /// Finished responses addressed to client slots; drained into
-    /// [`ClientDriver::complete`] by the run loop after each dispatch
-    /// pass (a request can resolve synchronously inside `on_frame`,
-    /// while the driver holds the owning connection on its stack).
+    /// [`ClientDriver::complete`] by the run loop once per pass and then
+    /// flushed — one settle, one `write`, per client connection per pass,
+    /// however many of its requests the pass resolved. (The hop through
+    /// this list also covers a request that resolves synchronously inside
+    /// `on_frame`, while the driver still borrows the owning connection.)
     outbox: Vec<(u64, u64, String)>,
     scratch: Vec<u8>,
     /// Token stride: the widest replica group.
@@ -982,7 +990,8 @@ impl Core {
              \"timed_out_connections\":{},\"queries\":{},\"scatter_queries\":{},\
              \"batch_requests\":{},\"errors\":{},\"reloads\":{},\"updates\":{},\
              \"failovers\":{},\"retries\":{},\"degraded\":{},\"probes\":{},\
-             \"probe_failures\":{},\"parked_dropped\":{},\"upstreams\":[{upstreams}]}}",
+             \"probe_failures\":{},\"parked_dropped\":{},\"reactor_passes\":{},\
+             \"client_socket_writes\":{},\"upstreams\":[{upstreams}]}}",
             self.shared.partition.num_shards(),
             m.connections.load(Ordering::Relaxed),
             m.active_connections.load(Ordering::Relaxed),
@@ -1000,6 +1009,8 @@ impl Core {
             m.probes.load(Ordering::Relaxed),
             m.probe_failures.load(Ordering::Relaxed),
             m.parked_dropped.load(Ordering::Relaxed),
+            m.reactor_passes.load(Ordering::Relaxed),
+            m.client_socket_writes.load(Ordering::Relaxed),
         )
     }
 }
@@ -1060,6 +1071,10 @@ impl DriverHooks for Core {
             Frame::Reload { graph, index } => self.fan_out_reload(epoll, conn, id, graph, index),
             Frame::Update { add, u, v } => self.fan_out_update(epoll, conn, id, add, u, v),
         }
+    }
+
+    fn on_socket_writes(&mut self, syscalls: u64) {
+        RouterMetrics::add(&self.shared.metrics.client_socket_writes, syscalls);
     }
 
     fn on_accepted(&mut self) {
@@ -1138,12 +1153,13 @@ impl Reactor {
         TOKEN_UPSTREAM_BASE + 2 * (self.core.groups.len() * self.core.max_replicas) as u64
     }
 
+    /// Resolves every response the pass produced into its client slot,
+    /// then settles each touched client connection once.
     fn drain_outbox(&mut self, now: Instant) {
-        while !self.core.outbox.is_empty() {
-            for (conn, seq, line) in std::mem::take(&mut self.core.outbox) {
-                self.driver.complete(&self.epoll, conn, seq, line, now, &mut self.core);
-            }
+        for (conn, seq, line) in self.core.outbox.drain(..) {
+            self.driver.complete(conn, [(seq, line)], now);
         }
+        self.driver.flush(&self.epoll, now, &mut self.core);
     }
 
     pub fn run(mut self) {
@@ -1189,6 +1205,7 @@ impl Reactor {
             // A completion can queue fresh upstream work (none today, but
             // the flush is cheap and keeps the invariant simple).
             self.core.flush_upstreams(&self.epoll, now);
+            RouterMetrics::bump(&self.core.shared.metrics.reactor_passes);
             if self.core.shared.shutting_down() && !self.driver.is_draining() {
                 self.driver.begin_drain(&self.epoll, now, &mut self.core);
             }
@@ -1218,5 +1235,5 @@ pub(crate) fn spawn(
     listener: TcpListener,
 ) -> io::Result<std::thread::JoinHandle<()>> {
     let reactor = Reactor::new(shared, listener)?;
-    Ok(std::thread::spawn(move || reactor.run()))
+    std::thread::Builder::new().name("hcl-router".to_string()).spawn(move || reactor.run())
 }

@@ -108,11 +108,21 @@ pub struct RouterMetrics {
     /// queue was full (every replica reconnecting and `max_parked`
     /// already waiting).
     pub parked_dropped: AtomicU64,
+    /// Reactor loop iterations (one per `epoll_wait` return).
+    pub reactor_passes: AtomicU64,
+    /// `write` syscalls on client sockets: one per connection per pass
+    /// however many responses the pass resolved (`queries /
+    /// client_socket_writes` = replies per write).
+    pub client_socket_writes: AtomicU64,
 }
 
 impl RouterMetrics {
     pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        Self::add(counter, 1);
+    }
+
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn drop_one(counter: &AtomicU64) {

@@ -130,6 +130,37 @@ fn range_sharded_router_matches_unsharded_oracle() {
     assert_eq!(client.pipelined_queries(&pairs[..128]).unwrap(), &expect[..128]);
 }
 
+/// The router's client side rides the same per-pass flush as the server:
+/// a pipelined burst — half of it cross-shard, so answers resolve out of
+/// order across two upstream wires — comes back in request order, and the
+/// replies each pass resolved share one `write`.
+#[test]
+fn pipelined_burst_returns_in_order_with_coalesced_client_writes() {
+    let (g, hubs) = bridged_communities(4);
+    let (labelling, _) = HighwayCoverLabelling::build(&g, &hubs).unwrap();
+    let map = PartitionMap::range(g.num_vertices(), 2, &hubs);
+    assert!(map.respects_components(&g), "fixture must be component-closed");
+
+    let deployment = Deployment::start(&g, &labelling, &map);
+    let mut oracle = HlOracle::new(&g, labelling.clone());
+    let mut client = deployment.client();
+
+    let pairs = workload(g.num_vertices() as u32, 2_000);
+    let expect: Vec<Option<u32>> = pairs.iter().map(|&(s, t)| oracle.query(s, t)).collect();
+    let before = client.metrics().unwrap();
+    assert_eq!(client.pipelined_queries(&pairs).unwrap(), expect);
+    let after = client.metrics().unwrap();
+
+    assert!(metric(&after, "scatter_queries") >= 400, "the burst must cross shards: {after}");
+    let writes = metric(&after, "client_socket_writes") - metric(&before, "client_socket_writes");
+    assert!(
+        writes * 4 <= pairs.len() as u64,
+        "{writes} client writes for {} replies: a pass's replies must share a write",
+        pairs.len()
+    );
+    assert!(metric(&after, "reactor_passes") > metric(&before, "reactor_passes"));
+}
+
 #[test]
 fn hash_sharded_router_matches_unsharded_oracle() {
     let (g, hubs) = hub_star();

@@ -1,18 +1,36 @@
-//! A persistent worker pool that fans batched distance queries across
-//! threads while preserving request order.
+//! A persistent worker pool that answers *jobs* — ordered lists of
+//! distance queries pinned to one index generation — while preserving
+//! request order.
 //!
 //! [`SharedOracle::batch_distances`](hcl_core::SharedOracle) spawns scoped
 //! threads per call — fine for one offline batch, wasteful at serving rates
-//! where every connection may submit batches concurrently. The
+//! where every connection may submit work concurrently. The
 //! [`BatchExecutor`] keeps `threads` long-lived workers (each with its own
 //! [`QueryContext`]) pulling chunks from a shared channel, so concurrent
-//! batches from different connections interleave on the same pool.
+//! jobs from different connections interleave on the same pool.
 //!
-//! Completion is asynchronous: [`submit`](BatchExecutor::submit) and
-//! [`submit_query`](BatchExecutor::submit_query) take a callback that runs
-//! on the worker finishing the last chunk — the reactor passes one that
-//! pushes the formatted response onto its completion queue and signals its
-//! eventfd, so no thread ever blocks on a batch. The blocking
+//! # One job per hand-off
+//!
+//! There is one job type and two ways in, differing only in *what a
+//! request is*:
+//!
+//! * [`submit`](BatchExecutor::submit) — the pairs are **one** request (a
+//!   `BATCH` frame): admitted and validated all-or-nothing, counted in
+//!   `batch_requests` / `batch_queries`.
+//! * [`submit_queries`](BatchExecutor::submit_queries) — every pair is
+//!   **its own** request (the run of `QUERY` frames one reactor read pass
+//!   decoded): each is admitted and validated on its own, the refused ones
+//!   are handed straight back with their error, and the rest — however
+//!   many — ride one job, counted in `queries`.
+//!
+//! Either way the hand-off costs one snapshot pin, one deadline, one
+//! callback box and one allocation of each per-pair array *per job*, not
+//! per query, and `executor_jobs` counts it once.
+//!
+//! Completion is asynchronous: the job's callback runs on the worker
+//! finishing the last chunk — the reactor passes one that formats the
+//! responses and appends them to its completion queue under one lock — so
+//! no thread ever blocks on a job. The blocking
 //! [`execute`](BatchExecutor::execute) (offline callers, benches) is a thin
 //! condvar wrapper over the same path.
 
@@ -20,8 +38,8 @@ use crate::metrics::ServeMetrics;
 use crate::oracle_pool::{QueryError, QueryService};
 use crate::serving::ServingIndex;
 use hcl_core::{OracleEpoch, QueryContext};
-use hcl_graph::VertexId;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use hcl_graph::{VertexId, INF};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -31,28 +49,32 @@ use std::time::Instant;
 /// busy`) instead of growing the worker channel without bound.
 pub const DEFAULT_MAX_PENDING: usize = 1 << 16;
 
-/// Completion callback for an asynchronously submitted batch; receives the
-/// distances in input order, or [`QueryError::DeadlineExpired`] when the
-/// job outlived its deadline on the queue. Runs on a worker thread.
+/// Completion callback of one job; receives the distances in input order,
+/// or [`QueryError::DeadlineExpired`] when the job outlived its deadline
+/// on the queue. Runs on a worker thread.
 pub type BatchCallback = Box<dyn FnOnce(Result<Vec<Option<u32>>, QueryError>) + Send + 'static>;
 
-/// Completion callback for a single asynchronously submitted query.
-pub type QueryCallback = Box<dyn FnOnce(Result<Option<u32>, QueryError>) + Send + 'static>;
-
-/// One submitted batch: the input pairs, the index generation the whole
-/// batch is answered on, the in-progress results, and the completion
-/// callback.
-struct BatchJob {
+/// One submitted job: the input pairs, the index generation the whole job
+/// is answered on, the per-pair result cells, and the completion callback.
+///
+/// Shared between its chunks through an `Arc` whose *last* owner — the
+/// worker finishing the last chunk — unwraps it with [`Arc::into_inner`]
+/// and so owns the results and the callback outright: no chunk counter,
+/// no lock, no copy-out. (`into_inner` synchronises with every earlier
+/// owner's drop, which is what makes their `Relaxed` result stores
+/// visible to it.)
+struct Job {
     pairs: Vec<(VertexId, VertexId)>,
-    /// Pinned at submission: every chunk of this batch is validated and
-    /// computed against this one generation, so a mid-batch hot reload can
+    /// Pinned at submission: every chunk of this job is validated and
+    /// computed against this one generation, so a mid-job hot reload can
     /// never mix epochs inside a response.
     index: Arc<OracleEpoch<ServingIndex>>,
-    results: Mutex<Vec<Option<u32>>>,
-    /// Chunks not yet fully computed.
-    remaining: AtomicUsize,
-    /// Taken exactly once, by the worker that completes the last chunk.
-    on_done: Mutex<Option<BatchCallback>>,
+    /// One cell per pair ([`INF`] = unreachable), each written only by the
+    /// chunk that owns its range.
+    results: Vec<AtomicU32>,
+    /// Never locked: the mutex only makes the boxed `FnOnce` shareable
+    /// (`Sync`) until the last owner takes it by value.
+    on_done: Mutex<BatchCallback>,
     /// Absolute wall-clock bound: a chunk picked up past it computes
     /// nothing and the whole job resolves `DeadlineExpired`.
     deadline: Option<Instant>,
@@ -62,12 +84,12 @@ struct BatchJob {
 
 /// A contiguous slice of one job, claimed by a single worker.
 struct Chunk {
-    job: Arc<BatchJob>,
+    job: Arc<Job>,
     start: usize,
     end: usize,
 }
 
-/// The persistent batch worker pool; see the module docs.
+/// The persistent worker pool; see the module docs.
 pub struct BatchExecutor {
     service: Arc<QueryService>,
     /// `None` only during drop (disconnects the workers).
@@ -77,8 +99,8 @@ pub struct BatchExecutor {
     /// Queries accepted but not yet computed (shared with the workers,
     /// who decrement as chunks finish).
     depth: Arc<AtomicUsize>,
-    /// Shed (`ERR busy`) any submission that would push `depth` past
-    /// this; 0 disables the bound.
+    /// Shed (`ERR busy`) any request that would push `depth` past this;
+    /// 0 disables the bound.
     max_pending: usize,
 }
 
@@ -90,7 +112,7 @@ impl BatchExecutor {
     }
 
     /// [`new`](Self::new) with an explicit queued-query cap (0 =
-    /// unbounded). Submissions that would exceed it are refused with
+    /// unbounded). Requests that would exceed it are refused with
     /// [`QueryError::Overloaded`] — typed `ERR busy` on the wire — and
     /// counted in the `shed_requests` metric, instead of growing the
     /// worker channel without bound.
@@ -104,22 +126,25 @@ impl BatchExecutor {
         let (tx, rx) = mpsc::channel::<Chunk>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
-            .map(|_| {
+            .map(|i| {
                 let rx = Arc::clone(&rx);
                 let service = Arc::clone(&service);
                 let depth = Arc::clone(&depth);
-                std::thread::spawn(move || {
-                    let mut ctx = QueryContext::new(service.num_vertices());
-                    loop {
-                        // Hold the receiver lock only for the pop, not the
-                        // computation.
-                        let chunk = match rx.lock().expect("batch queue poisoned").recv() {
-                            Ok(chunk) => chunk,
-                            Err(_) => return, // executor dropped
-                        };
-                        Self::run_chunk(&service, &mut ctx, &chunk, &depth);
-                    }
-                })
+                std::thread::Builder::new()
+                    .name(format!("hcl-worker-{i}"))
+                    .spawn(move || {
+                        let mut ctx = QueryContext::new(service.num_vertices());
+                        loop {
+                            // Hold the receiver lock only for the pop, not
+                            // the computation.
+                            let chunk = match rx.lock().expect("batch queue poisoned").recv() {
+                                Ok(chunk) => chunk,
+                                Err(_) => return, // executor dropped
+                            };
+                            Self::run_chunk(&service, &mut ctx, chunk, &depth);
+                        }
+                    })
+                    .expect("spawn batch worker thread")
             })
             .collect();
         BatchExecutor { service, injector: Some(tx), workers, threads, depth, max_pending }
@@ -143,10 +168,10 @@ impl BatchExecutor {
     fn run_chunk(
         service: &QueryService,
         ctx: &mut QueryContext,
-        chunk: &Chunk,
+        chunk: Chunk,
         depth: &AtomicUsize,
     ) {
-        let job = &chunk.job;
+        let Chunk { job, start, end } = chunk;
         // A chunk picked up past the job's deadline computes nothing, and
         // poisons the job so sibling chunks stop computing too — a queue
         // full of expired work drains at memcpy speed instead of search
@@ -157,68 +182,75 @@ impl BatchExecutor {
             ServeMetrics::bump(&service.metrics().deadline_expired);
         }
         if !job.expired.load(Ordering::Acquire) {
-            // Compute outside the results lock; one short splice per chunk.
             // The job's pinned generation supplies graph, labelling, and
             // cache epoch (the context self-resizes across graph sizes).
-            let computed: Vec<Option<u32>> = job.pairs[chunk.start..chunk.end]
-                .iter()
-                .map(|&(s, t)| service.cached_distance_with(&job.index, ctx, s, t))
-                .collect();
-            job.results.lock().expect("batch results poisoned")[chunk.start..chunk.end]
-                .copy_from_slice(&computed);
-        }
-        depth.fetch_sub(chunk.end - chunk.start, Ordering::AcqRel);
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let on_done =
-                job.on_done.lock().expect("batch callback poisoned").take().expect("taken once");
-            if job.expired.load(Ordering::Acquire) {
-                on_done(Err(QueryError::DeadlineExpired));
-            } else {
-                let results =
-                    std::mem::take(&mut *job.results.lock().expect("batch results poisoned"));
-                on_done(Ok(results));
+            for (cell, &(s, t)) in job.results[start..end].iter().zip(&job.pairs[start..end]) {
+                let d = service.cached_distance_with(&job.index, ctx, s, t);
+                cell.store(d.unwrap_or(INF), Ordering::Relaxed);
             }
+        }
+        depth.fetch_sub(end - start, Ordering::AcqRel);
+        // Only the last chunk to finish gets the job back by value.
+        let Some(job) = Arc::into_inner(job) else { return };
+        let on_done = job.on_done.into_inner().expect("never locked, so never poisoned");
+        if job.expired.into_inner() {
+            on_done(Err(QueryError::DeadlineExpired));
+        } else {
+            let distances = job.results.into_iter().map(AtomicU32::into_inner);
+            on_done(Ok(distances.map(|d| (d != INF).then_some(d)).collect()));
         }
     }
 
-    /// Overload gate: reserves room for `count` queries or sheds. Runs
-    /// before validation so a flood is turned away at the door.
-    fn admit(&self, count: usize) -> Result<(), QueryError> {
+    /// Overload gate: reserves queue room for `count` queries and returns
+    /// how many it granted — all or none of them, or with `partial` the
+    /// leading ones that still fit. Runs before validation so a flood is
+    /// turned away at the door.
+    fn reserve(&self, count: usize, partial: bool) -> usize {
         if self.max_pending == 0 {
             self.depth.fetch_add(count, Ordering::AcqRel);
-            return Ok(());
+            return count;
         }
         let mut current = self.depth.load(Ordering::Acquire);
         loop {
-            if current + count > self.max_pending {
-                ServeMetrics::bump(&self.service.metrics().shed_requests);
-                return Err(QueryError::Overloaded);
+            let room = self.max_pending.saturating_sub(current);
+            let granted = match (count <= room, partial) {
+                (true, _) => count,
+                (false, true) => room,
+                (false, false) => 0,
+            };
+            if granted == 0 {
+                return 0;
             }
             match self.depth.compare_exchange_weak(
                 current,
-                current + count,
+                current + granted,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Ok(()),
+                Ok(_) => return granted,
                 Err(seen) => current = seen,
             }
         }
     }
 
-    /// Validates `pairs` against the index generation current at
-    /// submission and fans them across the worker pool; `on_done` runs —
+    /// Submits `pairs` as **one request** (a `BATCH`): admitted and
+    /// validated all-or-nothing against the index generation current at
+    /// submission, then fanned across the worker pool; `on_done` runs —
     /// with the distances in input order — on the worker that finishes the
-    /// last chunk (inline for an empty batch). On a validation error
-    /// nothing is executed, nothing is counted, and the callback is
-    /// dropped unused. Callable concurrently from any number of threads;
-    /// never blocks on the computation.
+    /// last chunk (inline for an empty batch). On an admission or
+    /// validation error nothing is executed, nothing is counted as served,
+    /// and the callback is dropped unused. Callable concurrently from any
+    /// number of threads; never blocks on the computation.
     pub fn submit(
         &self,
         pairs: Vec<(VertexId, VertexId)>,
         on_done: BatchCallback,
     ) -> Result<(), QueryError> {
-        self.admit(pairs.len())?;
+        let metrics = self.service.metrics();
+        if self.reserve(pairs.len(), false) < pairs.len() {
+            ServeMetrics::bump(&metrics.shed_requests);
+            return Err(QueryError::Overloaded);
+        }
         let index = self.service.snapshot();
         for &(s, t) in &pairs {
             if let Err(e) = QueryService::check_pair_in(&index, s, t) {
@@ -226,7 +258,6 @@ impl BatchExecutor {
                 return Err(e);
             }
         }
-        let metrics = self.service.metrics();
         ServeMetrics::bump(&metrics.batch_requests);
         ServeMetrics::add(&metrics.batch_queries, pairs.len() as u64);
         if pairs.is_empty() {
@@ -237,58 +268,89 @@ impl BatchExecutor {
         Ok(())
     }
 
-    /// Single-query analogue of [`submit`](Self::submit): validated up
-    /// front, counted in the `queries` metric, answered through the cache
-    /// on a pooled worker. Lets the reactor keep cache-miss queries (real
-    /// graph searches) off its event loop.
-    pub fn submit_query(
+    /// Submits a run of **independent single queries** — `(tag, s, t)`,
+    /// the tag being whatever the caller needs to route the answer (the
+    /// reactor's response-slot number) — as one job.
+    ///
+    /// Admission and validation are *per request*: the leading queries
+    /// that fit under the queue cap are admitted and the rest shed
+    /// ([`QueryError::Overloaded`], one `shed_requests` each); each
+    /// admitted query is then range-checked on its own against the one
+    /// generation pinned for the job. Every refused query comes back in
+    /// the returned list with its error — a bad vertex or a full queue
+    /// fails *that request*, never the run it arrived in. The accepted
+    /// queries are counted in `queries` and computed as one job;
+    /// `on_done` receives their tags and, in the same order, their
+    /// distances (or the one [`QueryError::DeadlineExpired`] that expired
+    /// the whole job). With nothing accepted, no job is queued and
+    /// `on_done` is dropped unused.
+    pub fn submit_queries<T, F>(
         &self,
-        s: VertexId,
-        t: VertexId,
-        on_done: QueryCallback,
-    ) -> Result<(), QueryError> {
-        self.admit(1)?;
+        queries: Vec<(T, VertexId, VertexId)>,
+        on_done: F,
+    ) -> Vec<(T, QueryError)>
+    where
+        T: Send + 'static,
+        F: FnOnce(Vec<T>, Result<Vec<Option<u32>>, QueryError>) + Send + 'static,
+    {
+        let metrics = self.service.metrics();
+        let admitted = self.reserve(queries.len(), true);
+        ServeMetrics::add(&metrics.shed_requests, (queries.len() - admitted) as u64);
         let index = self.service.snapshot();
-        if let Err(e) = QueryService::check_pair_in(&index, s, t) {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err(e);
+        let mut refused = Vec::new();
+        let mut tags = Vec::with_capacity(admitted);
+        let mut pairs = Vec::with_capacity(admitted);
+        for (i, (tag, s, t)) in queries.into_iter().enumerate() {
+            if i >= admitted {
+                refused.push((tag, QueryError::Overloaded));
+            } else if let Err(e) = QueryService::check_pair_in(&index, s, t) {
+                refused.push((tag, e));
+            } else {
+                tags.push(tag);
+                pairs.push((s, t));
+            }
         }
-        ServeMetrics::bump(&self.service.metrics().queries);
-        self.enqueue(
-            vec![(s, t)],
-            index,
-            Box::new(move |results| on_done(results.map(|r| r.first().copied().flatten()))),
-        );
-        Ok(())
+        self.depth.fetch_sub(admitted - pairs.len(), Ordering::AcqRel);
+        ServeMetrics::add(&metrics.queries, pairs.len() as u64);
+        if !pairs.is_empty() {
+            self.enqueue(pairs, index, Box::new(move |distances| on_done(tags, distances)));
+        }
+        refused
     }
 
-    /// Splits an already validated batch into chunks on the worker queue.
+    /// Splits an already admitted and validated job into chunks on the
+    /// worker queue.
     fn enqueue(
         &self,
         pairs: Vec<(VertexId, VertexId)>,
         index: Arc<OracleEpoch<ServingIndex>>,
         on_done: BatchCallback,
     ) {
+        ServeMetrics::bump(&self.service.metrics().executor_jobs);
         // Over-split relative to the thread count so a slow chunk (cache
-        // misses needing real searches) doesn't serialise the tail.
-        let chunk_size = pairs.len().div_ceil(self.threads * 4).max(1);
-        let num_chunks = pairs.len().div_ceil(chunk_size);
+        // misses needing real searches) doesn't serialise the tail — which
+        // only helps when a second worker exists to take the rest.
+        let ways = if self.threads == 1 { 1 } else { self.threads * 4 };
         let len = pairs.len();
-        let job = Arc::new(BatchJob {
+        let chunk_size = len.div_ceil(ways).max(1);
+        let num_chunks = len.div_ceil(chunk_size);
+        let mut job = Some(Arc::new(Job {
             pairs,
             index,
-            results: Mutex::new(vec![None; len]),
-            remaining: AtomicUsize::new(num_chunks),
-            on_done: Mutex::new(Some(on_done)),
+            results: (0..len).map(|_| AtomicU32::new(INF)).collect(),
+            on_done: Mutex::new(on_done),
             deadline: self.service.request_deadline().map(|d| Instant::now() + d),
             expired: AtomicBool::new(false),
-        });
+        }));
         let injector = self.injector.as_ref().expect("executor not shut down");
         for i in 0..num_chunks {
             let start = i * chunk_size;
             let end = (start + chunk_size).min(len);
+            // The last chunk takes this thread's handle with it, so the
+            // job's final owner is always a worker.
+            let job = if i + 1 == num_chunks { job.take() } else { job.clone() };
             injector
-                .send(Chunk { job: Arc::clone(&job), start, end })
+                .send(Chunk { job: job.expect("held until the last chunk"), start, end })
                 .expect("batch workers alive while executor exists");
         }
     }
@@ -431,23 +493,90 @@ mod tests {
         assert!(rx.recv().is_err(), "callback must never fire on a rejected batch");
     }
 
-    #[test]
-    fn async_single_queries_count_in_the_query_metric() {
-        use std::sync::mpsc;
+    /// What a job's callback received: the accepted tags and their answers.
+    type Done = (Vec<u64>, Result<Vec<Option<u32>>, QueryError>);
 
+    /// Runs `queries` through `submit_queries` and waits for the job.
+    fn run_queries(
+        executor: &BatchExecutor,
+        queries: Vec<(u64, u32, u32)>,
+    ) -> (Vec<(u64, QueryError)>, Option<Done>) {
+        let (tx, rx) = mpsc::channel();
+        let refused = executor.submit_queries(queries, move |tags, distances| {
+            tx.send((tags, distances)).unwrap();
+        });
+        // The sender is dropped unused when nothing was accepted.
+        (refused, rx.recv_timeout(std::time::Duration::from_secs(30)).ok())
+    }
+
+    #[test]
+    fn a_run_of_queries_is_one_job_validated_per_request() {
         let service = service(64);
         let executor = BatchExecutor::new(Arc::clone(&service), 2);
-        let offline = service.snapshot().index().batch_distances(&[(1, 42)], 1)[0];
+        let good = pairs(40, 500);
+        let expect = service.snapshot().index().batch_distances(&good, 1);
 
-        let (tx, rx) = mpsc::channel();
-        executor.submit_query(1, 42, Box::new(move |d| tx.send(d).unwrap())).unwrap();
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap().unwrap(), offline);
+        // Tags 0..40 are good; tag 100 (in the middle) names a bad vertex.
+        let mut queries: Vec<(u64, u32, u32)> =
+            good.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
+        queries.insert(17, (100, 3, 500));
+        let (refused, done) = run_queries(&executor, queries);
 
-        assert!(executor.submit_query(0, 500, Box::new(|_| panic!("must not run"))).is_err());
+        assert_eq!(refused, vec![(100, QueryError::VertexOutOfRange { vertex: 500, n: 500 })]);
+        let (tags, distances) = done.expect("the good queries ran");
+        assert_eq!(tags, (0..40).collect::<Vec<u64>>(), "accepted tags keep their order");
+        assert_eq!(distances.unwrap(), expect, "the bad query failed alone, not the run");
 
         let snap = service.metrics_snapshot();
-        assert_eq!(snap.queries, 1, "one accepted single query");
+        assert_eq!(snap.queries, 40, "one per accepted query");
         assert_eq!(snap.batch_requests, 0, "single queries are not batches");
+        assert_eq!(snap.executor_jobs, 1, "forty queries, one hand-off");
+        assert_eq!(executor.queued(), 0);
+    }
+
+    #[test]
+    fn a_run_past_the_cap_sheds_its_tail_per_request() {
+        let service = service(0);
+        let executor = BatchExecutor::with_queue_cap(Arc::clone(&service), 1, 8);
+        let all = pairs(32, 500);
+        let expect = service.snapshot().index().batch_distances(&all[..8], 1);
+        let queries = all.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
+        let (refused, done) = run_queries(&executor, queries);
+
+        // The eight that fit are served; the 24 behind them are shed one
+        // by one, each counted.
+        assert_eq!(refused.len(), 24);
+        assert!(refused.iter().all(|(_, e)| *e == QueryError::Overloaded));
+        assert_eq!(refused[0].0, 8, "shedding starts at the first request past the cap");
+        let (tags, distances) = done.expect("the admitted head ran");
+        assert_eq!(tags, (0..8).collect::<Vec<u64>>());
+        assert_eq!(distances.unwrap(), expect);
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.shed_requests, 24);
+        assert_eq!(snap.queries, 8);
+        assert_eq!(executor.queued(), 0, "shed and invalid requests leave no depth behind");
+
+        // Nothing accepted: no job, the callback is dropped unused.
+        let (refused, done) = run_queries(&executor, vec![(7, 0, 999)]);
+        assert_eq!(refused.len(), 1);
+        assert!(done.is_none());
+        assert_eq!(service.metrics_snapshot().executor_jobs, 1);
+        assert_eq!(executor.queued(), 0);
+    }
+
+    #[test]
+    fn zero_deadline_expires_a_whole_run_once() {
+        let service = service(0);
+        service.set_request_deadline(Some(std::time::Duration::ZERO));
+        let executor = BatchExecutor::new(Arc::clone(&service), 2);
+        let queries = pairs(50, 500).iter().map(|&(s, t)| (0u64, s, t)).collect();
+        let (refused, done) = run_queries(&executor, queries);
+        assert!(refused.is_empty());
+        let (tags, distances) = done.unwrap();
+        assert_eq!(tags.len(), 50, "every request of the run learns of the expiry");
+        assert_eq!(distances.unwrap_err(), QueryError::DeadlineExpired);
+        assert_eq!(service.metrics_snapshot().deadline_expired, 1, "once per job");
+        assert_eq!(executor.queued(), 0);
     }
 
     #[test]

@@ -53,6 +53,20 @@ pub struct ServeMetrics {
     pub search_edges_scanned: AtomicU64,
     /// Cumulative vertices those searches marked, endpoints included.
     pub search_vertices_settled: AtomicU64,
+    /// Reactor loop iterations (one per `epoll_wait` return). With the
+    /// three counters below this makes the request path's amortisation a
+    /// live number: all four are bumped once per pass / syscall / job,
+    /// never per query.
+    pub reactor_passes: AtomicU64,
+    /// `write` syscalls on client sockets (`queries / socket_writes` =
+    /// replies per write).
+    pub socket_writes: AtomicU64,
+    /// Eventfd writes waking the reactor (completions signal only the
+    /// empty → non-empty transition of the completion queue).
+    pub wake_signals: AtomicU64,
+    /// Jobs handed to the worker pool (`(queries + batch_requests) /
+    /// executor_jobs` = requests per hand-off).
+    pub executor_jobs: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -93,6 +107,10 @@ impl ServeMetrics {
             searched_queries: self.searched_queries.load(Ordering::Relaxed),
             search_edges_scanned: self.search_edges_scanned.load(Ordering::Relaxed),
             search_vertices_settled: self.search_vertices_settled.load(Ordering::Relaxed),
+            reactor_passes: self.reactor_passes.load(Ordering::Relaxed),
+            socket_writes: self.socket_writes.load(Ordering::Relaxed),
+            wake_signals: self.wake_signals.load(Ordering::Relaxed),
+            executor_jobs: self.executor_jobs.load(Ordering::Relaxed),
         }
     }
 }
@@ -136,6 +154,14 @@ pub struct MetricsSnapshot {
     pub search_edges_scanned: u64,
     /// Cumulative vertices marked by those searches.
     pub search_vertices_settled: u64,
+    /// Reactor loop iterations.
+    pub reactor_passes: u64,
+    /// `write` syscalls on client sockets.
+    pub socket_writes: u64,
+    /// Eventfd writes waking the reactor.
+    pub wake_signals: u64,
+    /// Jobs handed to the worker pool.
+    pub executor_jobs: u64,
 }
 
 impl MetricsSnapshot {

@@ -599,7 +599,8 @@ pub fn format_stats_response(
     idle_timeout_ms: u64,
 ) -> String {
     format!(
-        "STATS queries={} batch_requests={} batch_queries={} connections={} \
+        "STATS queries={} batch_requests={} batch_queries={} reactor_passes={} \
+         socket_writes={} wake_signals={} executor_jobs={} connections={} \
          active_connections={} rejected_connections={} timed_out_connections={} errors={} \
          shed_requests={} deadline_expired={} \
          epoch={} reloads={} updates_applied={} update_affected_vertices={} \
@@ -611,6 +612,10 @@ pub fn format_stats_response(
         metrics.queries,
         metrics.batch_requests,
         metrics.batch_queries,
+        metrics.reactor_passes,
+        metrics.socket_writes,
+        metrics.wake_signals,
+        metrics.executor_jobs,
         metrics.connections,
         metrics.active_connections,
         metrics.rejected_connections,

@@ -6,12 +6,39 @@
 //! shared [`ClientDriver`](crate::transport::ClientDriver); this module
 //! supplies the serving policy through
 //! [`DriverHooks`](crate::transport::DriverHooks): frames become response
-//! slots, and computation goes to the [`BatchExecutor`] worker pool.
-//! Workers never touch a socket: they push the formatted response onto
-//! the [`CompletionQueue`] and signal the eventfd, and the reactor writes
-//! it out in request order on its next pass. Thread count is therefore
-//! fixed — one reactor plus the worker pool — regardless of how many
-//! connections are open.
+//! slots, and computation goes to the
+//! [`BatchExecutor`](crate::batch::BatchExecutor) worker pool. Workers
+//! never touch a socket: they append formatted responses to the
+//! [`CompletionQueue`], and the reactor writes them out in request order
+//! on its next pass. Thread count is therefore fixed — one reactor plus
+//! the worker pool — regardless of how many connections are open.
+//!
+//! # A pass is the unit of work
+//!
+//! Every boundary on the request path carries whatever one reactor pass
+//! (one `epoll_wait` return) produced, not one query:
+//!
+//! * **socket → executor:** the `QUERY` frames one read pass decodes on a
+//!   connection are gathered into a run and handed to the executor as one
+//!   job ([`BatchExecutor::submit_queries`](crate::batch::BatchExecutor::submit_queries))
+//!   when the read pass ends — or earlier, the moment any other frame is
+//!   dispatched, so a `QUERY` never pins its index generation after a
+//!   later `UPDATE`/`RELOAD`/`EPOCH` on the same connection was handled.
+//!   Each `QUERY` still claims its response slot *at decode time*, so
+//!   grouping cannot reorder responses or loosen `MAX_INFLIGHT`, and
+//!   admission and validation stay per request inside the job hand-off.
+//! * **executor → reactor:** the worker finishing a job formats its
+//!   responses and appends them under one lock; the queue signals the
+//!   eventfd only when it goes from empty to non-empty
+//!   (see [`CompletionQueue`]).
+//! * **reactor → socket:** completions only fill slots; one
+//!   [`flush`](crate::transport::ClientDriver::flush) per pass settles
+//!   each touched connection once — one `write` per connection per pass.
+//!
+//! There is no batching window: a batch is exactly what one `epoll_wait`
+//! return delivered, so at depth 1 a request passes through alone and
+//! waits for nothing. `reactor_passes`, `socket_writes`, `wake_signals`
+//! and `executor_jobs` in `STATS`/`METRICS` make the amortisation visible.
 //!
 //! Timers (idle timeout, shutdown drain grace, accept backoff) are epoll
 //! timeouts computed from the nearest deadline; with no deadline pending
@@ -20,6 +47,7 @@
 //! one eventfd write.
 
 use crate::metrics::ServeMetrics;
+use crate::oracle_pool::QueryService;
 use crate::protocol::{self, Frame};
 use crate::server::{Shared, UpdateJob};
 use crate::transport::conn::Conn;
@@ -28,6 +56,7 @@ use crate::transport::driver::{
 };
 use crate::transport::sys::{Epoll, EpollEvent, EventFd};
 use hcl_core::update::EdgeEdit;
+use hcl_graph::VertexId;
 use std::io;
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -74,7 +103,7 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
                     protocol::format_error(e)
                 }
             };
-            let done = Completion { conn: job.conn, seq: job.seq, line };
+            let done = Completion::one(job.conn, job.seq, line);
             if last {
                 break Some(done);
             }
@@ -108,34 +137,69 @@ fn drain_parked_updates(shared: &Arc<Shared>) {
     drain_updates_holding_gate(Arc::clone(shared));
 }
 
-/// One finished unit of asynchronous work, addressed to a response slot.
+/// One finished unit of asynchronous work — a job's responses, or the
+/// one response of a `RELOAD`/`UPDATE` — addressed to response slots of
+/// one connection.
 pub(crate) struct Completion {
     pub conn: u64,
-    pub seq: u64,
-    pub line: String,
+    /// `(slot, response line)` for each request the work answered.
+    pub replies: Vec<(u64, String)>,
+}
+
+impl Completion {
+    /// The completion of a single request.
+    pub fn one(conn: u64, seq: u64, line: String) -> Completion {
+        Completion { conn, replies: vec![(seq, line)] }
+    }
 }
 
 /// The channel from worker/reload threads back into the reactor: a locked
 /// vector plus the eventfd that wakes the epoll wait. Also the shutdown
 /// wakeup (a bare [`wake`](Self::wake) with the flag already flipped).
+///
+/// # Edge-only signalling
+///
+/// A push signals the eventfd only when it finds the queue empty. That
+/// cannot lose a wake-up because of the order the reactor works in: it
+/// clears the signal *first* (when the wake token fires) and drains the
+/// *whole* queue afterwards, unconditionally, on every pass. So whenever
+/// the queue is non-empty, either the signal of the push that made it so
+/// is still pending (the reactor will wake, clear, and drain), or the
+/// reactor is between its clear and its drain and is about to take
+/// everything — a push that lands on a non-empty queue is covered by one
+/// of the two and has nothing to add. A burst of completions therefore
+/// costs one eventfd write, not one each; the worst case of the races
+/// around the drain is a spurious wake-up that finds the queue empty.
 pub(crate) struct CompletionQueue {
     items: Mutex<Vec<Completion>>,
     wake: EventFd,
+    /// Owner of the `wake_signals` counter.
+    service: Arc<QueryService>,
 }
 
 impl CompletionQueue {
-    pub fn new() -> io::Result<CompletionQueue> {
-        Ok(CompletionQueue { items: Mutex::new(Vec::new()), wake: EventFd::new()? })
+    pub fn new(service: Arc<QueryService>) -> io::Result<CompletionQueue> {
+        Ok(CompletionQueue { items: Mutex::new(Vec::new()), wake: EventFd::new()?, service })
     }
 
-    /// Queues a completion and wakes the reactor.
+    /// Queues one completion — however many replies it carries, one
+    /// locked push — waking the reactor if the queue was empty (see the
+    /// type docs).
     pub fn push(&self, completion: Completion) {
-        self.items.lock().expect("completion queue poisoned").push(completion);
-        self.wake.signal();
+        let was_empty = {
+            let mut items = self.items.lock().expect("completion queue poisoned");
+            let was_empty = items.is_empty();
+            items.push(completion);
+            was_empty
+        };
+        if was_empty {
+            self.wake();
+        }
     }
 
     /// Wakes the reactor without queueing anything (shutdown).
     pub fn wake(&self) {
+        ServeMetrics::bump(&self.service.metrics().wake_signals);
         self.wake.signal();
     }
 
@@ -155,9 +219,48 @@ impl CompletionQueue {
 /// The serving policy plugged into the shared connection driver.
 struct ServerHooks {
     shared: Arc<Shared>,
+    /// The `QUERY` frames of the connection currently being read, as
+    /// `(slot, s, t)`, waiting for [`flush_run`](Self::flush_run). Empty
+    /// between connections: every read pass ends by flushing it.
+    run: Vec<(u64, VertexId, VertexId)>,
 }
 
 impl ServerHooks {
+    /// Hands the gathered run of `QUERY`s to the executor as one job;
+    /// the requests it refuses (shed at the queue cap, vertex out of
+    /// range) are answered here, each on its own slot.
+    fn flush_run(&mut self, conn: &mut Conn, id: u64) {
+        if self.run.is_empty() {
+            return;
+        }
+        // The next run starts out sized like this one.
+        let next = Vec::with_capacity(self.run.len());
+        let run = std::mem::replace(&mut self.run, next);
+        let shared = &self.shared;
+        let owner = Arc::clone(shared);
+        let refused = shared.executor.submit_queries(run, move |seqs: Vec<u64>, distances| {
+            let replies = match distances {
+                Ok(distances) => seqs
+                    .into_iter()
+                    .zip(distances.into_iter().map(protocol::format_query_response))
+                    .collect(),
+                // Deadline expiry: counted once per job in
+                // deadline_expired by the executor, and once per request
+                // as an error response.
+                Err(e) => {
+                    ServeMetrics::add(&owner.service.metrics().errors, seqs.len() as u64);
+                    let line = protocol::format_error(e);
+                    seqs.into_iter().map(|seq| (seq, line.clone())).collect()
+                }
+            };
+            owner.queue.push(Completion { conn: id, replies });
+        });
+        for (seq, e) in refused {
+            ServeMetrics::bump(&shared.service.metrics().errors);
+            conn.complete(seq, protocol::format_error(e));
+        }
+    }
+
     /// Builds the single-line JSON body of a `METRICS` response.
     fn metrics_json(&self) -> String {
         let service = &self.shared.service;
@@ -166,7 +269,9 @@ impl ServerHooks {
         let sizes = service.index_sizes();
         format!(
             "{{\"role\":\"server\",\"epoch\":{},\"queries\":{},\"batch_requests\":{},\
-             \"batch_queries\":{},\"connections\":{},\"active_connections\":{},\
+             \"batch_queries\":{},\"reactor_passes\":{},\"socket_writes\":{},\
+             \"wake_signals\":{},\"executor_jobs\":{},\
+             \"connections\":{},\"active_connections\":{},\
              \"rejected_connections\":{},\"timed_out_connections\":{},\"errors\":{},\
              \"shed_requests\":{},\"deadline_expired\":{},\
              \"reloads\":{},\"updates_applied\":{},\"update_affected_vertices\":{},\
@@ -179,6 +284,10 @@ impl ServerHooks {
             m.queries,
             m.batch_requests,
             m.batch_queries,
+            m.reactor_passes,
+            m.socket_writes,
+            m.wake_signals,
+            m.executor_jobs,
             m.connections,
             m.active_connections,
             m.rejected_connections,
@@ -213,9 +322,18 @@ impl DriverHooks for ServerHooks {
     /// work goes to the executor (or a reload thread) with a completion
     /// keyed to this connection.
     fn on_frame(&mut self, _epoll: &Epoll, conn: &mut Conn, id: u64, frame: Frame) {
+        // Any frame but a QUERY ends the run first, so the queries before
+        // it are submitted (and pin their generation) before it takes
+        // effect.
+        if !matches!(frame, Frame::Query(..)) {
+            self.flush_run(conn, id);
+        }
         let shared = &self.shared;
         let metrics = shared.service.metrics();
         match frame {
+            // The slot is claimed now — that alone fixes the response
+            // order; the executor hand-off waits for the rest of the run.
+            Frame::Query(s, t) => self.run.push((conn.push_waiting(), s, t)),
             Frame::Ping => conn.push_ready("PONG".to_string()),
             Frame::Epoch => {
                 conn.push_ready(protocol::format_epoch_response(shared.service.epoch()));
@@ -237,31 +355,6 @@ impl DriverHooks for ServerHooks {
             Frame::Metrics => {
                 conn.push_ready(protocol::format_metrics_response(&self.metrics_json()));
             }
-            Frame::Query(s, t) => {
-                let seq = conn.push_waiting();
-                let queue = Arc::clone(&shared.queue);
-                let owner = Arc::clone(shared);
-                let submitted = shared.executor.submit_query(
-                    s,
-                    t,
-                    Box::new(move |d| {
-                        let line = match d {
-                            Ok(d) => protocol::format_query_response(d),
-                            // Deadline expiry: counted in deadline_expired
-                            // by the executor, and as an error response.
-                            Err(e) => {
-                                ServeMetrics::bump(&owner.service.metrics().errors);
-                                protocol::format_error(e)
-                            }
-                        };
-                        queue.push(Completion { conn: id, seq, line });
-                    }),
-                );
-                if let Err(e) = submitted {
-                    ServeMetrics::bump(&metrics.errors);
-                    conn.complete(seq, protocol::format_error(e));
-                }
-            }
             Frame::Batch(pairs) => {
                 let seq = conn.push_waiting();
                 let queue = Arc::clone(&shared.queue);
@@ -276,7 +369,7 @@ impl DriverHooks for ServerHooks {
                                 protocol::format_error(e)
                             }
                         };
-                        queue.push(Completion { conn: id, seq, line });
+                        queue.push(Completion::one(id, seq, line));
                     }),
                 );
                 if let Err(e) = submitted {
@@ -298,7 +391,7 @@ impl DriverHooks for ServerHooks {
                 } else {
                     let queue = Arc::clone(&shared.queue);
                     let shared = Arc::clone(shared);
-                    std::thread::spawn(move || {
+                    let reload = move || {
                         // Clears the gate when the thread exits, even on a
                         // panic inside the load/build.
                         struct Gate(Arc<Shared>);
@@ -325,11 +418,12 @@ impl DriverHooks for ServerHooks {
                         // a client that pipelines its next RELOAD right
                         // after reading this line must not race the drop.
                         drop(gate);
-                        queue.push(Completion { conn: id, seq, line });
+                        queue.push(Completion::one(id, seq, line));
                         // UPDATEs that arrived during the reload parked
                         // themselves; apply them now the gate is free.
                         drain_parked_updates(&shared);
-                    });
+                    };
+                    spawn_named("hcl-reload", reload);
                 }
             }
             Frame::Update { add, u, v } => {
@@ -353,7 +447,7 @@ impl DriverHooks for ServerHooks {
                 }
                 if !shared.reload_busy.swap(true, std::sync::atomic::Ordering::AcqRel) {
                     let shared = Arc::clone(shared);
-                    std::thread::spawn(move || drain_updates_holding_gate(shared));
+                    spawn_named("hcl-update", move || drain_updates_holding_gate(shared));
                 }
             }
             Frame::Shutdown => {
@@ -371,6 +465,14 @@ impl DriverHooks for ServerHooks {
                 conn.draining = true;
             }
         }
+    }
+
+    fn on_read_pass_end(&mut self, conn: &mut Conn, id: u64) {
+        self.flush_run(conn, id);
+    }
+
+    fn on_socket_writes(&mut self, syscalls: u64) {
+        ServeMetrics::add(&self.shared.service.metrics().socket_writes, syscalls);
     }
 
     fn on_accepted(&mut self) {
@@ -421,7 +523,7 @@ impl Reactor {
                 capacity_line: "ERR server at connection capacity\n",
             },
         )?;
-        Ok(Reactor { epoll, driver, hooks: ServerHooks { shared } })
+        Ok(Reactor { epoll, driver, hooks: ServerHooks { shared, run: Vec::new() } })
     }
 
     /// Runs until shutdown has begun and every connection has drained.
@@ -437,21 +539,21 @@ impl Reactor {
                 let (token, bits) = (event.data, event.events);
                 match token {
                     TOKEN_LISTENER => self.driver.accept_ready(&self.epoll, now, &mut self.hooks),
+                    // Clear-then-drain: the clear must come before the
+                    // drain below (CompletionQueue's edge-only signalling
+                    // relies on it).
                     TOKEN_WAKE => self.hooks.shared.queue.clear_signal(),
                     id => self.driver.conn_event(&self.epoll, id, bits, now, &mut self.hooks),
                 }
             }
+            // Unconditional, every pass, whether or not the wake fired.
             self.hooks.shared.queue.drain_into(&mut completions);
-            for completion in completions.drain(..) {
-                self.driver.complete(
-                    &self.epoll,
-                    completion.conn,
-                    completion.seq,
-                    completion.line,
-                    now,
-                    &mut self.hooks,
-                );
+            for Completion { conn, replies } in completions.drain(..) {
+                self.driver.complete(conn, replies, now);
             }
+            // One settle — one write — per connection this pass touched.
+            self.driver.flush(&self.epoll, now, &mut self.hooks);
+            ServeMetrics::bump(&self.hooks.shared.service.metrics().reactor_passes);
             if self.hooks.shared.shutting_down() && !self.driver.is_draining() {
                 self.driver.begin_drain(&self.epoll, now, &mut self.hooks);
             }
@@ -471,5 +573,11 @@ pub(crate) fn spawn(
     listener: TcpListener,
 ) -> io::Result<std::thread::JoinHandle<()>> {
     let reactor = Reactor::new(shared, listener)?;
-    Ok(std::thread::spawn(move || reactor.run()))
+    std::thread::Builder::new().name("hcl-reactor".to_string()).spawn(move || reactor.run())
+}
+
+/// Spawns a detached, named helper thread (`RELOAD` / `UPDATE` work), so
+/// `top -H` on a live server says what each thread is for.
+fn spawn_named(name: &str, work: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new().name(name.to_string()).spawn(work).expect("spawn helper thread");
 }

@@ -129,7 +129,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let queue = Arc::new(CompletionQueue::new()?);
+        let queue = Arc::new(CompletionQueue::new(Arc::clone(&service))?);
         service.set_request_deadline(config.request_deadline);
         let executor = BatchExecutor::with_queue_cap(
             Arc::clone(&service),

@@ -7,12 +7,29 @@
 //!
 //! Requests may be answered out of submission order (a `PING` resolves
 //! inline while the `QUERY` before it is still on a worker), so every
-//! request claims a *slot* in FIFO order. Inline responses fill their slot
-//! immediately; asynchronous ones ([`push_waiting`](Conn::push_waiting))
-//! fill it when the worker's completion arrives. Only the contiguous run
-//! of filled slots at the head is ever moved into the write buffer, so the
-//! wire order always equals the request order no matter how completions
-//! interleave.
+//! request claims a *slot* in FIFO order **at decode time**. Inline
+//! responses fill their slot immediately; asynchronous ones
+//! ([`push_waiting`](Conn::push_waiting)) fill it when the worker's
+//! completion arrives. Only the contiguous run of filled slots at the
+//! head is ever moved into the write buffer, so the wire order always
+//! equals the request order no matter how completions interleave — or how
+//! the reactor groups requests into executor jobs afterwards.
+//!
+//! Every slot, ready or waiting, owns one sequence number: the slot at
+//! the head of the queue is `front_seq`, the next `front_seq + 1`, and so
+//! on. [`complete`](Conn::complete) therefore *indexes* the queue
+//! (`seq − front_seq`) instead of scanning it, and a count of unresolved
+//! slots answers [`awaiting_completions`](Conn::awaiting_completions)
+//! without a walk. A sequence number outside the live window (its slot
+//! already went out, or was dropped with the connection) is ignored.
+//!
+//! # One write per pass
+//!
+//! Nothing here writes to the socket on its own. Completions only fill
+//! slots; the driver settles a connection — promote, one
+//! [`try_write`](Conn::try_write), one interest re-sync — once per
+//! reactor pass, so however many responses a pass resolved leave in one
+//! `write` (`DIST 3\nDIST 4\n…`), not one syscall each.
 //!
 //! # Backpressure
 //!
@@ -41,22 +58,18 @@ pub const WRITE_LOW_WATER: usize = 64 * 1024;
 /// without bound while its responses are still being computed.
 pub const MAX_INFLIGHT: usize = 128;
 
-/// One response slot, kept in request order.
-#[derive(Debug)]
-enum Slot {
-    /// Response line ready to go out (no trailing newline).
-    Ready(String),
-    /// Waiting for the completion tagged with this sequence number.
-    Waiting(u64),
-}
-
 /// State machine for one client connection; driven by the reactor.
 #[derive(Debug)]
 pub struct Conn {
     pub stream: TcpStream,
     pub decoder: Decoder,
-    slots: VecDeque<Slot>,
-    next_seq: u64,
+    /// Response slots in request order: `Some(line)` is ready to go out
+    /// (no trailing newline), `None` waits for its completion.
+    slots: VecDeque<Option<String>>,
+    /// Sequence number of `slots.front()`; slot `i` is `front_seq + i`.
+    front_seq: u64,
+    /// Slots still `None` (kept in step by `push_waiting` / `complete`).
+    waiting: usize,
     out: Vec<u8>,
     out_pos: usize,
     /// Reads paused by write-buffer backpressure.
@@ -74,6 +87,10 @@ pub struct Conn {
     pub waiting_since: Option<Instant>,
     /// epoll interest bits currently registered for this socket.
     pub registered: u32,
+    /// Queued in the driver's settle list for the current reactor pass.
+    pub(super) dirty: bool,
+    /// `write` syscalls issued on this socket so far.
+    pub(super) write_syscalls: u64,
 }
 
 impl Conn {
@@ -82,7 +99,8 @@ impl Conn {
             stream,
             decoder: Decoder::new(),
             slots: VecDeque::new(),
-            next_seq: 0,
+            front_seq: 0,
+            waiting: 0,
             out: Vec::new(),
             out_pos: 0,
             reads_paused: false,
@@ -90,39 +108,48 @@ impl Conn {
             last_activity: now,
             waiting_since: None,
             registered: 0,
+            dirty: false,
+            write_syscalls: 0,
         }
     }
 
     /// Queues an already-resolved response in request order.
     pub fn push_ready(&mut self, line: String) {
-        self.slots.push_back(Slot::Ready(line));
+        self.slots.push_back(Some(line));
     }
 
     /// Claims the next slot for an asynchronous response; the returned
     /// sequence number keys the completion.
     pub fn push_waiting(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.slots.push_back(Slot::Waiting(seq));
+        let seq = self.front_seq + self.slots.len() as u64;
+        self.slots.push_back(None);
+        self.waiting += 1;
         seq
     }
 
-    /// Resolves the slot claimed under `seq`. Unknown sequence numbers are
-    /// ignored (the slot was dropped by a force close).
+    /// Resolves the slot claimed under `seq` in O(1). A sequence number
+    /// outside the live window, or one whose slot is already filled, is
+    /// ignored (a stale or duplicate completion must not disturb a
+    /// neighbour's slot).
     pub fn complete(&mut self, seq: u64, line: String) {
-        if let Some(slot) =
-            self.slots.iter_mut().find(|s| matches!(s, Slot::Waiting(w) if *w == seq))
-        {
-            *slot = Slot::Ready(line);
+        let slot = seq
+            .checked_sub(self.front_seq)
+            .and_then(|i| usize::try_from(i).ok())
+            .and_then(|i| self.slots.get_mut(i))
+            .filter(|slot| slot.is_none());
+        if let Some(slot) = slot {
+            *slot = Some(line);
+            self.waiting -= 1;
         }
     }
 
     /// Moves the contiguous ready run at the head into the write buffer.
     pub fn promote_ready(&mut self) {
-        while matches!(self.slots.front(), Some(Slot::Ready(_))) {
-            let Some(Slot::Ready(line)) = self.slots.pop_front() else { unreachable!() };
+        while let Some(Some(line)) = self.slots.front() {
             self.out.extend_from_slice(line.as_bytes());
             self.out.push(b'\n');
+            self.slots.pop_front();
+            self.front_seq += 1;
         }
     }
 
@@ -145,6 +172,7 @@ impl Conn {
             // The fault hook sits inside the loop so an injected EINTR or
             // short write runs the very retry arm a real one would.
             let pending = self.out.len() - self.out_pos;
+            self.write_syscalls += 1;
             let result = match fault::check(fault::Op::Write) {
                 fault::Verdict::Proceed => (&self.stream).write(&self.out[self.out_pos..]),
                 fault::Verdict::Short(n) => {
@@ -200,7 +228,7 @@ impl Conn {
     /// the server itself is the reason this connection shows no socket
     /// progress, so e.g. the idle reaper must not count it as idle.
     pub fn awaiting_completions(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, Slot::Waiting(_)))
+        self.waiting > 0
     }
 
     /// Applies the write-buffer and in-flight-slot hysteresis to the
@@ -286,8 +314,53 @@ mod tests {
     fn completions_for_dropped_slots_are_ignored() {
         let (server, _client) = pair();
         let mut conn = Conn::new(server, Instant::now());
+        // Ahead of the window: the slot was never claimed on this
+        // connection (its owner was force-closed and the id never reused).
         conn.complete(99, "STALE".to_string());
         assert!(!conn.has_work());
+
+        // Behind the window: the slot already went out.
+        let seq = conn.push_waiting();
+        conn.complete(seq, "ONCE".to_string());
+        conn.promote_ready();
+        let next = conn.push_waiting();
+        conn.complete(seq, "STALE".to_string());
+        assert!(conn.awaiting_completions(), "a stale seq must not fill the next slot");
+        conn.complete(next, "NEXT".to_string());
+        conn.promote_ready();
+        assert_eq!(conn.out, b"ONCE\nNEXT\n");
+    }
+
+    #[test]
+    fn indexed_completion_with_ready_and_waiting_slots_interleaved() {
+        let (server, _client) = pair();
+        let mut conn = Conn::new(server, Instant::now());
+        // Every slot owns a sequence number, ready ones included, so a
+        // waiting slot's index is `seq − front_seq` whatever sits between.
+        let a = conn.push_waiting();
+        conn.push_ready("R1".to_string());
+        let b = conn.push_waiting();
+        conn.push_ready("R3".to_string());
+        let c = conn.push_waiting();
+        assert_eq!((a, b, c), (0, 2, 4));
+
+        conn.complete(1, "CLOBBER".to_string()); // a ready slot's number
+        conn.complete(c, "C".to_string());
+        conn.complete(c, "DUPLICATE".to_string());
+        conn.complete(b, "B".to_string());
+        conn.promote_ready();
+        assert_eq!(conn.write_pending(), 0, "head still waiting");
+        assert!(conn.awaiting_completions());
+
+        conn.complete(a, "A".to_string());
+        assert!(!conn.awaiting_completions());
+        conn.promote_ready();
+        assert_eq!(conn.out, b"A\nR1\nB\nR3\nC\n");
+
+        // The window moved on: numbering continues, old numbers are dead.
+        assert_eq!(conn.push_waiting(), 5);
+        conn.complete(a, "STALE".to_string());
+        assert!(conn.awaiting_completions());
     }
 
     #[test]

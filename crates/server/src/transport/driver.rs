@@ -16,6 +16,20 @@
 //! folds [`next_deadline`](ClientDriver::next_deadline) into its poll
 //! timeout.
 //!
+//! # One settle per connection per pass
+//!
+//! Neither a readiness event ([`conn_event`](ClientDriver::conn_event))
+//! nor a completion ([`complete`](ClientDriver::complete)) touches the
+//! socket's write side: each only changes the connection's slots and
+//! queues it — once — on the pass's dirty list. The embedding reactor
+//! calls [`flush`](ClientDriver::flush) after it has handled every event
+//! and drained every completion of the pass, and `flush` settles each
+//! dirty connection exactly once: promote the ready head run, one
+//! `try_write`, one epoll interest re-sync. A pass that resolved forty
+//! responses for one connection therefore costs one `write` syscall, and
+//! a pass that resolved one costs the same as it always did — there is no
+//! timer and no size threshold, so nothing ready ever waits.
+//!
 //! # Bounding the idle-reap exemption
 //!
 //! A connection awaiting an in-flight completion shows no socket progress
@@ -78,6 +92,16 @@ pub trait DriverHooks {
     /// [`complete`](ClientDriver::complete). The epoll is passed through
     /// for hooks that must register new fds (e.g. upstream connects).
     fn on_frame(&mut self, epoll: &Epoll, conn: &mut Conn, id: u64, frame: Frame);
+    /// Every frame one readiness event decoded on `conn` has been
+    /// dispatched: hooks that gather frames across a read pass (the
+    /// server's run of `QUERY`s) hand the gathered work off here. Called
+    /// once per [`conn_event`](ClientDriver::conn_event) that read, even
+    /// when the read ended in an error and the connection is about to be
+    /// closed, so gathered state can never leak into the next connection.
+    fn on_read_pass_end(&mut self, _conn: &mut Conn, _id: u64) {}
+    /// `syscalls` socket `write`s were just issued for one connection's
+    /// settle (the amortisation counter behind `socket_writes`).
+    fn on_socket_writes(&mut self, _syscalls: u64) {}
     /// A connection was accepted and registered.
     fn on_accepted(&mut self) {}
     /// A connection was turned away at the accept cap.
@@ -97,6 +121,9 @@ pub struct ClientDriver {
     /// Set while the listener is parked after a persistent accept error.
     relisten_at: Option<Instant>,
     conns: HashMap<u64, Conn>,
+    /// Connections touched since the last [`flush`](Self::flush), each
+    /// listed once (`Conn::dirty` dedupes).
+    dirty: Vec<u64>,
     next_id: u64,
     draining: bool,
     drain_deadline: Option<Instant>,
@@ -120,6 +147,7 @@ impl ClientDriver {
             listener: Some(listener),
             relisten_at: None,
             conns: HashMap::new(),
+            dirty: Vec::new(),
             next_id: first_id,
             draining: false,
             drain_deadline: None,
@@ -197,7 +225,8 @@ impl ClientDriver {
     }
 
     /// Handles readiness on connection `id`: read, decode, dispatch
-    /// frames through `hooks`, then settle.
+    /// frames through `hooks`, and queue the connection for this pass's
+    /// [`flush`](Self::flush) (which also serves a bare `EPOLLOUT`).
     pub fn conn_event<H: DriverHooks>(
         &mut self,
         epoll: &Epoll,
@@ -206,36 +235,32 @@ impl ClientDriver {
         now: Instant,
         hooks: &mut H,
     ) {
-        let Some(mut conn) = self.conns.remove(&id) else { return };
-        let mut alive = true;
-        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-            alive = self.read_and_decode(epoll, &mut conn, id, now, hooks);
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0
+            && !Self::read_and_decode(&mut self.scratch, epoll, conn, id, now, hooks)
+        {
+            self.close(epoll, id, hooks);
+            return;
         }
-        if alive {
-            alive = self.settle(epoll, &mut conn, id, now);
-        }
-        if alive {
-            self.conns.insert(id, conn);
-        } else {
-            self.destroy(epoll, conn, hooks);
-        }
+        Self::mark_dirty(&mut self.dirty, conn, id);
     }
 
     /// Reads available bytes, decodes frames, dispatches them. Returns
     /// `false` when the connection is already unusable (read error).
     fn read_and_decode<H: DriverHooks>(
-        &mut self,
+        scratch: &mut [u8],
         epoll: &Epoll,
         conn: &mut Conn,
         id: u64,
         now: Instant,
         hooks: &mut H,
     ) -> bool {
+        let mut alive = true;
         for _ in 0..MAX_READS_PER_EVENT {
             if !conn.wants_read() {
                 break;
             }
-            match conn.try_read(&mut self.scratch) {
+            match conn.try_read(scratch) {
                 Ok(Some(0)) => {
                     // Peer EOF: what was received still gets answered
                     // (including a trailing unterminated line), then the
@@ -245,10 +270,13 @@ impl ClientDriver {
                 }
                 Ok(Some(n)) => {
                     conn.last_activity = now;
-                    conn.decoder.feed(&self.scratch[..n]);
+                    conn.decoder.feed(&scratch[..n]);
                 }
                 Ok(None) => break,
-                Err(_) => return false,
+                Err(_) => {
+                    alive = false;
+                    break;
+                }
             }
             while let Some(frame) = conn.decoder.next_frame() {
                 hooks.on_frame(epoll, conn, id, frame);
@@ -266,40 +294,71 @@ impl ClientDriver {
         // frames decoded but unprocessed only when `draining` stopped the
         // loop — the decoder is either dead or empty then, nothing is
         // lost.
-        true
+        hooks.on_read_pass_end(conn, id);
+        alive
     }
 
-    /// Resolves the slot claimed under (`id`, `seq`) and settles the
-    /// connection. Completions for closed connections are dropped.
-    pub fn complete<H: DriverHooks>(
+    /// Resolves slots of connection `id` — `(seq, line)` per reply, one
+    /// map lookup for all of them — and queues the connection for this
+    /// pass's [`flush`](Self::flush); no socket work happens here.
+    /// Completions for closed connections are dropped (ids are never
+    /// reused, so they just miss the map).
+    pub fn complete(
         &mut self,
-        epoll: &Epoll,
         id: u64,
-        seq: u64,
-        line: String,
+        replies: impl IntoIterator<Item = (u64, String)>,
         now: Instant,
-        hooks: &mut H,
     ) {
-        let Some(mut conn) = self.conns.remove(&id) else {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return; // connection closed while the work was in flight
         };
-        conn.complete(seq, line);
-        // Completion progress restarts the no-progress clock (settle
-        // below re-derives `None` if nothing is waiting anymore).
-        conn.waiting_since = Some(now);
-        if self.settle(epoll, &mut conn, id, now) {
-            self.conns.insert(id, conn);
-        } else {
-            self.destroy(epoll, conn, hooks);
+        for (seq, line) in replies {
+            conn.complete(seq, line);
         }
+        // Completion progress restarts the no-progress clock (the settle
+        // in `flush` re-derives `None` if nothing is waiting anymore).
+        conn.waiting_since = Some(now);
+        Self::mark_dirty(&mut self.dirty, conn, id);
+    }
+
+    fn mark_dirty(dirty: &mut Vec<u64>, conn: &mut Conn, id: u64) {
+        if !conn.dirty {
+            conn.dirty = true;
+            dirty.push(id);
+        }
+    }
+
+    /// Settles every connection touched since the last call, once each:
+    /// promote, one `try_write`, one interest re-sync. The embedding
+    /// reactor calls this once per pass, after its events and completions.
+    pub fn flush<H: DriverHooks>(&mut self, epoll: &Epoll, now: Instant, hooks: &mut H) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for id in dirty.drain(..) {
+            let Some(conn) = self.conns.get_mut(&id) else { continue };
+            conn.dirty = false;
+            if !Self::settle(epoll, conn, id, now, hooks) {
+                self.close(epoll, id, hooks);
+            }
+        }
+        // Hand the (empty) buffer back so the list keeps its capacity.
+        self.dirty = dirty;
     }
 
     /// Promotes/flushes responses and re-syncs epoll interest. Returns
     /// `false` when the connection should be closed.
-    fn settle(&mut self, epoll: &Epoll, conn: &mut Conn, id: u64, now: Instant) -> bool {
+    fn settle<H: DriverHooks>(
+        epoll: &Epoll,
+        conn: &mut Conn,
+        id: u64,
+        now: Instant,
+        hooks: &mut H,
+    ) -> bool {
         conn.promote_ready();
         if conn.write_pending() > 0 {
-            match conn.try_write() {
+            let before = conn.write_syscalls;
+            let written = conn.try_write();
+            hooks.on_socket_writes(conn.write_syscalls - before);
+            match written {
                 Ok(written) => {
                     if written > 0 {
                         conn.last_activity = now;
@@ -338,16 +397,13 @@ impl ClientDriver {
         if let Some(listener) = self.listener.take() {
             let _ = epoll.delete(listener.as_raw_fd());
         }
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            let Some(mut conn) = self.conns.remove(&id) else { continue };
+        // Every connection settles on this pass's flush (idle ones with
+        // nothing owed close there).
+        for (&id, conn) in &mut self.conns {
             conn.draining = true;
-            if self.settle(epoll, &mut conn, id, now) {
-                self.conns.insert(id, conn);
-            } else {
-                self.destroy(epoll, conn, hooks);
-            }
+            Self::mark_dirty(&mut self.dirty, conn, id);
         }
+        self.flush(epoll, now, hooks);
     }
 
     /// Fires timer-driven transitions: accept-backoff expiry, idle
@@ -365,7 +421,7 @@ impl ClientDriver {
             if self.drain_deadline.is_some_and(|at| now >= at) {
                 // Grace expired: force-close whatever is left.
                 for (_, conn) in std::mem::take(&mut self.conns) {
-                    self.destroy(epoll, conn, hooks);
+                    Self::destroy(epoll, conn, hooks);
                 }
             }
             return;
@@ -391,10 +447,8 @@ impl ClientDriver {
             .map(|(&id, _)| id)
             .collect();
         for id in expired {
-            if let Some(conn) = self.conns.remove(&id) {
-                hooks.on_reaped();
-                self.destroy(epoll, conn, hooks);
-            }
+            hooks.on_reaped();
+            self.close(epoll, id, hooks);
         }
     }
 
@@ -427,8 +481,15 @@ impl ClientDriver {
         deadline
     }
 
+    /// Removes connection `id` from the map and destroys it.
+    fn close<H: DriverHooks>(&mut self, epoll: &Epoll, id: u64, hooks: &mut H) {
+        if let Some(conn) = self.conns.remove(&id) {
+            Self::destroy(epoll, conn, hooks);
+        }
+    }
+
     /// Deregisters and drops a connection (the close happens on drop).
-    fn destroy<H: DriverHooks>(&mut self, epoll: &Epoll, conn: Conn, hooks: &mut H) {
+    fn destroy<H: DriverHooks>(epoll: &Epoll, conn: Conn, hooks: &mut H) {
         let _ = epoll.delete(conn.stream.as_raw_fd());
         hooks.on_closed();
         drop(conn);
@@ -507,6 +568,7 @@ mod tests {
                     id => driver.conn_event(epoll, id, bits, now, hooks),
                 }
             }
+            driver.flush(epoll, now, hooks);
             driver.expire(epoll, now, hooks);
         }
     }
@@ -565,9 +627,9 @@ mod tests {
         // within the deadline but with the total well past it: steady
         // progress must keep the connection alive.
         spin(&epoll, &mut driver, &mut hooks, Duration::from_millis(60));
-        driver.complete(&epoll, 2, 0, "DIST 1".to_string(), Instant::now(), &mut hooks);
+        driver.complete(2, [(0, "DIST 1".to_string())], Instant::now());
         spin(&epoll, &mut driver, &mut hooks, Duration::from_millis(60));
-        driver.complete(&epoll, 2, 1, "DIST 2".to_string(), Instant::now(), &mut hooks);
+        driver.complete(2, [(1, "DIST 2".to_string())], Instant::now());
         spin(&epoll, &mut driver, &mut hooks, Duration::from_millis(60));
         assert_eq!(hooks.reaped, 0, "progress within each deadline window");
         assert_eq!(driver.conn_count(), 1);

@@ -261,8 +261,9 @@ impl Drop for Epoll {
 }
 
 /// A nonblocking eventfd used as the reactor's wakeup: worker threads
-/// [`signal`](Self::signal) it after pushing a completion (and shutdown
-/// signals it after flipping the flag); the reactor holds it in its epoll
+/// [`signal`](Self::signal) it after a push that found the completion
+/// queue empty (and shutdown signals it after flipping the flag); the
+/// reactor holds it in its epoll
 /// set and [`drain`](Self::drain)s it when it fires. This replaces the old
 /// connect-to-self "poke" — waking the event loop is one 8-byte write on an
 /// fd the process already owns.

@@ -9,7 +9,9 @@
 
 #![cfg(feature = "fault-injection")]
 
-use hcl_core::fault::{exclusive, install_global, Fault, Op, Script, Trigger, ECONNRESET, EINTR};
+use hcl_core::fault::{
+    exclusive, install_global, Fault, Op, Script, Trigger, EAGAIN, ECONNRESET, EINTR,
+};
 use hcl_core::testing::truth_map;
 use hcl_core::HighwayCoverLabelling;
 use hcl_graph::CsrGraph;
@@ -98,6 +100,41 @@ fn one_byte_reads_and_eintr_storms_serve_exact_answers() {
     }
     assert!(guard.calls(Op::Read) > pairs.len() as u64, "1-byte reads multiply read calls");
     assert!(guard.calls(Op::Write) > pairs.len() as u64, "1-byte writes multiply write calls");
+    drop(guard);
+}
+
+/// The per-pass write path under the worst socket: a pipelined run's
+/// replies are coalesced into one buffer, and that buffer then leaves one
+/// byte per `write` with every third call refused `EAGAIN` (so the flush
+/// is abandoned mid-buffer and resumed on `EPOLLOUT`, again and again).
+/// Every byte still arrives, in request order.
+#[test]
+fn short_and_eagain_writes_drain_a_coalesced_reply_buffer_in_order() {
+    let _serial = exclusive();
+    let (handle, _service) = serve(ServerConfig::default());
+    let pairs = workload(64);
+    let expected = truth(&handle, &pairs);
+    let reply_bytes: u64 = pairs
+        .iter()
+        .map(|p| hcl_server::protocol::format_query_response(expected[p]).len() as u64 + 1)
+        .sum();
+
+    let guard =
+        install_global(Script::new().on(Op::Write, Trigger::Every(3), Fault::Errno(EAGAIN)).on(
+            Op::Write,
+            Trigger::Always,
+            Fault::Short(1),
+        ));
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let got = client.pipelined_queries(&pairs).unwrap();
+    for (&(s, t), d) in pairs.iter().zip(&got) {
+        assert_eq!(*d, expected[&(s, t)], "pipelined d({s},{t}) under faults");
+    }
+    assert!(
+        guard.calls(Op::Write) >= reply_bytes + reply_bytes / 2,
+        "{} write calls for {reply_bytes} reply bytes: one byte per call, a third refused",
+        guard.calls(Op::Write)
+    );
     drop(guard);
 }
 

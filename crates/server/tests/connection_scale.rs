@@ -4,9 +4,11 @@
 //! answer correctly through all of them, and enforce `max_connections`
 //! and `idle_timeout`.
 //!
-//! The thread-count assertions read `/proc/self/task`, so the three tests
-//! serialise on a file-local mutex to keep each other's server threads
-//! out of the measurement.
+//! The thread-count assertion counts this process's tasks *by name*
+//! (`/proc/self/task/*/comm`): the server names its threads `hcl-reactor`
+//! and `hcl-worker-<i>`, so the test harness's own threads — which come
+//! and go as sibling tests start — never enter the count. The three tests
+//! still serialise on a file-local mutex so only one server is alive.
 
 use hcl_core::testing::{ba_fixture, truth_map};
 use hcl_server::{Client, QueryService, Server, ServerConfig};
@@ -28,8 +30,13 @@ fn serialise() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn os_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+/// Live reactor and worker threads in this process, by thread name.
+fn serving_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("hcl-reactor") || comm.starts_with("hcl-worker"))
+        .count()
 }
 
 fn pair_for(round: usize, i: usize, n: usize) -> (u32, u32) {
@@ -49,7 +56,7 @@ fn hundreds_of_idle_connections_on_a_fixed_thread_count() {
         (0..ROUNDS).flat_map(|r| (0..ACTIVE_CONNS + 8).map(move |i| pair_for(r, i, N))).collect();
     let truth = truth_map(&g, pairs.iter().copied());
 
-    let threads_before = os_threads();
+    assert_eq!(serving_threads(), 0, "tests are serialised: no other server is alive");
     let service = Arc::new(QueryService::from_parts(g, labelling, 1 << 10));
     let config = ServerConfig {
         batch_threads: BATCH_THREADS,
@@ -71,13 +78,12 @@ fn hundreds_of_idle_connections_on_a_fixed_thread_count() {
     assert_eq!(service.metrics_snapshot().active_connections, IDLE_CONNS as u64);
 
     // Thread count is independent of connection count: exactly one
-    // reactor thread plus the worker pool was added, no matter how many
-    // sockets are open.
-    let serving_threads = os_threads() - threads_before;
-    assert!(
-        serving_threads <= 1 + BATCH_THREADS,
-        "{IDLE_CONNS} connections cost {serving_threads} threads — \
-         the reactor must not spawn per connection"
+    // reactor thread plus the worker pool, no matter how many sockets
+    // are open.
+    assert_eq!(
+        serving_threads(),
+        1 + BATCH_THREADS,
+        "{IDLE_CONNS} connections — the reactor must not spawn per connection"
     );
 
     // A few active connections interleave correct traffic (single,
