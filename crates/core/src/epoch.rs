@@ -55,6 +55,11 @@ impl<T> OracleEpoch<T> {
     pub fn index(&self) -> &T {
         &self.index
     }
+
+    /// Gives up the generation for its index (only its last holder can).
+    pub fn into_index(self) -> T {
+        self.index
+    }
 }
 
 impl OracleEpoch<SharedOracle> {

@@ -163,6 +163,12 @@ impl SharedOracle {
         let pool = ContextPool::new(graph.num_vertices());
         SharedOracle { graph, labelling, sparse, pool }
     }
+
+    /// The inverse of [`from_parts`](Self::from_parts): gives up the
+    /// oracle (and its context pool) for the triple it was assembled from.
+    pub fn into_parts(self) -> (Arc<CsrGraph>, Arc<HighwayCoverLabelling>, Arc<SparseView>) {
+        (self.graph, self.labelling, self.sparse)
+    }
 }
 
 impl<G: Borrow<CsrGraph>> SharedOracle<G> {

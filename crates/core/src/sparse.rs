@@ -22,13 +22,15 @@
 //!
 //! The view is derived state: it is a deterministic function of the graph
 //! and the landmark set (degree order breaks ties by original id), rebuilt
-//! whenever either changes — the packed `IndexView` rebuilds the *same*
-//! view from its on-disk original-space CSR at open time.
+//! whenever either changes. A packed `.hclx` file stores the view as built
+//! (view-space CSR plus the `view_of` permutation), so the packed
+//! `IndexView` serves it straight off the mapping and never derives it.
 //! [`SharedOracle`](crate::SharedOracle) owns one per index generation, so
 //! a hot reload swaps the view atomically with the labelling.
 
 use crate::highway::Highway;
 use hcl_graph::{CsrGraph, VertexId};
+use std::sync::Arc;
 
 /// A compacted, degree-ordered CSR of the sparsified graph `G[V∖R]`, plus
 /// the two id translation arrays between original and view space.
@@ -43,10 +45,12 @@ use hcl_graph::{CsrGraph, VertexId};
 pub struct SparseView {
     /// The sparsified graph in view (degree-ordered) id space.
     graph: CsrGraph,
-    /// `to_view[original] = view` (total permutation).
-    to_view: Vec<VertexId>,
+    /// `to_view[original] = view` (total permutation). An edit never moves
+    /// a vertex, so [`with_edit`](Self::with_edit) shares both
+    /// permutations with the view it patches instead of copying them.
+    to_view: Arc<[VertexId]>,
     /// `to_orig[view] = original` (inverse permutation).
-    to_orig: Vec<VertexId>,
+    to_orig: Arc<[VertexId]>,
     /// Edges of the original graph dropped because an endpoint is a
     /// landmark.
     removed_edges: usize,
@@ -55,24 +59,19 @@ pub struct SparseView {
 impl SparseView {
     /// Materialises the degree-ordered `G[V∖R]` for `graph` under
     /// `highway`'s landmark set: one `O(n + m)` sparsification pass, then
-    /// the deterministic degree relabelling.
+    /// the deterministic degree relabelling (ties broken by ascending
+    /// original id).
     pub fn build(graph: &CsrGraph, highway: &Highway) -> Self {
         let sparse = graph.without_vertices(highway.landmarks());
         let removed_edges = graph.num_edges() - sparse.num_edges();
-        Self::from_original_space(sparse, removed_edges)
-    }
-
-    /// Builds the view from an already-sparsified graph in **original** id
-    /// space (landmarks isolated, ids unchanged). This is the constructor
-    /// the packed `IndexView` uses at open time: the on-disk sparse CSR is
-    /// stored in original ids, and because the degree relabelling is
-    /// deterministic (ties broken by ascending original id), the packed and
-    /// in-memory paths reconstruct byte-identical views from it.
-    pub fn from_original_space(sparse: CsrGraph, removed_edges: usize) -> Self {
-        let n = sparse.num_vertices();
         let (relabelled, to_orig) = hcl_graph::subgraph::relabel_by_degree(&sparse);
-        let to_view = hcl_graph::order::ranks(n, &to_orig);
-        SparseView { graph: relabelled, to_view, to_orig, removed_edges }
+        let to_view = hcl_graph::order::ranks(sparse.num_vertices(), &to_orig);
+        SparseView {
+            graph: relabelled,
+            to_view: to_view.into(),
+            to_orig: to_orig.into(),
+            removed_edges,
+        }
     }
 
     /// Patches the view for a single edge edit (given in **original** ids)
@@ -89,30 +88,32 @@ impl SparseView {
     /// (adding a present edge / removing an absent one), which callers
     /// treat as an invariant violation since the source graph accepted the
     /// same edit.
+    ///
+    /// The patched CSR is written into `spare`'s buffers
+    /// ([`CsrGraph::spliced`]); pass `CsrGraph::default()` to allocate.
     pub fn with_edit(
         &self,
         u: VertexId,
         v: VertexId,
         add: bool,
         highway: &Highway,
+        spare: CsrGraph,
     ) -> Option<Self> {
         if highway.is_landmark(u) || highway.is_landmark(v) {
             let removed_edges =
                 if add { self.removed_edges + 1 } else { self.removed_edges.checked_sub(1)? };
             return Some(SparseView {
                 graph: self.graph.clone(),
-                to_view: self.to_view.clone(),
-                to_orig: self.to_orig.clone(),
+                to_view: Arc::clone(&self.to_view),
+                to_orig: Arc::clone(&self.to_orig),
                 removed_edges,
             });
         }
         let (uv, vv) = (self.to_view[u as usize], self.to_view[v as usize]);
-        let graph =
-            if add { self.graph.with_edge(uv, vv)? } else { self.graph.without_edge(uv, vv)? };
         Some(SparseView {
-            graph,
-            to_view: self.to_view.clone(),
-            to_orig: self.to_orig.clone(),
+            graph: self.graph.spliced(uv, vv, add, spare)?,
+            to_view: Arc::clone(&self.to_view),
+            to_orig: Arc::clone(&self.to_orig),
             removed_edges: self.removed_edges,
         })
     }
@@ -121,17 +122,24 @@ impl SparseView {
     /// degree relabelling (view space == original space). The property
     /// tests drive the fast path against this to isolate the relabelling
     /// as a pure layout change.
+    #[cfg(any(test, feature = "testing"))]
     pub fn identity(graph: &CsrGraph, highway: &Highway) -> Self {
         let sparse = graph.without_vertices(highway.landmarks());
         let removed_edges = graph.num_edges() - sparse.num_edges();
-        let ident: Vec<VertexId> = (0..sparse.num_vertices() as VertexId).collect();
-        SparseView { graph: sparse, to_view: ident.clone(), to_orig: ident, removed_edges }
+        let ident: Arc<[VertexId]> = (0..sparse.num_vertices() as VertexId).collect();
+        SparseView { graph: sparse, to_view: Arc::clone(&ident), to_orig: ident, removed_edges }
     }
 
     /// The sparsified graph in **view** (degree-ordered) id space.
     #[inline]
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
+    }
+
+    /// Gives up the view for its CSR — a retired view's buffers, for
+    /// [`with_edit`](Self::with_edit) to write the next one into.
+    pub fn into_graph(self) -> CsrGraph {
+        self.graph
     }
 
     /// Maps an original vertex id to its view-space id.
@@ -147,8 +155,9 @@ impl SparseView {
     }
 
     /// The sorted neighbour list of *original-space* vertex `v`, translated
-    /// back to original ids. Cold-path helper for the packer, which stores
-    /// the sparse CSR on disk in original id space (see `docs/FORMAT.md`).
+    /// back to original ids — how the tests compare views that differ only
+    /// in their permutation.
+    #[cfg(any(test, feature = "testing"))]
     pub fn original_neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let mut row: Vec<VertexId> = self
             .graph

@@ -159,6 +159,23 @@ pub struct UpdateResult {
     pub highway_changed: bool,
 }
 
+/// The two CSRs of a generation nobody reads any more, kept for their
+/// buffers: [`apply_edit_reusing`] writes the next generation's graph and
+/// view into them instead of allocating. They are the bulk of a
+/// generation, and an allocator asked for two graph-sized arrays and
+/// handed two back on every edit answers from wherever its thresholds
+/// and heap boundaries happen to fall — fresh pages to fault in on one
+/// edit, a heap to unmap on the next — which costs more than the copy
+/// and differs from run to run. The default is two empty graphs: nothing
+/// to reuse, everything allocated.
+#[derive(Debug, Default)]
+pub struct RetiredGraphs {
+    /// A retired generation's graph.
+    pub graph: CsrGraph,
+    /// The CSR of its sparse view ([`SparseView::into_graph`]).
+    pub sparse: CsrGraph,
+}
+
 /// Applies one edge edit incrementally: new graph, new labelling, patched
 /// sparse view — without re-running any full-graph BFS. Errors are
 /// complete no-ops.
@@ -167,6 +184,17 @@ pub fn apply_edit(
     labelling: &HighwayCoverLabelling,
     sparse: &SparseView,
     edit: EdgeEdit,
+) -> Result<UpdateResult, UpdateError> {
+    apply_edit_reusing(graph, labelling, sparse, edit, RetiredGraphs::default())
+}
+
+/// [`apply_edit`] into the buffers of `spare` (consumed either way).
+pub fn apply_edit_reusing(
+    graph: &CsrGraph,
+    labelling: &HighwayCoverLabelling,
+    sparse: &SparseView,
+    edit: EdgeEdit,
+    spare: RetiredGraphs,
 ) -> Result<UpdateResult, UpdateError> {
     let n = graph.num_vertices();
     let (u, v) = edit.endpoints();
@@ -178,10 +206,10 @@ pub fn apply_edit(
     if u == v {
         return Err(UpdateError::SelfLoop(u));
     }
-    let new_graph = match edit {
-        EdgeEdit::Add(..) => graph.with_edge(u, v).ok_or(UpdateError::EdgeExists(u, v))?,
-        EdgeEdit::Delete(..) => graph.without_edge(u, v).ok_or(UpdateError::EdgeMissing(u, v))?,
-    };
+    let new_graph = graph.spliced(u, v, edit.is_add(), spare.graph).ok_or(match edit {
+        EdgeEdit::Add(..) => UpdateError::EdgeExists(u, v),
+        EdgeEdit::Delete(..) => UpdateError::EdgeMissing(u, v),
+    })?;
 
     let old_highway = labelling.highway();
     let num_landmarks = old_highway.num_landmarks();
@@ -264,7 +292,7 @@ pub fn apply_edit(
     // Phase 4: patch the sparse view (landmark set is unchanged, so an
     // accepted graph splice can only fail here by invariant breakage).
     let new_sparse = sparse
-        .with_edit(u, v, edit.is_add(), &new_highway)
+        .with_edit(u, v, edit.is_add(), &new_highway, spare.sparse)
         .expect("sparse view out of sync with graph");
 
     Ok(UpdateResult {
@@ -666,11 +694,14 @@ mod tests {
 
     #[test]
     fn edit_script_stays_equivalent_across_steps() {
-        // A short interleaved ADD/DEL script, incrementally chained.
+        // A short interleaved ADD/DEL script, incrementally chained the
+        // way the server chains it: every step builds inside the CSRs of
+        // the generation the step before replaced.
         let g = generate::erdos_renyi(60, 120, 17);
         let landmarks = hcl_graph::order::top_degree(&g, 5);
         let (hcl, sparse) = build_all(&g, &landmarks);
         let (mut graph, mut hcl, mut sparse) = (g, hcl, sparse);
+        let mut spare = RetiredGraphs::default();
         for step in 0..12u32 {
             let edit = if step % 3 == 2 {
                 let (u, v) = graph.edges().nth((step as usize * 7) % graph.num_edges()).unwrap();
@@ -689,8 +720,11 @@ mod tests {
                 let (a, b) = pick.unwrap();
                 EdgeEdit::Add(a, b)
             };
-            let r = apply_edit(&graph, &hcl, &sparse, edit).unwrap();
+            let fresh = apply_edit(&graph, &hcl, &sparse, edit).unwrap();
+            let r = apply_edit_reusing(&graph, &hcl, &sparse, edit, spare).unwrap();
+            assert_eq!((&r.graph, &r.sparse), (&fresh.graph, &fresh.sparse), "step {step}");
             assert_matches_rebuild(&r, &landmarks);
+            spare = RetiredGraphs { graph, sparse: sparse.into_graph() };
             graph = r.graph;
             hcl = r.labelling;
             sparse = r.sparse;

@@ -127,65 +127,68 @@ impl CsrGraph {
 
     /// A copy of this graph with the undirected edge `{u, v}` spliced in.
     /// Returns `None` when the edge cannot be added: a self-loop, an
-    /// endpoint out of range, or the edge already present. The adjacency
-    /// array is copied in three bulk chunks around the two sorted insertion
-    /// points and the offsets are shifted in one linear pass — no builder
-    /// re-sort and no per-row copy loop — which is what makes single-edge
-    /// index updates cheap relative to a rebuild.
+    /// endpoint out of range, or the edge already present. See
+    /// [`spliced`](Self::spliced) for the cost.
     pub fn with_edge(&self, u: VertexId, v: VertexId) -> Option<CsrGraph> {
+        self.spliced(u, v, true, CsrGraph::default())
+    }
+
+    /// A copy of this graph with the undirected edge `{u, v}` removed.
+    /// Returns `None` when there is nothing to remove: a self-loop, an
+    /// endpoint out of range, or the edge not present.
+    pub fn without_edge(&self, u: VertexId, v: VertexId) -> Option<CsrGraph> {
+        self.spliced(u, v, false, CsrGraph::default())
+    }
+
+    /// [`with_edge`](Self::with_edge) (`add`) or
+    /// [`without_edge`](Self::without_edge), written into the buffers of
+    /// `spare` — any retired graph, whose contents are discarded. The
+    /// adjacency array is copied in three bulk chunks around the two sorted
+    /// splice points and the offsets are shifted in one linear pass — no
+    /// builder re-sort and no per-row copy loop — which is what makes
+    /// single-edge index updates cheap relative to a rebuild; a spare of
+    /// the right capacity (the generation before last of an update chain)
+    /// makes it allocation-free as well, so a steady stream of edits does
+    /// not hand two graph-sized arrays to the allocator and take two back
+    /// per edit.
+    pub fn spliced(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        add: bool,
+        spare: CsrGraph,
+    ) -> Option<CsrGraph> {
         let n = self.num_vertices();
-        if u == v || u as usize >= n || v as usize >= n || self.has_edge(u, v) {
+        if u == v || u as usize >= n || v as usize >= n || self.has_edge(u, v) == add {
             return None;
         }
-        // Rows are laid out in vertex order, so with a < b the insertion
-        // into a's row lands strictly before the one into b's row.
+        // Rows are laid out in vertex order, so with a < b the splice in
+        // a's row lands strictly before the one in b's row.
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         let pos = |w: VertexId, other: VertexId| {
             self.offsets[w as usize] + self.neighbors(w).partition_point(|&x| x < other)
         };
         let (p1, p2) = (pos(a, b), pos(b, a));
-        let mut adj = Vec::with_capacity(self.adj.len() + 2);
+        let CsrGraph { mut offsets, mut adj } = spare;
+        adj.clear();
+        // Room for an insertion even when removing: the buffer comes back
+        // as a spare, and the splice it then serves may be the opposite one.
+        adj.reserve_exact(self.adj.len() + 2);
         adj.extend_from_slice(&self.adj[..p1]);
-        adj.push(b);
-        adj.extend_from_slice(&self.adj[p1..p2]);
-        adj.push(a);
-        adj.extend_from_slice(&self.adj[p2..]);
-        let mut offsets = self.offsets.clone();
-        for o in &mut offsets[a as usize + 1..=b as usize] {
-            *o += 1;
+        if add {
+            adj.push(b);
+            adj.extend_from_slice(&self.adj[p1..p2]);
+            adj.push(a);
+            adj.extend_from_slice(&self.adj[p2..]);
+        } else {
+            adj.extend_from_slice(&self.adj[p1 + 1..p2]);
+            adj.extend_from_slice(&self.adj[p2 + 1..]);
         }
-        for o in &mut offsets[b as usize + 1..] {
-            *o += 2;
-        }
-        Some(CsrGraph::from_parts(offsets, adj))
-    }
-
-    /// A copy of this graph with the undirected edge `{u, v}` removed.
-    /// Returns `None` when there is nothing to remove: a self-loop, an
-    /// endpoint out of range, or the edge not present. The counterpart of
-    /// [`with_edge`](Self::with_edge), with the same bulk-chunk copy.
-    pub fn without_edge(&self, u: VertexId, v: VertexId) -> Option<CsrGraph> {
-        let n = self.num_vertices();
-        if u == v || u as usize >= n || v as usize >= n || !self.has_edge(u, v) {
-            return None;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let pos = |w: VertexId, other: VertexId| {
-            self.offsets[w as usize]
-                + self.neighbors(w).binary_search(&other).expect("edge presence checked")
-        };
-        let (p1, p2) = (pos(a, b), pos(b, a));
-        let mut adj = Vec::with_capacity(self.adj.len() - 2);
-        adj.extend_from_slice(&self.adj[..p1]);
-        adj.extend_from_slice(&self.adj[p1 + 1..p2]);
-        adj.extend_from_slice(&self.adj[p2 + 1..]);
-        let mut offsets = self.offsets.clone();
-        for o in &mut offsets[a as usize + 1..=b as usize] {
-            *o -= 1;
-        }
-        for o in &mut offsets[b as usize + 1..] {
-            *o -= 2;
-        }
+        offsets.clear();
+        offsets.extend_from_slice(&self.offsets);
+        let shift = |o: &mut usize, by: usize| if add { *o += by } else { *o -= by };
+        offsets[a as usize + 1..=b as usize].iter_mut().for_each(|o| shift(o, 1));
+        offsets[b as usize + 1..].iter_mut().for_each(|o| shift(o, 2));
         Some(CsrGraph::from_parts(offsets, adj))
     }
 
@@ -196,37 +199,6 @@ impl CsrGraph {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap(), adj.len());
         CsrGraph { offsets, adj }
-    }
-
-    /// Constructs a CSR directly from a validated offset/adjacency pair —
-    /// the checked public counterpart of the internal builder path, for
-    /// callers that already hold CSR-shaped data (e.g. `hcl-store`
-    /// reconstructing the sparsified graph from mapped file sections).
-    ///
-    /// Checks shape only: `offsets[0] == 0`, monotone offsets ending at
-    /// `adj.len()`, every neighbour id `< n`, and each row strictly sorted
-    /// (which also rules out duplicates). Symmetry is the caller's
-    /// contract, as with [`GraphBuilder`]-produced graphs.
-    pub fn from_csr_parts(offsets: Vec<usize>, adj: Vec<VertexId>) -> Result<Self, GraphError> {
-        if offsets.is_empty() || offsets[0] != 0 || *offsets.last().unwrap() != adj.len() {
-            return Err(GraphError::Format("offsets must run from 0 to adj.len()".into()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(GraphError::Format("offsets must be monotone".into()));
-        }
-        let n = offsets.len() - 1;
-        for v in 0..n {
-            let row = &adj[offsets[v]..offsets[v + 1]];
-            if row.iter().any(|&w| w as usize >= n) {
-                return Err(GraphError::Format(format!("neighbour out of range at vertex {v}")));
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(GraphError::Format(format!(
-                    "adjacency of vertex {v} not strictly sorted"
-                )));
-            }
-        }
-        Ok(CsrGraph { offsets, adj })
     }
 }
 
@@ -253,6 +225,14 @@ pub trait Adjacency {
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
         self.neighbors(v).len()
+    }
+}
+
+/// The graph with no vertices — also the spare that makes
+/// [`CsrGraph::spliced`] allocate afresh.
+impl Default for CsrGraph {
+    fn default() -> Self {
+        CsrGraph::empty(0)
     }
 }
 
@@ -495,6 +475,30 @@ mod tests {
         assert_eq!(added.without_edge(4, 1).unwrap(), g);
         let removed = g.without_edge(2, 3).unwrap();
         assert_eq!(removed.with_edge(3, 2).unwrap(), g);
+    }
+
+    #[test]
+    fn spliced_overwrites_a_spare_of_any_shape_and_keeps_its_buffer() {
+        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let spares = [
+            CsrGraph::default(),
+            CsrGraph::empty(40),
+            CsrGraph::from_edges(3, &[(0, 1)]),
+            crate::generate::barabasi_albert(50, 3, 1),
+        ];
+        for spare in spares {
+            assert_eq!(g.spliced(1, 4, true, spare.clone()), g.with_edge(1, 4));
+            assert_eq!(g.spliced(3, 2, false, spare.clone()), g.without_edge(3, 2));
+            assert_eq!(g.spliced(0, 1, true, spare.clone()), None, "already present");
+            assert_eq!(g.spliced(0, 2, false, spare), None, "not present");
+        }
+        // ADD, DEL, ADD: the third graph fits in the first one's arrays.
+        let first = g.with_edge(1, 4).unwrap();
+        let buffer = first.adj.as_ptr();
+        let second = first.without_edge(1, 4).unwrap();
+        let third = second.spliced(0, 3, true, first).unwrap();
+        assert_eq!(third.adj.as_ptr(), buffer);
+        assert_eq!(third, g.with_edge(0, 3).unwrap());
     }
 
     #[test]

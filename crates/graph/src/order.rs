@@ -17,10 +17,15 @@ pub fn degree_descending(g: &CsrGraph) -> Vec<VertexId> {
 }
 
 /// The `k` highest-degree vertices (deterministic tie-breaking by id).
-/// Clamped to `n`.
+/// Clamped to `n`. Selects the `k`-prefix in `O(n)` and sorts only that.
 pub fn top_degree(g: &CsrGraph, k: usize) -> Vec<VertexId> {
-    let mut order = degree_descending(g);
-    order.truncate(k.min(g.num_vertices()));
+    let key = |&v: &VertexId| (std::cmp::Reverse(g.degree(v)), v);
+    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    if k < order.len() {
+        order.select_nth_unstable_by_key(k, key);
+        order.truncate(k);
+    }
+    order.sort_unstable_by_key(key);
     order
 }
 

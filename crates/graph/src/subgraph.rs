@@ -87,6 +87,10 @@ pub fn remove_vertices(g: &CsrGraph, removed: &[VertexId]) -> (CsrGraph, Vec<Ver
 
 /// Renumbers vertices by the permutation `order` (`order[new] = old`),
 /// which must contain every vertex exactly once.
+///
+/// One pass over the CSR in the new vertex order: each row is mapped
+/// through the inverse permutation and sorted in place, so the cost is
+/// `O(n + m)` plus the per-row sorts — no edge list, no global sort.
 pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
     assert_eq!(order.len(), g.num_vertices(), "order must be a permutation");
     let mut new_id = vec![u32::MAX; g.num_vertices()];
@@ -94,11 +98,16 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
         assert_eq!(new_id[old as usize], u32::MAX, "duplicate vertex in order");
         new_id[old as usize] = new as u32;
     }
-    let mut b = GraphBuilder::new(g.num_vertices());
-    for (u, v) in g.edges() {
-        b.add_edge(new_id[u as usize], new_id[v as usize]).expect("permutation in range");
+    let mut offsets = Vec::with_capacity(order.len() + 1);
+    offsets.push(0usize);
+    let mut adj: Vec<VertexId> = Vec::with_capacity(2 * g.num_edges());
+    for &old in order {
+        let start = adj.len();
+        adj.extend(g.neighbors(old).iter().map(|&w| new_id[w as usize]));
+        adj[start..].sort_unstable();
+        offsets.push(adj.len());
     }
-    b.build()
+    CsrGraph::from_parts(offsets, adj)
 }
 
 /// Relabels by decreasing degree — hubs get the smallest ids, packing the

@@ -1,7 +1,10 @@
 //! Property tests for the graph substrate: CSR invariants, search
 //! equivalences, serialisation robustness.
 
-use hcl_graph::{connectivity, generate, io, traversal, CsrGraph, SearchSpace, INF};
+use hcl_graph::subgraph::relabel;
+use hcl_graph::{
+    connectivity, generate, io, traversal, CsrGraph, GraphBuilder, SearchSpace, VertexId, INF,
+};
 use proptest::prelude::*;
 
 fn arbitrary_graph() -> impl Strategy<Value = CsrGraph> {
@@ -28,8 +31,49 @@ fn family_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// The construction `relabel` retired — every edge renamed and pushed
+/// through `GraphBuilder`'s global sort — kept as the reference the direct
+/// CSR permutation pass must reproduce exactly.
+fn relabel_via_builder(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
+    let mut new_id = vec![u32::MAX; g.num_vertices()];
+    for (new, &old) in order.iter().enumerate() {
+        new_id[old as usize] = new as u32;
+    }
+    let mut b = GraphBuilder::new(g.num_vertices());
+    for (u, v) in g.edges() {
+        b.add_edge(new_id[u as usize], new_id[v as usize]).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn relabel_of_empty_and_edgeless_graphs() {
+    assert_eq!(relabel(&CsrGraph::empty(0), &[]), CsrGraph::empty(0));
+    let order = [3, 0, 4, 1, 2];
+    assert_eq!(
+        relabel(&CsrGraph::empty(5), &order),
+        relabel_via_builder(&CsrGraph::empty(5), &order)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random graphs (few enough edges that isolated vertices are common)
+    /// under random permutations: the argsort of random keys.
+    #[test]
+    fn relabel_equals_builder_reference(
+        n in 1usize..40,
+        raw_edges in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..90),
+        keys in proptest::collection::vec(0u32..1 << 16, 40..41),
+    ) {
+        let edges: Vec<(VertexId, VertexId)> =
+            raw_edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)).collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        let mut order: Vec<VertexId> = g.vertices().collect();
+        order.sort_by_key(|&v| (keys[v as usize], v));
+        prop_assert_eq!(relabel(&g, &order), relabel_via_builder(&g, &order));
+    }
 
     /// The probe-only last level, pinned on both sides of its boundary:
     /// a true distance of `bound − 1` must still be found, a true distance

@@ -23,12 +23,14 @@ use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::serving::ServingIndex;
 use hcl_core::landmarks::LandmarkStrategy;
-use hcl_core::update::{apply_edit, EdgeEdit, PairFilter, UpdateError};
-use hcl_core::{EpochCell, HighwayCoverLabelling, OracleEpoch, QueryContext, SharedOracle};
+use hcl_core::update::{apply_edit_reusing, EdgeEdit, PairFilter, RetiredGraphs, UpdateError};
+use hcl_core::{
+    EpochCell, HighwayCoverLabelling, OracleEpoch, QueryContext, SharedOracle, SparseView,
+};
 use hcl_graph::{CsrGraph, VertexId};
 use hcl_store::PackedOracle;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A query the service cannot answer.
@@ -171,6 +173,11 @@ pub struct IndexSizes {
 #[derive(Debug)]
 pub struct QueryService {
     index: EpochCell<ServingIndex>,
+    /// The generation the last `UPDATE` replaced. The next `UPDATE` writes
+    /// its graph and view into this one's buffers once no query pins it
+    /// any more (see [`apply_update`](Self::apply_update)); a reload drops
+    /// it.
+    retired: Mutex<Option<Arc<OracleEpoch<ServingIndex>>>>,
     cache: Option<ShardedCache>,
     metrics: ServeMetrics,
     /// Wall-clock microseconds the last successful
@@ -182,6 +189,22 @@ pub struct QueryService {
     /// this long after submission resolves `ERR deadline expired` instead
     /// of computing an answer nobody is waiting for.
     deadline_nanos: AtomicU64,
+}
+
+/// The CSRs of a retired generation, for the next update to overwrite.
+/// Whatever is still shared — the generation itself with a query in
+/// flight, its graph with whoever handed it to the service — is left to
+/// its other holders and replaced by an empty graph.
+fn retired_graphs(retired: Arc<OracleEpoch<ServingIndex>>) -> RetiredGraphs {
+    let Some(ServingIndex::Memory(oracle)) = Arc::into_inner(retired).map(OracleEpoch::into_index)
+    else {
+        return RetiredGraphs::default();
+    };
+    let (graph, _, sparse) = oracle.into_parts();
+    RetiredGraphs {
+        graph: Arc::into_inner(graph).unwrap_or_default(),
+        sparse: Arc::into_inner(sparse).map(SparseView::into_graph).unwrap_or_default(),
+    }
 }
 
 impl QueryService {
@@ -199,6 +222,7 @@ impl QueryService {
         });
         QueryService {
             index: EpochCell::new(index),
+            retired: Mutex::new(None),
             cache,
             metrics: ServeMetrics::default(),
             load_micros: AtomicU64::new(0),
@@ -359,6 +383,7 @@ impl QueryService {
     /// cache (exactly once per swap). In-flight queries finish on the old
     /// generation; returns the new epoch.
     pub fn reload_index(&self, index: ServingIndex) -> u64 {
+        self.take_retired();
         let swapped = self.index.swap(index);
         // Clearing after the swap bounds the stale window: entries inserted
         // for the *new* epoch between these two lines are dropped (only a
@@ -382,15 +407,33 @@ impl QueryService {
     /// certifies exactly which pairs provably kept their distance, and only
     /// those carry over to the new epoch; the rest age out as stale misses.
     ///
+    /// The generation an update replaces is not freed but parked, and the
+    /// update after it builds its graph and sparse view inside that
+    /// generation's two CSRs — the bulk of an index generation — provided
+    /// every query that pinned it has finished (otherwise it is freed
+    /// and the update allocates). So a run of edits ping-pongs between
+    /// two sets of buffers: peak memory is what copy-on-write needs
+    /// anyway (two generations, and the second stays resident between
+    /// edits), and neither the cost nor the timing of an `UPDATE`
+    /// depends on what the allocator does with tens of megabytes handed
+    /// back and asked for again per edit.
+    ///
     /// Concurrent updates/reloads are serialised by the caller (the reactor
     /// runs updates under the same busy gate as `RELOAD`); racing this
     /// method unserialised is safe for queries but may strand retagged
     /// cache entries, costing warm-up only.
     pub fn apply_update(&self, edit: EdgeEdit) -> Result<(u64, u64), UpdateApplyError> {
+        let spare = self.take_retired().map_or_else(RetiredGraphs::default, retired_graphs);
         let snap = self.snapshot();
         let oracle = snap.index().as_memory().ok_or(UpdateApplyError::Packed)?;
-        let result = apply_edit(oracle.graph(), oracle.labelling(), oracle.sparse_view(), edit)
-            .map_err(UpdateApplyError::Apply)?;
+        let result = apply_edit_reusing(
+            oracle.graph(),
+            oracle.labelling(),
+            oracle.sparse_view(),
+            edit,
+            spare,
+        )
+        .map_err(UpdateApplyError::Apply)?;
         let affected = result.affected_vertices as u64;
         let filter = PairFilter::for_edit(oracle.graph(), &result.graph, edit);
         let next = SharedOracle::from_parts(
@@ -406,7 +449,12 @@ impl QueryService {
         }
         ServeMetrics::bump(&self.metrics.updates_applied);
         ServeMetrics::add(&self.metrics.update_affected_vertices, affected);
+        *self.retired.lock().expect("retired slot poisoned") = Some(snap);
         Ok((new_epoch, affected))
+    }
+
+    fn take_retired(&self) -> Option<Arc<OracleEpoch<ServingIndex>>> {
+        self.retired.lock().expect("retired slot poisoned").take()
     }
 
     /// Loads the next index generation from disk and swaps it in via
@@ -430,6 +478,9 @@ impl QueryService {
         landmarks: usize,
     ) -> Result<u64, ReloadError> {
         let started = Instant::now();
+        // Before loading, not at the swap, so that a reload peaks at two
+        // generations, not three.
+        self.take_retired();
         if hcl_store::is_packed_path(graph_path) {
             if let Some(extra) = index_path {
                 return Err(ReloadError::Load(format!(
@@ -621,6 +672,59 @@ mod tests {
             let expect = (truth[t as usize] != hcl_graph::INF).then_some(truth[t as usize]);
             assert_eq!(service.distance(u, t).unwrap(), expect, "d({u}, {t}) after DEL");
         }
+    }
+
+    #[test]
+    fn updates_build_inside_the_generation_before_last() {
+        let (g, labelling) = hcl_core::testing::ba_fixture(300, 4, 5, 8);
+        // An absent edge between two non-landmarks, so the view changes too.
+        let highway = labelling.highway().clone();
+        let (u, v) = (0..300u32)
+            .flat_map(|a| ((a + 1)..300).map(move |b| (a, b)))
+            .find(|&(a, b)| !g.has_edge(a, b) && !highway.is_landmark(a) && !highway.is_landmark(b))
+            .expect("BA graph is not complete");
+        let service = QueryService::from_parts(Arc::clone(&g), labelling, 0);
+        let buffers = |service: &QueryService| {
+            let snap = service.snapshot();
+            let oracle = snap.index().as_memory().unwrap();
+            (
+                oracle.graph().neighbors(0).as_ptr(),
+                oracle.sparse_view().graph().neighbors(0).as_ptr(),
+            )
+        };
+        let mut seen = Vec::new();
+        for round in 0..3 {
+            for (edit, truth_graph) in [
+                (EdgeEdit::Add(u, v), g.with_edge(u, v).unwrap()),
+                (EdgeEdit::Delete(u, v), (*g).clone()),
+            ] {
+                service.apply_update(edit).unwrap();
+                seen.push(buffers(&service));
+                let truth = hcl_graph::traversal::bfs_distances(&truth_graph, u);
+                for t in (0..300).step_by(13) {
+                    let expect = (truth[t as usize] != hcl_graph::INF).then_some(truth[t as usize]);
+                    assert_eq!(service.distance(u, t).unwrap(), expect, "round {round} {edit}");
+                }
+            }
+        }
+        // Generation 0's graph is shared with this test, so generations 1
+        // and 2 allocate; from then on two sets of buffers alternate.
+        assert_ne!(seen[0], seen[1]);
+        for k in 2..seen.len() {
+            assert_eq!(seen[k], seen[k - 2], "update {} reuses update {}'s CSRs", k + 1, k - 1);
+        }
+
+        // A pinned generation is left alone: the next update allocates.
+        let pinned = service.snapshot();
+        let pinned_buffers = buffers(&service);
+        service.apply_update(EdgeEdit::Add(u, v)).unwrap();
+        service.apply_update(EdgeEdit::Delete(u, v)).unwrap();
+        assert_ne!(buffers(&service), pinned_buffers);
+        assert_eq!(pinned.index().as_memory().unwrap().graph(), &*g, "still the graph it was");
+
+        // A reload drops the parked generation.
+        service.reload(oracle(100, 2, 4));
+        assert!(service.retired.lock().unwrap().is_none());
     }
 
     #[test]

@@ -17,10 +17,6 @@ use hcl_graph::VertexId;
 use hcl_store::PackedOracle;
 
 /// One queryable index generation; see the module docs.
-// Variant sizes differ because `PackedOracle` owns its reconstructed sparse
-// view inline; the enum exists one-per-generation inside an `OracleEpoch`,
-// never in bulk, so boxing would buy nothing and cost a deref per query.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum ServingIndex {
     /// The classic heap-resident index (owned graph, labelling, and

@@ -10,8 +10,13 @@
 //! | `HIGHWAY` | 2 | `r² × u32` row-major distance matrix (`u32::MAX` = disconnected) |
 //! | `LABEL_OFFSETS` | 3 | `(n+1) × u32` byte offsets into `LABEL_DATA` |
 //! | `LABEL_DATA` | 4 | per-vertex delta-varint label streams |
-//! | `SPARSE_OFFSETS` | 5 | `(n+1) × u32` entry offsets into `SPARSE_ADJ` |
-//! | `SPARSE_ADJ` | 6 | sparsified-CSR adjacency, `u32` per neighbour |
+//! | `SPARSE_OFFSETS` | 5 | `(n+1) × u32` entry offsets into `SPARSE_ADJ`, indexed by view id |
+//! | `SPARSE_ADJ` | 6 | sparsified-CSR adjacency, one `u32` view id per neighbour |
+//! | `VIEW_OF` | 7 | `n × u32` permutation, original id → view id |
+//!
+//! Sections 5–7 are the packer's [`SparseView`] as built — the search
+//! graph in view (degree-ordered) id space plus the translation into it —
+//! so a reader serves the bounded search straight off the mapping.
 //!
 //! All integers are little-endian. Every section starts 8-byte aligned and
 //! carries a lane-interleaved FNV-1a 64 checksum
@@ -33,13 +38,13 @@ use std::path::Path;
 /// File magic: `HCLSTOR1`.
 pub const MAGIC: &[u8; 8] = b"HCLSTOR1";
 /// Container version this crate writes and reads.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Fixed header size in bytes (magic through `total_label_entries`).
 pub const HEADER_BYTES: usize = 40;
 /// Size of one section-table entry in bytes.
 pub const SECTION_ENTRY_BYTES: usize = 32;
-/// Number of sections in a v1 file (each kind exactly once, in kind order).
-pub const SECTION_COUNT: usize = 6;
+/// Number of sections in a v2 file (each kind exactly once, in kind order).
+pub const SECTION_COUNT: usize = 7;
 
 /// Landmark vertex ids, rank order.
 pub const SECTION_LANDMARKS: u32 = 1;
@@ -49,10 +54,12 @@ pub const SECTION_HIGHWAY: u32 = 2;
 pub const SECTION_LABEL_OFFSETS: u32 = 3;
 /// Delta-varint label streams.
 pub const SECTION_LABEL_DATA: u32 = 4;
-/// Per-vertex entry offsets into `SPARSE_ADJ`.
+/// Per-view-vertex entry offsets into `SPARSE_ADJ`.
 pub const SECTION_SPARSE_OFFSETS: u32 = 5;
-/// Sparsified-CSR adjacency entries.
+/// Sparsified-CSR adjacency entries, in view id space.
 pub const SECTION_SPARSE_ADJ: u32 = 6;
+/// The original id → view id permutation.
+pub const SECTION_VIEW_OF: u32 = 7;
 
 /// Conventional file extension for packed indexes (`index.hclx`); path
 /// sniffing in the CLI, server `RELOAD`, and router fan-out keys on it.
@@ -136,25 +143,25 @@ pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Ve
         .map_err(|_| StoreError::Invalid("label data exceeds 4 GiB".into()))?;
     push_u32(&mut label_offsets, total);
 
-    // Sections 5 + 6: sparsified CSR, stored in **original** id space
-    // regardless of the view's in-memory degree ordering (the relabelling
-    // is a decode-time representation — readers rebuild it at open, and
-    // keeping the file in original ids leaves the v1 layout unchanged).
-    let mut sparse_offsets = Vec::with_capacity(4 * (n + 1));
-    let mut sparse_adj = Vec::with_capacity(8 * sparse.num_edges());
-    let mut count: u64 = 0;
-    for v in 0..n as u32 {
-        let at = u32::try_from(count)
-            .map_err(|_| StoreError::Invalid("sparse adjacency exceeds u32 entries".into()))?;
-        push_u32(&mut sparse_offsets, at);
-        for w in sparse.original_neighbors(v) {
-            push_u32(&mut sparse_adj, w);
-            count += 1;
-        }
-    }
-    let total = u32::try_from(count)
+    // Sections 5–7: the view exactly as `sparse` holds it — view-space
+    // CSR rows in view order, then the original → view permutation.
+    let view = sparse.graph();
+    let adj_entries = u32::try_from(2 * view.num_edges())
         .map_err(|_| StoreError::Invalid("sparse adjacency exceeds u32 entries".into()))?;
-    push_u32(&mut sparse_offsets, total);
+    let mut sparse_offsets = Vec::with_capacity(4 * (n + 1));
+    let mut sparse_adj = Vec::with_capacity(4 * adj_entries as usize);
+    let mut view_of = Vec::with_capacity(4 * n);
+    let mut at = 0u32;
+    for v in 0..n as u32 {
+        push_u32(&mut sparse_offsets, at);
+        let row = view.neighbors(v);
+        at += row.len() as u32;
+        for &w in row {
+            push_u32(&mut sparse_adj, w);
+        }
+        push_u32(&mut view_of, sparse.view_of(v));
+    }
+    push_u32(&mut sparse_offsets, adj_entries);
 
     let sections: [(u32, Vec<u8>); SECTION_COUNT] = [
         (SECTION_LANDMARKS, landmarks),
@@ -163,6 +170,7 @@ pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Ve
         (SECTION_LABEL_DATA, label_data),
         (SECTION_SPARSE_OFFSETS, sparse_offsets),
         (SECTION_SPARSE_ADJ, sparse_adj),
+        (SECTION_VIEW_OF, view_of),
     ];
 
     let mut out = Vec::new();

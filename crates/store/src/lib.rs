@@ -12,8 +12,9 @@
 //!   [`hcl_core::LabelStorage`] + [`hcl_core::SparseNeighbors`] directly
 //!   over the mapped bytes, so the Lemma 5.1 merge and the bounded
 //!   bidirectional search run with **no deserialisation** — labels decode
-//!   lazily during the merge, the `u32` sections are served as slices over
-//!   the mapping;
+//!   lazily during the merge, the `u32` sections (the degree-ordered
+//!   search view included, stored as the packer built it) are served as
+//!   slices over the mapping, so open is map + validate;
 //! * [`PackedOracle`] wraps a view with a context pool into the same
 //!   distance-oracle surface [`hcl_core::SharedOracle`] exposes, so the
 //!   server can swap a generation by *remapping* a file instead of
@@ -43,7 +44,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with the `HCLSTOR1` magic.
     BadMagic,
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build reads — newer, or
+    /// the retired v1 (re-run `hcl pack`; a `.hclx` is derived state).
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,

@@ -2,12 +2,14 @@
 //! and serves queries directly over the mapped bytes.
 //!
 //! The `u32` sections (landmarks, highway matrix, both offset arrays,
-//! sparse adjacency) are handed out as `&[u32]` slices straight over the
-//! mapping — the 8-byte section alignment plus the page alignment of `mmap`
-//! make the casts sound, and little-endian layout matches every target this
-//! workspace supports. Labels are the one encoded section: the
-//! [`PackedLabelIter`] decodes delta-varints lazily *during* the Lemma 5.1
-//! merge (decode-on-merge), so a query never materialises a label.
+//! sparse adjacency, the `view_of` permutation) are handed out as `&[u32]`
+//! slices straight over the mapping — the 8-byte section alignment plus
+//! the page alignment of `mmap` make the casts sound, and little-endian
+//! layout matches every target this workspace supports. The bounded search
+//! therefore runs on the stored view itself; nothing is rebuilt or copied
+//! at open. Labels are the one encoded section: the [`PackedLabelIter`]
+//! decodes delta-varints lazily *during* the Lemma 5.1 merge
+//! (decode-on-merge), so a query never materialises a label.
 //!
 //! Opening validates the whole file — structure, per-section checksums, and
 //! a full decode of every label stream — so the query path can assume every
@@ -21,8 +23,8 @@ use crate::format::{self, HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use crate::sys::Mmap;
 use crate::varint;
 use crate::StoreError;
-use hcl_core::{LabelStorage, SparseNeighbors, SparseView};
-use hcl_graph::{CsrGraph, VertexId, INF};
+use hcl_core::{LabelStorage, SparseNeighbors};
+use hcl_graph::{VertexId, INF};
 use std::ops::Range;
 use std::path::Path;
 
@@ -70,15 +72,10 @@ pub struct IndexView {
     label_data: Range<usize>,
     sparse_offsets: Range<usize>,
     sparse_adj: Range<usize>,
+    view_of: Range<usize>,
     /// `(vertex, rank)` pairs sorted by vertex — the O(r) replacement for
     /// the in-memory index's O(n) rank table; lookups binary-search it.
     rank_index: Vec<(VertexId, u32)>,
-    /// The degree-ordered sparse view, reconstructed at open time from the
-    /// original-id-space CSR sections. The bounded search traverses this
-    /// owned copy (cache-ordered), not the mapped sections; the on-disk
-    /// layout is unchanged, the relabelling is a decode-time
-    /// representation.
-    sparse: SparseView,
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -156,7 +153,7 @@ impl IndexView {
         let section_count = read_u32(bytes, 12) as usize;
         if section_count != SECTION_COUNT {
             return Err(StoreError::Corrupt(format!(
-                "v1 file must have {SECTION_COUNT} sections, found {section_count}"
+                "v2 file must have {SECTION_COUNT} sections, found {section_count}"
             )));
         }
         let n = read_u64(bytes, 16);
@@ -172,14 +169,14 @@ impl IndexView {
             return Err(StoreError::Corrupt(format!("implausible landmark count {r}")));
         }
         if flags != 0 {
-            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0 in v1)")));
+            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0 in v2)")));
         }
         let table_end = HEADER_BYTES as u64 + (SECTION_COUNT * SECTION_ENTRY_BYTES) as u64;
         if file_len < table_end {
             return Err(StoreError::Truncated { needed: table_end, actual: file_len });
         }
 
-        // Section table: every v1 kind exactly once, each section in
+        // Section table: every v2 kind exactly once, each section in
         // bounds, aligned, and passing its checksum.
         let mut ranges: [Option<Range<usize>>; SECTION_COUNT] = Default::default();
         for i in 0..SECTION_COUNT {
@@ -216,8 +213,8 @@ impl IndexView {
             }
             *slot = Some(range);
         }
-        let [landmarks, highway, label_offsets, label_data, sparse_offsets, sparse_adj] =
-            ranges.map(|r| r.expect("all six kinds seen exactly once"));
+        let [landmarks, highway, label_offsets, label_data, sparse_offsets, sparse_adj, view_of] =
+            ranges.map(|r| r.expect("all seven kinds seen exactly once"));
 
         // Dimension checks tie section lengths to the header counts.
         let expect = |name: &str, range: &Range<usize>, want: u64| -> Result<(), StoreError> {
@@ -233,6 +230,7 @@ impl IndexView {
         expect("highway", &highway, 4 * r * r)?;
         expect("label offsets", &label_offsets, 4 * (n + 1))?;
         expect("sparse offsets", &sparse_offsets, 4 * (n + 1))?;
+        expect("view_of", &view_of, 4 * n)?;
         if sparse_adj.len() % 4 != 0 {
             return Err(StoreError::Corrupt("sparse adjacency not a whole number of u32s".into()));
         }
@@ -248,22 +246,22 @@ impl IndexView {
             label_data,
             sparse_offsets,
             sparse_adj,
+            view_of,
             rank_index: Vec::new(),
-            sparse: SparseView::from_original_space(CsrGraph::empty(0), 0),
         };
         view.validate_contents()
     }
 
     /// Content validation beyond structure: landmark ids, highway matrix
     /// invariants, offset monotonicity, a full decode of every label
-    /// stream, and sparsified-CSR sanity. On success the rank index is
-    /// built and the view is ready to serve.
+    /// stream, the sparsified view's CSR, and the `view_of` permutation.
+    /// On success the rank index is built and the view is ready to serve.
     fn validate_contents(mut self) -> Result<IndexView, StoreError> {
         let n = self.n as u32;
         let r = self.r as u32;
 
         let mut rank_index: Vec<(VertexId, u32)> =
-            self.landmark_slice().iter().enumerate().map(|(rank, &v)| (v, rank as u32)).collect();
+            self.landmarks().iter().enumerate().map(|(rank, &v)| (v, rank as u32)).collect();
         rank_index.sort_unstable();
         for w in rank_index.windows(2) {
             if w[0].0 == w[1].0 {
@@ -279,7 +277,7 @@ impl IndexView {
 
         // Highway: zero diagonal, symmetric, finite values plausible
         // (unweighted distances are < n).
-        let matrix = self.highway_slice();
+        let matrix = self.u32_slice(&self.highway);
         for a in 0..self.r {
             if matrix[a * self.r + a] != 0 {
                 return Err(StoreError::Corrupt(format!("highway diagonal ({a},{a}) nonzero")));
@@ -298,19 +296,18 @@ impl IndexView {
         // Labels: monotone byte offsets ending at the data length, then a
         // full decode — strictly increasing ranks < r, 16-bit distances,
         // streams consumed exactly, totals matching the header, and empty
-        // labels on landmarks.
-        let offsets = self.label_offsets_slice();
-        let data_len = self.label_data.len() as u32;
-        if offsets[0] != 0 || offsets[self.n] != data_len {
+        // streams on landmarks.
+        let offsets = self.u32_slice(&self.label_offsets);
+        let data = &self.backing.bytes()[self.label_data.clone()];
+        if offsets[0] != 0 || offsets[self.n] as usize != data.len() {
             return Err(StoreError::Corrupt("label offsets do not span the data section".into()));
         }
         let mut decoded: u64 = 0;
         for v in 0..self.n {
-            if offsets[v] > offsets[v + 1] {
-                return Err(StoreError::Corrupt(format!("label offsets decrease at vertex {v}")));
-            }
-            let stream = &self.backing.bytes()[self.label_data.clone()]
-                [offsets[v] as usize..offsets[v + 1] as usize];
+            let stream =
+                data.get(offsets[v] as usize..offsets[v + 1] as usize).ok_or_else(|| {
+                    StoreError::Corrupt(format!("label offsets not monotone at vertex {v}"))
+                })?;
             let mut pos = 0usize;
             let mut prev: Option<u32> = None;
             while pos < stream.len() {
@@ -342,7 +339,9 @@ impl IndexView {
                 prev = Some(rank);
                 decoded += 1;
             }
-            if prev.is_some() && self.rank(v as u32).is_some() {
+        }
+        for &v in self.landmarks() {
+            if offsets[v as usize] != offsets[v as usize + 1] {
                 return Err(StoreError::Corrupt(format!("landmark {v} has a non-empty label")));
             }
         }
@@ -353,92 +352,76 @@ impl IndexView {
             )));
         }
 
-        // Sparsified CSR: monotone offsets spanning the adjacency section,
-        // in-range sorted neighbour lists, and isolated landmarks.
-        let sparse_offsets = self.sparse_offsets_slice();
-        let adj_count = (self.sparse_adj.len() / 4) as u32;
-        if sparse_offsets[0] != 0 || sparse_offsets[self.n] != adj_count {
+        // Sparsified view: monotone offsets spanning the adjacency section
+        // and strictly sorted in-range rows (view ids), then `view_of` a
+        // permutation of 0..n under which every landmark's row is empty.
+        let sparse_offsets = self.u32_slice(&self.sparse_offsets);
+        let adj = self.u32_slice(&self.sparse_adj);
+        if sparse_offsets[0] != 0 || sparse_offsets[self.n] as usize != adj.len() {
             return Err(StoreError::Corrupt(
                 "sparse offsets do not span the adjacency section".into(),
             ));
         }
         for v in 0..self.n {
-            if sparse_offsets[v] > sparse_offsets[v + 1] {
-                return Err(StoreError::Corrupt(format!("sparse offsets decrease at vertex {v}")));
+            let row =
+                adj.get(sparse_offsets[v] as usize..sparse_offsets[v + 1] as usize).ok_or_else(
+                    || StoreError::Corrupt(format!("sparse offsets not monotone at vertex {v}")),
+                )?;
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(StoreError::Corrupt(format!(
+                    "sparse neighbours of {v} not strictly sorted"
+                )));
             }
-            let row = &self.sparse_adj_slice()
-                [sparse_offsets[v] as usize..sparse_offsets[v + 1] as usize];
-            if !row.is_empty() && self.rank(v as u32).is_some() {
-                return Err(StoreError::Corrupt(format!("landmark {v} has sparse neighbours")));
-            }
-            let mut prev: Option<u32> = None;
-            for &w in row {
-                if w >= n {
-                    return Err(StoreError::Corrupt(format!(
-                        "sparse neighbour {w} out of range at vertex {v}"
-                    )));
-                }
-                if prev.is_some_and(|p| p >= w) {
-                    return Err(StoreError::Corrupt(format!(
-                        "sparse neighbours of {v} not strictly sorted"
-                    )));
-                }
-                prev = Some(w);
+            // Strictly sorted, so the last id is the row's largest.
+            if row.last().is_some_and(|&w| w >= n) {
+                return Err(StoreError::Corrupt(format!(
+                    "sparse neighbour out of range at vertex {v}"
+                )));
             }
         }
-
-        // Materialise the degree-ordered sparse view from the validated
-        // original-id CSR sections. The relabelling is deterministic, so
-        // the packed path reconstructs the exact view the in-memory path
-        // builds from the same graph — answers stay byte-identical.
-        let offsets: Vec<usize> = sparse_offsets.iter().map(|&o| o as usize).collect();
-        let adj: Vec<VertexId> = self.sparse_adj_slice().to_vec();
-        let graph = CsrGraph::from_csr_parts(offsets, adj)
-            .map_err(|e| StoreError::Corrupt(format!("sparse CSR rejected: {e}")))?;
-        self.sparse = SparseView::from_original_space(graph, 0);
+        let view_of = self.u32_slice(&self.view_of);
+        let mut seen = vec![false; self.n];
+        for (v, &view) in view_of.iter().enumerate() {
+            match seen.get_mut(view as usize) {
+                Some(slot) if !*slot => *slot = true,
+                _ => {
+                    return Err(StoreError::Corrupt(format!(
+                        "view id {view} of vertex {v} out of range or already taken"
+                    )))
+                }
+            }
+        }
+        for &v in self.landmarks() {
+            let view = view_of[v as usize] as usize;
+            if sparse_offsets[view] != sparse_offsets[view + 1] {
+                return Err(StoreError::Corrupt(format!("landmark {v} has sparse neighbours")));
+            }
+        }
         Ok(self)
     }
 
-    /// Reinterprets an in-bounds, 4-aligned byte range as `&[u32]`.
+    /// The whole backing as `u32` words (a trailing partial word dropped).
     #[inline]
-    fn u32_slice(&self, range: Range<usize>) -> &[u32] {
-        let bytes = &self.backing.bytes()[range];
-        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0, "section alignment");
-        // SAFETY: range is within the backing (validated at open), the
-        // pointer is 4-aligned (8-aligned sections over a page-aligned
-        // mapping / u64-backed buffer), and u32 has no invalid bit
-        // patterns. Little-endian layout is part of the format contract.
+    fn words(&self) -> &[u32] {
+        let bytes = self.backing.bytes();
+        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0, "backing alignment");
+        // SAFETY: the pointer is 4-aligned (a page-aligned mapping / a
+        // u64-backed buffer), `len / 4` whole words lie inside the backing,
+        // and u32 has no invalid bit patterns. Little-endian layout is part
+        // of the format contract.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
     }
 
+    /// The `u32` section at `range`: in bounds and 8-aligned (validated at
+    /// open), so the byte range is a whole number of words.
     #[inline]
-    fn landmark_slice(&self) -> &[u32] {
-        self.u32_slice(self.landmarks.clone())
-    }
-
-    #[inline]
-    fn highway_slice(&self) -> &[u32] {
-        self.u32_slice(self.highway.clone())
-    }
-
-    #[inline]
-    fn label_offsets_slice(&self) -> &[u32] {
-        self.u32_slice(self.label_offsets.clone())
-    }
-
-    #[inline]
-    fn sparse_offsets_slice(&self) -> &[u32] {
-        self.u32_slice(self.sparse_offsets.clone())
-    }
-
-    #[inline]
-    fn sparse_adj_slice(&self) -> &[u32] {
-        self.u32_slice(self.sparse_adj.clone())
+    fn u32_slice(&self, range: &Range<usize>) -> &[u32] {
+        &self.words()[range.start / 4..range.end / 4]
     }
 
     /// Landmark vertex ids in rank order.
     pub fn landmarks(&self) -> &[VertexId] {
-        self.landmark_slice()
+        self.u32_slice(&self.landmarks)
     }
 
     /// Total label entries across all vertices.
@@ -471,9 +454,10 @@ impl IndexView {
         format::plain_index_bytes(self.n, self.r, self.total_entries as usize)
     }
 
-    /// Bytes of the packed sparsified-CSR sections.
+    /// Bytes of everything the bounded search reads: the sparsified-CSR
+    /// sections plus the `view_of` permutation.
     pub fn sparse_bytes(&self) -> usize {
-        self.sparse_offsets.len() + self.sparse_adj.len()
+        self.sparse_offsets.len() + self.sparse_adj.len() + self.view_of.len()
     }
 
     /// Undirected edge count of the sparsified graph.
@@ -534,18 +518,18 @@ impl LabelStorage for IndexView {
 
     #[inline]
     fn highway_distance(&self, rank_a: u32, rank_b: u32) -> u32 {
-        self.highway_slice()[rank_a as usize * self.r + rank_b as usize]
+        self.u32_slice(&self.highway)[rank_a as usize * self.r + rank_b as usize]
     }
 
     #[inline]
     fn highway_row(&self, rank: u32) -> &[u32] {
         let start = rank as usize * self.r;
-        &self.highway_slice()[start..start + self.r]
+        &self.u32_slice(&self.highway)[start..start + self.r]
     }
 
     #[inline]
     fn label(&self, v: VertexId) -> PackedLabelIter<'_> {
-        let offsets = self.label_offsets_slice();
+        let offsets = self.u32_slice(&self.label_offsets);
         let v = v as usize;
         let data = &self.backing.bytes()[self.label_data.clone()];
         PackedLabelIter {
@@ -559,11 +543,21 @@ impl LabelStorage for IndexView {
 impl SparseNeighbors for IndexView {
     #[inline]
     fn view_of(&self, v: VertexId) -> VertexId {
-        self.sparse.view_of(v)
+        self.u32_slice(&self.view_of)[v as usize]
     }
 
     #[inline]
     fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.sparse.graph().neighbors(v)
+        // The search kernel's per-vertex call: word arithmetic from the two
+        // section starts (sub-slicing each section first costs ~8% of the
+        // in-cache query rate). It is only handed ids from `view_of` or from
+        // validated rows; a stray id `>= n` reads a neighbouring section's
+        // words, bounds-checked against the backing, instead of panicking.
+        let v = v as usize;
+        debug_assert!(v < self.n, "view id out of range");
+        let words = self.words();
+        let at = self.sparse_offsets.start / 4 + v;
+        let adj = self.sparse_adj.start / 4;
+        &words[adj + words[at] as usize..adj + words[at + 1] as usize]
     }
 }

@@ -1,13 +1,16 @@
 //! Pack → view round-trip: a packed index must reproduce the original
-//! labelling, highway, and sparsified CSR exactly, and queries over the
-//! mapped bytes must agree with the in-memory fast path on every input —
-//! every generator family, disconnected graphs, landmark endpoints, and
-//! random instances under proptest.
+//! labelling, highway, and the packer's sparsified view (CSR and
+//! permutation) exactly, and queries over the mapped bytes must agree with
+//! the in-memory fast path on every input — every generator family,
+//! disconnected graphs, landmark endpoints, a view whose degree order has
+//! gone stale under edits, and random instances under proptest.
 
+use hcl_core::update::{apply_edit, EdgeEdit};
 use hcl_core::{
     HighwayCoverLabelling, LabelStorage, QueryContext, SharedOracle, SparseNeighbors, SparseView,
 };
-use hcl_graph::{generate, CsrGraph, VertexId};
+use hcl_graph::{generate, traversal, CsrGraph, VertexId, INF};
+use hcl_store::format::{HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use hcl_store::{pack, save_packed, IndexView, PackedOracle};
 use proptest::prelude::*;
 
@@ -40,8 +43,29 @@ fn assert_view_matches(
         let original: Vec<(u32, u32)> =
             hcl.labels().label(v).iter().map(|e| (e.landmark as u32, e.dist as u32)).collect();
         assert_eq!(packed, original, "{tag}: label({v})");
+        // The stored view is the packer's view: same permutation, same rows.
+        assert_eq!(view.view_of(v), sparse.view_of(v), "{tag}: view_of({v})");
         assert_eq!(view.sparse_neighbors(v), sparse.graph().neighbors(v), "{tag}: sparse({v})");
     }
+}
+
+/// Every byte of the file is accounted for: header, section table, the
+/// seven payloads in kind order, and the padding that 8-aligns each — and
+/// the two size accessors `STATS` reports split the payloads between them.
+fn assert_bytes_accounted(image: &[u8], view: &IndexView, tag: &str) {
+    let read_u64 = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = HEADER_BYTES + SECTION_COUNT * SECTION_ENTRY_BYTES;
+    let mut payload = 0;
+    for i in 0..SECTION_COUNT {
+        let e = HEADER_BYTES + i * SECTION_ENTRY_BYTES;
+        at = at.next_multiple_of(8);
+        assert_eq!(read_u64(e + 8), at, "{tag}: section {} offset", i + 1);
+        at += read_u64(e + 16);
+        payload += read_u64(e + 16);
+    }
+    assert_eq!(at, image.len(), "{tag}: file length");
+    assert_eq!(view.store_bytes(), image.len(), "{tag}: store_bytes");
+    assert_eq!(view.packed_index_bytes() + view.sparse_bytes(), payload, "{tag}: payload split");
 }
 
 #[test]
@@ -66,6 +90,7 @@ fn round_trip_preserves_index_on_all_families() {
             let image = pack(&hcl, &sparse).unwrap();
             let view = IndexView::from_bytes(&image).unwrap();
             assert_view_matches(&view, &hcl, &sparse, &format!("{name} k={k}"));
+            assert_bytes_accounted(&image, &view, &format!("{name} k={k}"));
         }
     }
 }
@@ -102,6 +127,43 @@ fn packed_queries_match_in_memory_on_all_families() {
                     assert_eq!(got_bound, want_bound, "{name} k={k}: bound {s}->{t}");
                 }
             }
+        }
+    }
+}
+
+/// Readers must not assume the stored view is degree-sorted: after an
+/// `UPDATE` the permutation is inherited (`SparseView::with_edit`), so
+/// degrees and view ids disagree. Packing that view must still answer
+/// every pair exactly.
+#[test]
+fn packed_view_with_stale_degree_order_answers_exactly() {
+    let g = generate::barabasi_albert(150, 3, 29);
+    let (hcl, sparse) = build(&g, 6);
+    // An ADD between two lowest-degree vertices and a DEL at a mid-degree
+    // one, both inside G[V∖R], so the inherited order is wrong at both ends.
+    let order = hcl_graph::order::degree_descending(&g);
+    let a = *order.last().unwrap();
+    let b = *order.iter().rev().find(|&&w| w != a && !g.has_edge(a, w)).unwrap();
+    let hub = order[10];
+    let spoke = *g.neighbors(hub).iter().rev().find(|&&w| !hcl.highway().is_landmark(w)).unwrap();
+    let (add, del) = (EdgeEdit::Add(a, b), EdgeEdit::Delete(hub, spoke));
+    let added = apply_edit(&g, &hcl, &sparse, add).unwrap();
+    let edited = apply_edit(&added.graph, &added.labelling, &added.sparse, del).unwrap();
+    let stale = edited.sparse.graph();
+    assert!(
+        (1..stale.num_vertices() as VertexId).any(|v| stale.degree(v - 1) < stale.degree(v)),
+        "the edits must leave the view out of degree order"
+    );
+
+    let image = pack(&edited.labelling, &edited.sparse).unwrap();
+    let view = IndexView::from_bytes(&image).unwrap();
+    assert_view_matches(&view, &edited.labelling, &edited.sparse, "stale order");
+    let mut ctx = QueryContext::new(g.num_vertices());
+    for s in 0..g.num_vertices() as VertexId {
+        let truth = traversal::bfs_distances(&edited.graph, s);
+        for t in 0..g.num_vertices() as VertexId {
+            let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
+            assert_eq!(hcl_core::storage::distance_on(&view, &mut ctx, s, t), want, "{s}->{t}");
         }
     }
 }
