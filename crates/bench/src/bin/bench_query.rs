@@ -25,7 +25,13 @@
 //! * **incremental update latency** — median single-edge `UPDATE ADD` /
 //!   `DEL` through `hcl_core::update::apply_edit` (including the
 //!   `PairFilter` the server builds to retag its cache) against the full
-//!   `build_parallel` the update replaces (`update_speedup`);
+//!   `build_parallel` the update replaces (`update_speedup`), and the
+//!   `apply_edit` half alone (`update_publish_ms`: what the reply to an
+//!   `UPDATE` waits for, now that the filter runs after it);
+//! * **patched-over-flat query ratio** — sequential queries/sec on a
+//!   generation whose graph and view carry a full overlay of replaced
+//!   rows, over the same logical index as flat arrays, interleaved
+//!   (`patched_query_ratio`: what the overlay probe costs the hot path);
 //! * sizes — labelling bytes, sparsified-view bytes/edges, graph bytes,
 //!   plus packed store bytes and the packed/plain compression ratio.
 //!
@@ -193,23 +199,26 @@ fn main() {
     // `PairFilter` construction the server pays to retag its cache —
     // the full cost of publishing a patched generation — against the
     // from-scratch `build_parallel` the update replaces.
+    use hcl_core::update::{apply_edit, EdgeEdit, PairFilter};
+    let absent: Vec<(u32, u32)> = sample_pairs(g.num_vertices(), 1024, 13)
+        .into_iter()
+        .filter(|&(s, t)| s != t && !g.has_edge(s, t))
+        .collect();
     let mut add_ms: Vec<f64> = Vec::new();
     let mut del_ms: Vec<f64> = Vec::new();
-    for &(s, t) in sample_pairs(g.num_vertices(), 256, 13)
-        .iter()
-        .filter(|&&(s, t)| s != t && !g.has_edge(s, t))
-        .take(7)
-    {
-        use hcl_core::update::{apply_edit, EdgeEdit, PairFilter};
+    let mut publish_ms: Vec<f64> = Vec::new();
+    for &(s, t) in absent.iter().take(7) {
         let t0 = Instant::now();
         let added =
             apply_edit(&g, oracle.labelling(), oracle.sparse_view(), EdgeEdit::Add(s, t)).unwrap();
+        publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         black_box(PairFilter::for_edit(&g, &added.graph, EdgeEdit::Add(s, t)));
         add_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         let deleted =
             apply_edit(&added.graph, &added.labelling, &added.sparse, EdgeEdit::Delete(s, t))
                 .unwrap();
+        publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         black_box(PairFilter::for_edit(&added.graph, &deleted.graph, EdgeEdit::Delete(s, t)));
         del_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
@@ -219,6 +228,39 @@ fn main() {
     };
     let update_add_ms = median(&mut add_ms);
     let update_del_ms = median(&mut del_ms);
+    let update_publish_ms = median(&mut publish_ms);
+
+    // Patched over flat: add and delete distinct absent edges until the
+    // next edit would fold the graph's overlay. The generation then equals
+    // `oracle`'s logically, with a full overlay on the graph and on the
+    // view the searches traverse — same pairs, passes interleaved.
+    let mut parts = ((*g).clone(), oracle.labelling().clone(), oracle.sparse_view().clone());
+    for &(s, t) in &absent {
+        if parts.0.overlay_rows() + 2 > hcl_graph::CsrGraph::OVERLAY_MAX_ROWS {
+            break;
+        }
+        for edit in [EdgeEdit::Add(s, t), EdgeEdit::Delete(s, t)] {
+            let r = apply_edit(&parts.0, &parts.1, &parts.2, edit).unwrap();
+            parts = (r.graph, r.labelling, r.sparse);
+        }
+    }
+    let overlay_rows = parts.0.overlay_rows() + parts.2.graph().overlay_rows();
+    assert!(parts.0 == *g && parts.2 == *oracle.sparse_view(), "ADD then DEL is a no-op");
+    let patched = SharedOracle::from_parts(Arc::new(parts.0), Arc::new(parts.1), Arc::new(parts.2));
+    let (mut flat_secs, mut patched_secs) = (0.0f64, 0.0f64);
+    while flat_secs < cfg.min_seconds || patched_secs < cfg.min_seconds {
+        let t = Instant::now();
+        for &(s, t) in &pairs {
+            black_box(oracle.distance_with(&mut ctx, s, t));
+        }
+        flat_secs += t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        for &(s, t) in &pairs {
+            black_box(patched.distance_with(&mut ctx, s, t));
+        }
+        patched_secs += t.elapsed().as_secs_f64();
+    }
+    let patched_query_ratio = flat_secs / patched_secs;
     // The update patches the sparse view in place, so the rebuild it is
     // measured against must pay for re-sparsifying too — the same pair of
     // steps a server runs on RELOAD.
@@ -247,7 +289,9 @@ fn main() {
          \"reload_deserialise_ms\": {:.2},\n  \"reload_mmap_ms\": {:.3},\n  \
          \"reload_speedup\": {:.1},\n  \
          \"update_add_ms\": {:.3},\n  \"update_del_ms\": {:.3},\n  \
-         \"rebuild_ms\": {:.1},\n  \"update_speedup\": {:.1}\n}}",
+         \"update_publish_ms\": {:.4},\n  \
+         \"rebuild_ms\": {:.1},\n  \"update_speedup\": {:.1},\n  \
+         \"overlay_rows\": {},\n  \"patched_query_ratio\": {:.3}\n}}",
         mode,
         git_rev,
         nproc,
@@ -277,8 +321,11 @@ fn main() {
         reload_speedup,
         update_add_ms,
         update_del_ms,
+        update_publish_ms,
         rebuild_ms,
         update_speedup,
+        overlay_rows,
+        patched_query_ratio,
     );
     println!("{json}");
     if let Some(path) = out {
@@ -293,7 +340,10 @@ fn main() {
              \"queries_per_sec_packed\": {packed_qps:.0}, \
              \"merge_ns_per_query\": {merge_ns_per_query:.0}, \
              \"bfs_ns_per_query\": {bfs_ns_per_query:.0}, \
-             \"reload_mmap_ms\": {:.3}, \"reload_speedup\": {reload_speedup:.1}}}\n",
+             \"reload_mmap_ms\": {:.3}, \"reload_speedup\": {reload_speedup:.1}, \
+             \"update_publish_ms\": {update_publish_ms:.4}, \
+             \"update_speedup\": {update_speedup:.1}, \
+             \"patched_query_ratio\": {patched_query_ratio:.3}}}\n",
             reload_mmap_secs * 1e3,
         );
         // Append-only: the trajectory is never truncated or rewritten.

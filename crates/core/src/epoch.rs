@@ -55,11 +55,6 @@ impl<T> OracleEpoch<T> {
     pub fn index(&self) -> &T {
         &self.index
     }
-
-    /// Gives up the generation for its index (only its last holder can).
-    pub fn into_index(self) -> T {
-        self.index
-    }
 }
 
 impl OracleEpoch<SharedOracle> {

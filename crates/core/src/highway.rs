@@ -3,6 +3,7 @@
 //! distances.
 
 use hcl_graph::{VertexId, INF};
+use std::sync::Arc;
 
 /// A highway over a graph: the ordered landmark list, a vertex→rank lookup
 /// table, and the dense `|R| × |R|` matrix of exact pairwise distances.
@@ -10,11 +11,16 @@ use hcl_graph::{VertexId, INF};
 /// Landmark *ranks* (positions in the landmark list) are the ids stored in
 /// label entries; the rank order is purely presentational — the labelling
 /// itself is order-independent (Lemma 3.11).
+///
+/// An edge edit can move matrix cells but never the landmark set, so the
+/// landmark list and the `O(n)` rank table are shared by every highway
+/// derived from this one ([`with_cells`](Highway::with_cells)); only the
+/// `|R|²` matrix is per value, and cloning a highway costs `O(|R|²)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Highway {
-    landmarks: Vec<VertexId>,
+    landmarks: Arc<Vec<VertexId>>,
     /// `rank_of[v]` = rank of `v` if `v` is a landmark, else `u32::MAX`.
-    rank_of: Vec<u32>,
+    rank_of: Arc<Vec<u32>>,
     /// Row-major `|R| × |R|` distance matrix; `INF` for disconnected pairs.
     dist: Vec<u32>,
 }
@@ -31,11 +37,36 @@ impl Highway {
         for (i, &v) in landmarks.iter().enumerate() {
             rank_of[v as usize] = i as u32;
         }
-        let mut dist = vec![INF; r * r];
-        for i in 0..r {
-            dist[i * r + i] = 0;
+        Highway {
+            landmarks: Arc::new(landmarks.to_vec()),
+            rank_of: Arc::new(rank_of),
+            dist: unset_matrix(r),
         }
-        Highway { landmarks: landmarks.to_vec(), rank_of, dist }
+    }
+
+    /// A highway over the same landmarks (sharing the list and the rank
+    /// table) with every pairwise distance unset again, for
+    /// [`record`](Highway::record) and [`close`](Highway::close) to fill.
+    pub(crate) fn unset(&self) -> Highway {
+        Highway {
+            landmarks: Arc::clone(&self.landmarks),
+            rank_of: Arc::clone(&self.rank_of),
+            dist: unset_matrix(self.landmarks.len()),
+        }
+    }
+
+    /// This highway with the given cells `(rank_a, rank_b, distance)`
+    /// overwritten, symmetrically — how a [`LabelPatch`](crate::update::LabelPatch)
+    /// carries a moved landmark pair to another copy of the index.
+    pub(crate) fn with_cells(&self, cells: &[(u32, u32, u32)]) -> Highway {
+        let mut next = self.clone();
+        let r = self.landmarks.len();
+        for &(a, b, d) in cells {
+            let (a, b) = (a as usize, b as usize);
+            next.dist[a * r + b] = d;
+            next.dist[b * r + a] = d;
+        }
+        next
     }
 
     /// Number of landmarks `|R|`.
@@ -150,9 +181,34 @@ impl Highway {
     }
 }
 
+/// An `r × r` matrix with a zero diagonal and `INF` everywhere else.
+fn unset_matrix(r: usize) -> Vec<u32> {
+    let mut dist = vec![INF; r * r];
+    for i in 0..r {
+        dist[i * r + i] = 0;
+    }
+    dist
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn derived_highways_share_the_rank_table() {
+        let mut h = Highway::new(10, &[7, 2, 5]);
+        h.record(0, 1, 4);
+        h.close();
+        let moved = h.with_cells(&[(0, 2, 3), (1, 0, 6)]);
+        assert!(Arc::ptr_eq(&moved.rank_of, &h.rank_of));
+        assert_eq!((moved.distance(0, 2), moved.distance(2, 0)), (3, 3));
+        assert_eq!((moved.distance(0, 1), moved.distance(1, 0)), (6, 6));
+        assert_eq!(h.distance(0, 1), 4, "the parent keeps its own matrix");
+        let blank = h.unset();
+        assert!(Arc::ptr_eq(&blank.rank_of, &h.rank_of));
+        assert_eq!(blank.landmarks(), h.landmarks());
+        assert_eq!((blank.distance(0, 1), blank.distance(1, 1)), (INF, 0));
+    }
 
     #[test]
     fn rank_lookup() {

@@ -12,12 +12,26 @@
 //! hot path materialises `(rank, dist)` pairs; the merge reads the lanes
 //! directly via [`HighwayLabels::label_lanes`].
 //!
+//! # Base + overlay
+//!
+//! The three arrays are immutable and shared; cloning a store copies no
+//! label. An edge edit moves the labels of the affected vertices only, so
+//! [`HighwayLabels::with_rows`] returns a store that keeps the parent's
+//! arrays and records the replaced rows in a [`RowOverlay`], probed before
+//! the base lanes on every access — `O(rows)` per edit, one predictable
+//! `overlay.is_empty()` branch per access on a store that was never
+//! edited. Past [`HighwayLabels::OVERLAY_MAX_ROWS`] rows the store folds
+//! back into flat lanes ([`HighwayLabels::folded`]). Every accessor —
+//! sizes included — answers for the logical store.
+//!
 //! §5.2 of the paper compares a 32-bit-vertex/8-bit-distance encoding ("HL")
 //! with an 8-bit/8-bit one ("HL(8)"); [`HighwayLabels::encoded_bytes`]
 //! reports the size of the labelling under either scheme for Table 3.
 
 use crate::highway::Highway;
+use hcl_graph::overlay::RowOverlay;
 use hcl_graph::VertexId;
+use std::sync::Arc;
 
 /// One distance entry `(r, δL(r, v))` in a vertex's label.
 ///
@@ -102,11 +116,19 @@ impl std::fmt::Debug for LabelRef<'_> {
 
 /// Flat per-vertex label store. Landmark vertices have empty labels — their
 /// distances live in the [`Highway`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct HighwayLabels {
-    offsets: Vec<u32>,
-    ranks: Vec<u16>,
-    dists: Vec<u16>,
+    /// Base arrays, shared with every store edited from this one since
+    /// the last fold (`Arc<Vec<_>>`: sharing a built `Vec` must not copy
+    /// it).
+    offsets: Arc<Vec<u32>>,
+    ranks: Arc<Vec<u16>>,
+    dists: Arc<Vec<u16>>,
+    /// Replaced rows: the rank lane followed by the dist lane, so a row of
+    /// `k` entries is `2k` words and splits in the middle.
+    overlay: RowOverlay<Arc<[u16]>>,
+    /// Entries of the logical store.
+    total_entries: usize,
 }
 
 /// Label size accounting schemes from §5.2 / Table 3 of the paper.
@@ -121,11 +143,25 @@ pub enum LabelEncoding {
 }
 
 impl HighwayLabels {
+    /// Most rows the overlay holds before the store folds. A label is
+    /// read twice per query, not hundreds of times like an adjacency row,
+    /// so the table may be larger than the graph's: 1024 rows keep a
+    /// clone-per-edit under ~50 KB and absorb the few-hundred-vertex
+    /// affected sets typical of one edge edit on a complex network.
+    pub const OVERLAY_MAX_ROWS: usize = 1024;
+
     pub(crate) fn from_parts(offsets: Vec<u32>, ranks: Vec<u16>, dists: Vec<u16>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap() as usize, ranks.len());
         debug_assert_eq!(ranks.len(), dists.len());
-        HighwayLabels { offsets, ranks, dists }
+        let total_entries = ranks.len();
+        HighwayLabels {
+            offsets: Arc::new(offsets),
+            ranks: Arc::new(ranks),
+            dists: Arc::new(dists),
+            overlay: RowOverlay::default(),
+            total_entries,
+        }
     }
 
     /// Number of vertices the store covers.
@@ -134,52 +170,63 @@ impl HighwayLabels {
         self.offsets.len() - 1
     }
 
-    /// A copy of the store with the given vertices' labels replaced
-    /// wholesale. `rows` must be sorted by strictly increasing vertex id;
-    /// each replacement row must be sorted strictly by rank, as
+    /// Rows currently held in the overlay (0 for a flat store).
+    pub fn overlay_rows(&self) -> usize {
+        self.overlay.len()
+    }
+
+    /// This store with the given vertices' labels replaced wholesale,
+    /// sharing every other row with `self`: `O(rows)`, or one fold when
+    /// the overlay would outgrow [`OVERLAY_MAX_ROWS`](Self::OVERLAY_MAX_ROWS).
+    /// Each replacement row must be sorted strictly by rank, as
     /// `(rank, dist)` pairs.
-    ///
-    /// The lanes between patched vertices are copied in bulk chunks and the
+    pub(crate) fn with_rows(&self, rows: &[(VertexId, Vec<(u16, u16)>)]) -> HighwayLabels {
+        let mut next = self.clone();
+        for (v, row) in rows {
+            let replaced = next.label_lanes(*v).0.len();
+            let lanes: Arc<[u16]> =
+                row.iter().map(|&(r, _)| r).chain(row.iter().map(|&(_, d)| d)).collect();
+            next.overlay.insert(*v, lanes);
+            next.total_entries = next.total_entries + row.len() - replaced;
+        }
+        if next.overlay.len() > Self::OVERLAY_MAX_ROWS {
+            next.folded()
+        } else {
+            next
+        }
+    }
+
+    /// The same logical store as flat lanes with an empty overlay: the
+    /// base lanes between replaced rows are copied in bulk chunks and the
     /// offsets shifted in one linear pass, so the cost is `O(n)` memcpy
-    /// work plus the patched rows themselves — this is the label half of
-    /// what keeps a single-edge update cheap relative to a rebuild, which
-    /// would re-push every entry of every vertex.
-    pub(crate) fn patched(&self, rows: &[(VertexId, Vec<(u16, u16)>)]) -> HighwayLabels {
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows must be sorted by vertex");
-        let mut delta = 0i64;
-        for (v, row) in rows {
-            let v = *v as usize;
-            delta += row.len() as i64 - (self.offsets[v + 1] - self.offsets[v]) as i64;
+    /// work plus the replaced rows themselves. A flat store folds to a
+    /// handle on the same arrays.
+    pub fn folded(&self) -> HighwayLabels {
+        if self.overlay.is_empty() {
+            return self.clone();
         }
-        let new_total = (self.ranks.len() as i64 + delta) as usize;
-        let mut ranks = Vec::with_capacity(new_total);
-        let mut dists = Vec::with_capacity(new_total);
-        let mut offsets = self.offsets.clone();
-        let mut cum = 0i64;
-        let mut ri = 0usize;
-        let n = self.num_vertices();
-        for (v, slot) in offsets.iter_mut().enumerate().take(n) {
-            *slot = (self.offsets[v] as i64 + cum) as u32;
-            if ri < rows.len() && rows[ri].0 as usize == v {
-                cum += rows[ri].1.len() as i64 - (self.offsets[v + 1] - self.offsets[v]) as i64;
-                ri += 1;
-            }
-        }
-        *offsets.last_mut().unwrap() = new_total as u32;
-        let mut src = 0usize;
-        for (v, row) in rows {
-            let v = *v as usize;
+        let mut ranks = Vec::with_capacity(self.total_entries);
+        let mut dists = Vec::with_capacity(self.total_entries);
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        // Base offsets of vertices `from..=v` move by the rows replaced
+        // before them; `shift` wraps instead of going signed.
+        let (mut src, mut from, mut shift) = (0usize, 0usize, 0u32);
+        for (v, row) in self.overlay.sorted() {
+            let v = v as usize;
             let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+            let (row_ranks, row_dists) = row.split_at(row.len() / 2);
             ranks.extend_from_slice(&self.ranks[src..lo]);
+            ranks.extend_from_slice(row_ranks);
             dists.extend_from_slice(&self.dists[src..lo]);
-            for &(r, d) in row {
-                ranks.push(r);
-                dists.push(d);
-            }
+            dists.extend_from_slice(row_dists);
             src = hi;
+            offsets.extend(self.offsets[from..=v].iter().map(|&o| o.wrapping_add(shift)));
+            shift = shift.wrapping_add(row_ranks.len() as u32).wrapping_sub((hi - lo) as u32);
+            from = v + 1;
         }
         ranks.extend_from_slice(&self.ranks[src..]);
         dists.extend_from_slice(&self.dists[src..]);
+        offsets.extend(self.offsets[from..].iter().map(|&o| o.wrapping_add(shift)));
         HighwayLabels::from_parts(offsets, ranks, dists)
     }
 
@@ -195,6 +242,9 @@ impl HighwayLabels {
     /// contiguous `u16` runs the autovectorizer can stream.
     #[inline]
     pub fn label_lanes(&self, v: VertexId) -> (&[u16], &[u16]) {
+        if let Some(row) = self.overlay.get(v) {
+            return row.split_at(row.len() / 2);
+        }
         let v = v as usize;
         let lo = self.offsets[v] as usize;
         let hi = self.offsets[v + 1] as usize;
@@ -204,7 +254,7 @@ impl HighwayLabels {
     /// Total number of entries `size(L)` (the paper's labelling size "LS").
     #[inline]
     pub fn total_entries(&self) -> usize {
-        self.ranks.len()
+        self.total_entries
     }
 
     /// Average entries per vertex ("ALS" in Table 2).
@@ -212,32 +262,31 @@ impl HighwayLabels {
         if self.num_vertices() == 0 {
             0.0
         } else {
-            self.ranks.len() as f64 / self.num_vertices() as f64
+            self.total_entries as f64 / self.num_vertices() as f64
         }
     }
 
     /// Maximum entries in any single label.
     pub fn max_label_size(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| (self.offsets[v + 1] - self.offsets[v]) as usize)
-            .max()
-            .unwrap_or(0)
+        (0..self.num_vertices() as VertexId).map(|v| self.label(v).len()).max().unwrap_or(0)
     }
 
-    /// Actual bytes used by the in-memory representation.
+    /// Bytes of the flat representation of the logical store (offsets +
+    /// both lanes) — what [`folded`](Self::folded) would occupy.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
-            + (self.ranks.len() + self.dists.len()) * std::mem::size_of::<u16>()
+            + self.rank_lane_bytes()
+            + self.dist_lane_bytes()
     }
 
     /// Bytes in the rank lane alone (observability: STATS counters).
     pub fn rank_lane_bytes(&self) -> usize {
-        self.ranks.len() * std::mem::size_of::<u16>()
+        self.total_entries * std::mem::size_of::<u16>()
     }
 
     /// Bytes in the dist lane alone (observability: STATS counters).
     pub fn dist_lane_bytes(&self) -> usize {
-        self.dists.len() * std::mem::size_of::<u16>()
+        self.total_entries * std::mem::size_of::<u16>()
     }
 
     /// Size in bytes of this labelling under the given Table 3 encoding
@@ -246,23 +295,22 @@ impl HighwayLabels {
     /// encoding (e.g. >256 landmarks or a distance >255 under
     /// [`LabelEncoding::Compact8`]).
     pub fn encoded_bytes(&self, encoding: LabelEncoding) -> Option<usize> {
+        let wide = |lane: fn(LabelEntry) -> u16| self.iter().any(|(_, e)| lane(e) > u8::MAX as u16);
         let per_entry = match encoding {
             LabelEncoding::Wide32 => {
-                if self.dists.iter().any(|&d| d > u8::MAX as u16) {
+                if wide(|e| e.dist) {
                     return None;
                 }
                 5
             }
             LabelEncoding::Compact8 => {
-                if self.ranks.iter().any(|&r| r > u8::MAX as u16)
-                    || self.dists.iter().any(|&d| d > u8::MAX as u16)
-                {
+                if wide(|e| e.landmark) || wide(|e| e.dist) {
                     return None;
                 }
                 2
             }
         };
-        Some(self.ranks.len() * per_entry + self.offsets.len() * std::mem::size_of::<u32>())
+        Some(self.total_entries * per_entry + self.offsets.len() * std::mem::size_of::<u32>())
     }
 
     /// Iterates `(vertex, entry)` over all labels (test / debug helper).
@@ -295,6 +343,25 @@ impl HighwayLabels {
         Ok(())
     }
 }
+
+/// Equality of the logical stores, however their rows are split between
+/// base and overlay.
+impl PartialEq for HighwayLabels {
+    fn eq(&self, other: &HighwayLabels) -> bool {
+        if self.num_vertices() != other.num_vertices() || self.total_entries != other.total_entries
+        {
+            return false;
+        }
+        if self.overlay.is_empty() && other.overlay.is_empty() {
+            return self.offsets == other.offsets
+                && self.ranks == other.ranks
+                && self.dists == other.dists;
+        }
+        (0..self.num_vertices() as VertexId).all(|v| self.label_lanes(v) == other.label_lanes(v))
+    }
+}
+
+impl Eq for HighwayLabels {}
 
 #[cfg(test)]
 mod tests {
@@ -346,21 +413,58 @@ mod tests {
     #[test]
     fn patched_replaces_rows_and_shifts_offsets() {
         let l = sample();
-        let p = l.patched(&[(0, vec![(1, 9)]), (1, vec![(0, 4), (3, 5)])]);
-        assert_eq!(p.label(0).to_vec(), vec![LabelEntry { landmark: 1, dist: 9 }]);
-        assert_eq!(
-            p.label(1).to_vec(),
-            vec![LabelEntry { landmark: 0, dist: 4 }, LabelEntry { landmark: 3, dist: 5 }]
-        );
-        assert_eq!(p.label(2).to_vec(), l.label(2).to_vec());
-        assert_eq!(p.total_entries(), 4);
+        let p = l.with_rows(&[(0, vec![(1, 9)]), (1, vec![(0, 4), (3, 5)])]);
+        // Checked on the overlaid store and again on its fold.
+        for p in [p.clone(), p.folded()] {
+            assert_eq!(p.label(0).to_vec(), vec![LabelEntry { landmark: 1, dist: 9 }]);
+            assert_eq!(
+                p.label(1).to_vec(),
+                vec![LabelEntry { landmark: 0, dist: 4 }, LabelEntry { landmark: 3, dist: 5 }]
+            );
+            assert_eq!(p.label(2).to_vec(), l.label(2).to_vec());
+            assert_eq!(p.total_entries(), 4);
+            assert_eq!(p.max_label_size(), 2);
+            assert_eq!(p.memory_bytes(), 4 * 4 + 4 * 4);
+            assert_eq!(p.encoded_bytes(LabelEncoding::Compact8), Some(4 * 2 + 16));
+        }
+        assert_eq!(p.overlay_rows(), 2);
+        assert_eq!(p.folded().overlay_rows(), 0);
+        assert_eq!(p, p.folded(), "equality is logical, not structural");
+        assert_eq!(p.folded().offsets.as_slice(), &[0, 1, 3, 4]);
+        assert!(Arc::ptr_eq(&p.ranks, &l.ranks), "an overlaid store shares its parent's lanes");
+        assert_eq!(l.label(0).len(), 2, "the parent still answers for its own rows");
         // Emptying a row shifts everything after it left.
-        let q = l.patched(&[(0, vec![])]);
-        assert!(q.label(0).is_empty());
-        assert_eq!(q.label(2).to_vec(), l.label(2).to_vec());
+        let q = l.with_rows(&[(0, vec![])]);
+        assert!(q.label(0).is_empty() && q.folded().label(0).is_empty());
+        assert_eq!(q.folded().label(2).to_vec(), l.label(2).to_vec());
         assert_eq!(q.total_entries(), 1);
-        // The empty patch is an exact copy.
-        assert_eq!(l.patched(&[]), l);
+        // Replacing a replaced row counts its entries once.
+        let r = p.with_rows(&[(1, vec![(2, 7)])]);
+        assert_eq!(r.total_entries(), 3);
+        assert_eq!(r.overlay_rows(), 2);
+        assert_eq!(r.folded().iter().count(), 3);
+        // The empty patch shares everything and equals its parent.
+        assert_eq!(l.with_rows(&[]), l);
+        assert!(Arc::ptr_eq(&l.folded().ranks, &l.ranks), "folding a flat store copies nothing");
+        // An overflowing label disqualifies the narrow encodings.
+        assert_eq!(p.with_rows(&[(2, vec![(0, 300)])]).encoded_bytes(LabelEncoding::Wide32), None);
+    }
+
+    #[test]
+    fn the_patch_that_crosses_the_overlay_bound_folds() {
+        let n = HighwayLabels::OVERLAY_MAX_ROWS + 5;
+        let mut l = HighwayLabels::from_parts(vec![0; n + 1], Vec::new(), Vec::new());
+        for v in 0..n as VertexId {
+            let before = l.overlay_rows();
+            l = l.with_rows(&[(v, vec![(0, v as u16 + 1)])]);
+            assert!(l.overlay_rows() <= HighwayLabels::OVERLAY_MAX_ROWS);
+            assert!(l.overlay_rows() > before || l.overlay_rows() == 0);
+        }
+        assert_eq!(l.overlay_rows(), 4, "folded once, at row OVERLAY_MAX_ROWS + 1");
+        assert_eq!(l.total_entries(), n);
+        for v in 0..n as VertexId {
+            assert_eq!(l.label(v).to_vec(), vec![LabelEntry { landmark: 0, dist: v as u16 + 1 }]);
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use query::{HlOracle, QueryContext};
 pub use shared::{ContextPool, PooledContext, SharedOracle};
 pub use sparse::SparseView;
 pub use storage::{LabelStorage, MemIndex, QueryPhases, SparseNeighbors};
-pub use update::{EdgeEdit, PairFilter, RetiredGraphs, UpdateError, UpdateResult};
+pub use update::{EdgeEdit, LabelPatch, PairFilter, UpdateError, UpdateResult};
 pub use weighted::{WeightedHighwayCoverLabelling, WeightedHlOracle};
 
 /// Errors produced while constructing a highway cover labelling.

@@ -140,7 +140,10 @@ pub struct SharedOracle<G: Borrow<CsrGraph> = Arc<CsrGraph>> {
     /// exactly this graph + labelling pair and swaps atomically with them
     /// under hot reload.
     sparse: Arc<SparseView>,
-    pool: ContextPool,
+    /// Shared with the generations an edge edit derives from this one
+    /// ([`next_generation`](SharedOracle::next_generation)): a context is
+    /// sized by the vertex count alone, which an edit never changes.
+    pool: Arc<ContextPool>,
 }
 
 impl SharedOracle {
@@ -160,14 +163,23 @@ impl SharedOracle {
         labelling: Arc<HighwayCoverLabelling>,
         sparse: Arc<SparseView>,
     ) -> Self {
-        let pool = ContextPool::new(graph.num_vertices());
+        let pool = Arc::new(ContextPool::new(graph.num_vertices()));
         SharedOracle { graph, labelling, sparse, pool }
     }
 
-    /// The inverse of [`from_parts`](Self::from_parts): gives up the
-    /// oracle (and its context pool) for the triple it was assembled from.
-    pub fn into_parts(self) -> (Arc<CsrGraph>, Arc<HighwayCoverLabelling>, Arc<SparseView>) {
-        (self.graph, self.labelling, self.sparse)
+    /// The oracle of the generation an edge edit derives from this one:
+    /// [`from_parts`](Self::from_parts) over the edited triple, except
+    /// that it keeps this oracle's context pool instead of starting an
+    /// empty one — the vertex count is the same, so every pooled context
+    /// still fits.
+    pub fn next_generation(
+        &self,
+        graph: Arc<CsrGraph>,
+        labelling: Arc<HighwayCoverLabelling>,
+        sparse: Arc<SparseView>,
+    ) -> Self {
+        assert_eq!(graph.num_vertices(), self.num_vertices(), "an edit keeps the vertex count");
+        SharedOracle { graph, labelling, sparse, pool: Arc::clone(&self.pool) }
     }
 }
 
@@ -177,7 +189,7 @@ impl<G: Borrow<CsrGraph>> SharedOracle<G> {
     pub fn with_graph(graph: G, labelling: impl Into<Arc<HighwayCoverLabelling>>) -> Self {
         let labelling = labelling.into();
         let sparse = Arc::new(SparseView::build(graph.borrow(), labelling.highway()));
-        let pool = ContextPool::new(graph.borrow().num_vertices());
+        let pool = Arc::new(ContextPool::new(graph.borrow().num_vertices()));
         SharedOracle { graph, labelling, sparse, pool }
     }
 
@@ -276,7 +288,7 @@ impl<G: Borrow<CsrGraph> + Clone> Clone for SharedOracle<G> {
             graph: self.graph.clone(),
             labelling: Arc::clone(&self.labelling),
             sparse: Arc::clone(&self.sparse),
-            pool: ContextPool::new(self.graph.borrow().num_vertices()),
+            pool: Arc::new(ContextPool::new(self.graph.borrow().num_vertices())),
         }
     }
 }
@@ -350,6 +362,28 @@ mod tests {
         let g = generate::barabasi_albert(100, 3, 5);
         let mut ctx = QueryContext::new(g.num_vertices());
         assert_eq!(labelling.distance_with(&g, &mut ctx, 0, 99), d);
+    }
+
+    #[test]
+    fn next_generation_keeps_the_context_pool() {
+        let oracle = shared_oracle(80, 3, 9, 4);
+        drop(oracle.context_pool().checkout());
+        assert_eq!(oracle.context_pool().idle_count(), 1);
+        let (u, v) = (78, 79);
+        let edit = crate::update::EdgeEdit::Add(u, v);
+        let r = crate::update::apply_edit(
+            oracle.graph(),
+            oracle.labelling(),
+            oracle.sparse_view(),
+            edit,
+        )
+        .unwrap();
+        let next =
+            oracle.next_generation(Arc::new(r.graph), Arc::new(r.labelling), Arc::new(r.sparse));
+        assert_eq!(next.context_pool().idle_count(), 1, "the parent's idle context is reused");
+        assert_eq!(next.distance(u, v), Some(1));
+        assert_ne!(oracle.distance(u, v), Some(1), "the parent answers for the old graph");
+        assert_eq!(oracle.context_pool().idle_count(), 1);
     }
 
     #[test]

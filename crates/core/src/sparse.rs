@@ -43,14 +43,16 @@ use std::sync::Arc;
 /// (surfaced by the server's `STATS`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseView {
-    /// The sparsified graph in view (degree-ordered) id space.
+    /// The sparsified graph in view (degree-ordered) id space; shares its
+    /// arrays with every view edited from this one (see [`CsrGraph`]).
     graph: CsrGraph,
     /// `to_view[original] = view` (total permutation). An edit never moves
     /// a vertex, so [`with_edit`](Self::with_edit) shares both
     /// permutations with the view it patches instead of copying them.
-    to_view: Arc<[VertexId]>,
+    /// (`Arc<Vec<_>>`: sharing a built `Vec` must not copy it.)
+    to_view: Arc<Vec<VertexId>>,
     /// `to_orig[view] = original` (inverse permutation).
-    to_orig: Arc<[VertexId]>,
+    to_orig: Arc<Vec<VertexId>>,
     /// Edges of the original graph dropped because an endpoint is a
     /// landmark.
     removed_edges: usize,
@@ -68,19 +70,21 @@ impl SparseView {
         let to_view = hcl_graph::order::ranks(sparse.num_vertices(), &to_orig);
         SparseView {
             graph: relabelled,
-            to_view: to_view.into(),
-            to_orig: to_orig.into(),
+            to_view: Arc::new(to_view),
+            to_orig: Arc::new(to_orig),
             removed_edges,
         }
     }
 
     /// Patches the view for a single edge edit (given in **original** ids)
     /// without re-running the sparsification pass or the degree
-    /// relabelling. The existing degree-order permutation is kept — after
-    /// an edit it may be slightly stale as an *ordering* (a vertex whose
-    /// degree changed keeps its old slot), which costs nothing for
-    /// correctness: the bounded searches only require the view to contain
-    /// exactly the edges of `G[V∖R]`, and the next full build re-sorts.
+    /// relabelling: the result shares the permutations and every untouched
+    /// adjacency row with `self` ([`CsrGraph::with_edge`]). The existing
+    /// degree-order permutation is kept — after an edit it may be slightly
+    /// stale as an *ordering* (a vertex whose degree changed keeps its old
+    /// slot), which costs nothing for correctness: the bounded searches
+    /// only require the view to contain exactly the edges of `G[V∖R]`, and
+    /// the next full build re-sorts.
     ///
     /// An edit incident to a landmark never touches the view's edges (they
     /// are sparsified away); only the [`removed_edges`](Self::removed_edges)
@@ -88,33 +92,31 @@ impl SparseView {
     /// (adding a present edge / removing an absent one), which callers
     /// treat as an invariant violation since the source graph accepted the
     /// same edit.
-    ///
-    /// The patched CSR is written into `spare`'s buffers
-    /// ([`CsrGraph::spliced`]); pass `CsrGraph::default()` to allocate.
     pub fn with_edit(
         &self,
         u: VertexId,
         v: VertexId,
         add: bool,
         highway: &Highway,
-        spare: CsrGraph,
     ) -> Option<Self> {
-        if highway.is_landmark(u) || highway.is_landmark(v) {
+        let (graph, removed_edges) = if highway.is_landmark(u) || highway.is_landmark(v) {
             let removed_edges =
                 if add { self.removed_edges + 1 } else { self.removed_edges.checked_sub(1)? };
-            return Some(SparseView {
-                graph: self.graph.clone(),
-                to_view: Arc::clone(&self.to_view),
-                to_orig: Arc::clone(&self.to_orig),
-                removed_edges,
-            });
-        }
-        let (uv, vv) = (self.to_view[u as usize], self.to_view[v as usize]);
+            (self.graph.clone(), removed_edges)
+        } else {
+            let (uv, vv) = (self.view_of(u), self.view_of(v));
+            let graph = if add {
+                self.graph.with_edge(uv, vv)?
+            } else {
+                self.graph.without_edge(uv, vv)?
+            };
+            (graph, self.removed_edges)
+        };
         Some(SparseView {
-            graph: self.graph.spliced(uv, vv, add, spare)?,
+            graph,
             to_view: Arc::clone(&self.to_view),
             to_orig: Arc::clone(&self.to_orig),
-            removed_edges: self.removed_edges,
+            removed_edges,
         })
     }
 
@@ -126,7 +128,7 @@ impl SparseView {
     pub fn identity(graph: &CsrGraph, highway: &Highway) -> Self {
         let sparse = graph.without_vertices(highway.landmarks());
         let removed_edges = graph.num_edges() - sparse.num_edges();
-        let ident: Arc<[VertexId]> = (0..sparse.num_vertices() as VertexId).collect();
+        let ident: Arc<Vec<VertexId>> = Arc::new((0..sparse.num_vertices() as VertexId).collect());
         SparseView { graph: sparse, to_view: Arc::clone(&ident), to_orig: ident, removed_edges }
     }
 
@@ -134,12 +136,6 @@ impl SparseView {
     #[inline]
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
-    }
-
-    /// Gives up the view for its CSR — a retired view's buffers, for
-    /// [`with_edit`](Self::with_edit) to write the next one into.
-    pub fn into_graph(self) -> CsrGraph {
-        self.graph
     }
 
     /// Maps an original vertex id to its view-space id.
@@ -188,8 +184,8 @@ impl SparseView {
         self.removed_edges
     }
 
-    /// Bytes of the materialised view (adjacency + offsets + the two id
-    /// translation arrays).
+    /// Bytes of the materialised view (adjacency + offsets of the logical
+    /// graph + the two id translation arrays).
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + (self.to_view.len() + self.to_orig.len()) * std::mem::size_of::<VertexId>()

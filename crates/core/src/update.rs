@@ -2,6 +2,15 @@
 //! insertions and deletions — the `O(affected)` alternative to a full
 //! rebuild that the `UPDATE ADD/DEL` wire verbs ride.
 //!
+//! An edit is computed as a [`LabelPatch`] — the label rows and highway
+//! cells that actually moved, plus the edge edit — and a new generation is
+//! the old one with the patch laid over it: graph, labelling and sparse
+//! view are base + overlay values ([`CsrGraph`],
+//! [`HighwayLabels`](crate::labels::HighwayLabels)), so
+//! [`apply_edit`] costs `O(affected rows + deg(u) + deg(v))` and its three
+//! results share every untouched byte with their inputs. Only the edit that
+//! overflows an overlay pays an `O(n + m)` fold.
+//!
 //! # Why this is tractable for highway cover labels
 //!
 //! Full 2-hop labellings (PLL and friends) interleave pruning across *all*
@@ -51,8 +60,8 @@
 //! of vertices with *unchanged* distances can still flip — correctness
 //! over cleverness here), otherwise only vertices in some affected map
 //! are. Either way each row costs `O(|L_old| · |R| + |R|²)` plain array
-//! ops, far below a rebuild's per-vertex BFS share, and clean rows are
-//! copied lane-wise.
+//! ops, far below a rebuild's per-vertex BFS share, and only rows that
+//! came out different enter the patch.
 //!
 //! [`PairFilter`] is the precise cache story: two BFS passes from the edit
 //! endpoints classify every `(s, t)` pair by whether its cached distance
@@ -60,7 +69,7 @@
 //! new epoch instead of clearing the cache (see
 //! `hcl-server`'s `ShardedCache::retag`).
 
-use crate::build::{assemble_labels, HighwayCoverLabelling};
+use crate::build::HighwayCoverLabelling;
 use crate::highway::Highway;
 use crate::sparse::SparseView;
 use hcl_graph::{traversal, CsrGraph, VertexId, INF};
@@ -138,9 +147,75 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+/// What one edge edit changes in the index, as plain data: derived once
+/// from a generation by [`apply_edit`], it turns any copy of that
+/// generation into the next one ([`LabelPatch::apply`]) without repeating
+/// the affected-set search.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LabelPatch {
+    edit: EdgeEdit,
+    rows: Vec<(VertexId, Vec<(u16, u16)>)>,
+    highway_cells: Vec<(u32, u32, u32)>,
+}
+
+impl LabelPatch {
+    /// The edge edit the patch was derived for.
+    pub fn edit(&self) -> EdgeEdit {
+        self.edit
+    }
+
+    /// The label rows that differ from the base, by ascending vertex id:
+    /// each the vertex's whole new label as `(rank, dist)` pairs in
+    /// ascending rank order.
+    pub fn rows(&self) -> &[(VertexId, Vec<(u16, u16)>)] {
+        &self.rows
+    }
+
+    /// The landmark pairs whose distance moved, as `(rank_a, rank_b, new
+    /// distance)` with `rank_a < rank_b` (`INF` for a pair the edit
+    /// disconnected).
+    pub fn highway_cells(&self) -> &[(u32, u32, u32)] {
+        &self.highway_cells
+    }
+
+    /// Lays the patch over a copy of the generation it was derived from —
+    /// same graph, same labelling, a view over the same landmarks —
+    /// giving the generation [`apply_edit`] returned alongside it. The
+    /// results share structure with the arguments. Fails only where
+    /// [`apply_edit`] would have: the graph does not accept the edit.
+    pub fn apply(
+        &self,
+        graph: &CsrGraph,
+        labelling: &HighwayCoverLabelling,
+        sparse: &SparseView,
+    ) -> Result<(CsrGraph, HighwayCoverLabelling, SparseView), UpdateError> {
+        let graph = edited_graph(graph, self.edit)?;
+        let (labelling, sparse) = self.apply_to_index(labelling, sparse);
+        Ok((graph, labelling, sparse))
+    }
+
+    fn apply_to_index(
+        &self,
+        labelling: &HighwayCoverLabelling,
+        sparse: &SparseView,
+    ) -> (HighwayCoverLabelling, SparseView) {
+        let highway = labelling.highway().with_cells(&self.highway_cells);
+        let labels = labelling.labels().with_rows(&self.rows);
+        debug_assert!(labels.validate(&highway).is_ok());
+        // The landmark set is unchanged, so an edit the graph accepted can
+        // only fail here by invariant breakage.
+        let (u, v) = self.edit.endpoints();
+        let sparse = sparse
+            .with_edit(u, v, self.edit.is_add(), &highway)
+            .expect("sparse view out of sync with graph");
+        (HighwayCoverLabelling::from_parts(highway, labels), sparse)
+    }
+}
+
 /// The new index generation produced by [`apply_edit`]: a consistent
-/// (graph, labelling, sparse view) triple plus the bookkeeping the serving
-/// layer surfaces as counters.
+/// (graph, labelling, sparse view) triple sharing structure with the
+/// generation it was derived from, the patch that separates the two, and
+/// the bookkeeping the serving layer surfaces as counters.
 #[derive(Debug)]
 pub struct UpdateResult {
     /// The edited graph.
@@ -157,45 +232,12 @@ pub struct UpdateResult {
     /// Whether any landmark-to-landmark distance moved (forces a full
     /// label sweep instead of an affected-only one).
     pub highway_changed: bool,
+    /// What the edit changed, as data.
+    pub patch: LabelPatch,
 }
 
-/// The two CSRs of a generation nobody reads any more, kept for their
-/// buffers: [`apply_edit_reusing`] writes the next generation's graph and
-/// view into them instead of allocating. They are the bulk of a
-/// generation, and an allocator asked for two graph-sized arrays and
-/// handed two back on every edit answers from wherever its thresholds
-/// and heap boundaries happen to fall — fresh pages to fault in on one
-/// edit, a heap to unmap on the next — which costs more than the copy
-/// and differs from run to run. The default is two empty graphs: nothing
-/// to reuse, everything allocated.
-#[derive(Debug, Default)]
-pub struct RetiredGraphs {
-    /// A retired generation's graph.
-    pub graph: CsrGraph,
-    /// The CSR of its sparse view ([`SparseView::into_graph`]).
-    pub sparse: CsrGraph,
-}
-
-/// Applies one edge edit incrementally: new graph, new labelling, patched
-/// sparse view — without re-running any full-graph BFS. Errors are
-/// complete no-ops.
-pub fn apply_edit(
-    graph: &CsrGraph,
-    labelling: &HighwayCoverLabelling,
-    sparse: &SparseView,
-    edit: EdgeEdit,
-) -> Result<UpdateResult, UpdateError> {
-    apply_edit_reusing(graph, labelling, sparse, edit, RetiredGraphs::default())
-}
-
-/// [`apply_edit`] into the buffers of `spare` (consumed either way).
-pub fn apply_edit_reusing(
-    graph: &CsrGraph,
-    labelling: &HighwayCoverLabelling,
-    sparse: &SparseView,
-    edit: EdgeEdit,
-    spare: RetiredGraphs,
-) -> Result<UpdateResult, UpdateError> {
+/// `graph` with `edit` applied, or the reason it cannot be.
+fn edited_graph(graph: &CsrGraph, edit: EdgeEdit) -> Result<CsrGraph, UpdateError> {
     let n = graph.num_vertices();
     let (u, v) = edit.endpoints();
     for ep in [u, v] {
@@ -206,10 +248,24 @@ pub fn apply_edit_reusing(
     if u == v {
         return Err(UpdateError::SelfLoop(u));
     }
-    let new_graph = graph.spliced(u, v, edit.is_add(), spare.graph).ok_or(match edit {
-        EdgeEdit::Add(..) => UpdateError::EdgeExists(u, v),
-        EdgeEdit::Delete(..) => UpdateError::EdgeMissing(u, v),
-    })?;
+    match edit {
+        EdgeEdit::Add(..) => graph.with_edge(u, v).ok_or(UpdateError::EdgeExists(u, v)),
+        EdgeEdit::Delete(..) => graph.without_edge(u, v).ok_or(UpdateError::EdgeMissing(u, v)),
+    }
+}
+
+/// Applies one edge edit incrementally: new graph, new labelling, patched
+/// sparse view — without re-running any full-graph BFS and without
+/// copying what the edit did not move. Errors are complete no-ops.
+pub fn apply_edit(
+    graph: &CsrGraph,
+    labelling: &HighwayCoverLabelling,
+    sparse: &SparseView,
+    edit: EdgeEdit,
+) -> Result<UpdateResult, UpdateError> {
+    let new_graph = edited_graph(graph, edit)?;
+    let (u, v) = edit.endpoints();
+    let n = graph.num_vertices();
 
     let old_highway = labelling.highway();
     let num_landmarks = old_highway.num_landmarks();
@@ -229,78 +285,73 @@ pub fn apply_edit_reusing(
     // Phase 2: new highway matrix. Column j of landmark i's distances comes
     // from aff[i] where present, the old matrix otherwise; re-closing is a
     // no-op on the exact metric but keeps the invariant machine-checked.
-    let mut new_highway = Highway::new(n, old_highway.landmarks());
-    let mut highway_changed = false;
+    // The cells that moved are the highway half of the patch.
+    let mut new_highway = old_highway.unset();
     for i in 0..num_landmarks as u32 {
         for j in (i + 1)..num_landmarks as u32 {
-            let old = old_highway.distance(i, j);
             let d = match affected[i as usize].get(&old_highway.landmark(j)) {
                 Some(&d) => d,
-                None => old,
+                None => old_highway.distance(i, j),
             };
-            highway_changed |= d != old;
             if d != INF {
                 new_highway.record(i, j, d);
             }
         }
     }
     new_highway.close();
+    let mut highway_cells = Vec::new();
+    for i in 0..num_landmarks as u32 {
+        for j in (i + 1)..num_landmarks as u32 {
+            if new_highway.distance(i, j) != old_highway.distance(i, j) {
+                highway_cells.push((i, j, new_highway.distance(i, j)));
+            }
+        }
+    }
+    let highway_changed = !highway_cells.is_empty();
 
     // Phase 3: re-derive label rows. A row depends on d(r_i, x) for all i
     // *and* on the landmark matrix (the Lemma 3.7 cover test), so a highway
-    // change dirties every row; otherwise only touched vertices — and the
-    // clean rows are spliced over lane-wise instead of re-pushed entry by
-    // entry, keeping the label cost `O(n)` memcpy + `O(touched)` work.
+    // change dirties every row; otherwise only touched vertices (a touched
+    // landmark would mean a moved landmark-landmark distance, i.e. a
+    // highway change — so every touched vertex has a label row). Rows that
+    // come out as they were stay out of the patch.
+    let candidates: Vec<VertexId> = if highway_changed {
+        (0..n as VertexId).filter(|&x| !new_highway.is_landmark(x)).collect()
+    } else {
+        let mut order: Vec<VertexId> = touched.iter().copied().collect();
+        order.sort_unstable();
+        order
+    };
     let old_labels = labelling.labels();
     let mut dvec = vec![INF; num_landmarks];
     let mut row_buf: Vec<(u32, u32)> = Vec::new();
-    let new_labels = if highway_changed {
-        let mut per_landmark: Vec<Vec<(VertexId, u16)>> = vec![Vec::new(); num_landmarks];
-        for x in 0..n as VertexId {
-            if new_highway.is_landmark(x) {
-                continue;
-            }
-            new_label_row(labelling, &affected, &new_highway, x, &mut dvec, &mut row_buf);
-            for &(rank, d) in &row_buf {
-                let d16 = u16::try_from(d)
-                    .map_err(|_| UpdateError::DistanceOverflow { vertex: x, distance: d })?;
-                per_landmark[rank as usize].push((x, d16));
-            }
+    let mut rows: Vec<(VertexId, Vec<(u16, u16)>)> = Vec::new();
+    for x in candidates {
+        debug_assert!(!new_highway.is_landmark(x), "touched landmark without highway change");
+        new_label_row(labelling, &affected, &new_highway, x, &mut dvec, &mut row_buf);
+        let mut row = Vec::with_capacity(row_buf.len());
+        for &(rank, d) in &row_buf {
+            let d16 = u16::try_from(d)
+                .map_err(|_| UpdateError::DistanceOverflow { vertex: x, distance: d })?;
+            row.push((rank as u16, d16));
         }
-        assemble_labels(n, &per_landmark)
-    } else {
-        // A touched landmark would mean a moved landmark-landmark distance,
-        // i.e. a highway change — so every touched vertex has a label row.
-        let mut order: Vec<VertexId> = touched.iter().copied().collect();
-        order.sort_unstable();
-        let mut rows: Vec<(VertexId, Vec<(u16, u16)>)> = Vec::with_capacity(order.len());
-        for x in order {
-            debug_assert!(!new_highway.is_landmark(x), "touched landmark without highway change");
-            new_label_row(labelling, &affected, &new_highway, x, &mut dvec, &mut row_buf);
-            let mut row = Vec::with_capacity(row_buf.len());
-            for &(rank, d) in &row_buf {
-                let d16 = u16::try_from(d)
-                    .map_err(|_| UpdateError::DistanceOverflow { vertex: x, distance: d })?;
-                row.push((rank as u16, d16));
-            }
+        if !old_labels.label(x).iter().map(|e| (e.landmark, e.dist)).eq(row.iter().copied()) {
             rows.push((x, row));
         }
-        old_labels.patched(&rows)
-    };
-    debug_assert!(new_labels.validate(&new_highway).is_ok());
+    }
 
-    // Phase 4: patch the sparse view (landmark set is unchanged, so an
-    // accepted graph splice can only fail here by invariant breakage).
-    let new_sparse = sparse
-        .with_edit(u, v, edit.is_add(), &new_highway, spare.sparse)
-        .expect("sparse view out of sync with graph");
+    // Phase 4: lay the patch over the old generation.
+    let patch = LabelPatch { edit, rows, highway_cells };
+    let (new_labelling, new_sparse) = patch.apply_to_index(labelling, sparse);
+    debug_assert_eq!(new_labelling.highway(), &new_highway);
 
     Ok(UpdateResult {
         graph: new_graph,
-        labelling: HighwayCoverLabelling::from_parts(new_highway, new_labels),
+        labelling: new_labelling,
         sparse: new_sparse,
         affected_vertices: touched.len(),
         highway_changed,
+        patch,
     })
 }
 
@@ -695,13 +746,14 @@ mod tests {
     #[test]
     fn edit_script_stays_equivalent_across_steps() {
         // A short interleaved ADD/DEL script, incrementally chained the
-        // way the server chains it: every step builds inside the CSRs of
-        // the generation the step before replaced.
+        // way the server chains it — every step over the overlays of the
+        // step before — beside a second copy of the index that only ever
+        // sees the patches.
         let g = generate::erdos_renyi(60, 120, 17);
         let landmarks = hcl_graph::order::top_degree(&g, 5);
         let (hcl, sparse) = build_all(&g, &landmarks);
+        let mut replica = (g.clone().folded(), hcl.clone(), sparse.clone());
         let (mut graph, mut hcl, mut sparse) = (g, hcl, sparse);
-        let mut spare = RetiredGraphs::default();
         for step in 0..12u32 {
             let edit = if step % 3 == 2 {
                 let (u, v) = graph.edges().nth((step as usize * 7) % graph.num_edges()).unwrap();
@@ -720,15 +772,17 @@ mod tests {
                 let (a, b) = pick.unwrap();
                 EdgeEdit::Add(a, b)
             };
-            let fresh = apply_edit(&graph, &hcl, &sparse, edit).unwrap();
-            let r = apply_edit_reusing(&graph, &hcl, &sparse, edit, spare).unwrap();
-            assert_eq!((&r.graph, &r.sparse), (&fresh.graph, &fresh.sparse), "step {step}");
+            let r = apply_edit(&graph, &hcl, &sparse, edit).unwrap();
+            assert_eq!(r.patch.edit(), edit);
+            assert_eq!(r.highway_changed, !r.patch.highway_cells().is_empty());
             assert_matches_rebuild(&r, &landmarks);
-            spare = RetiredGraphs { graph, sparse: sparse.into_graph() };
+            replica = r.patch.apply(&replica.0, &replica.1, &replica.2).unwrap();
+            assert_eq!(replica, (r.graph.clone(), r.labelling.clone(), r.sparse.clone()));
             graph = r.graph;
             hcl = r.labelling;
             sparse = r.sparse;
         }
+        assert!(graph.overlay_rows() > 0, "the script ran over overlays, not folds");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   extraction (the paper assumes connected graphs).
 //! * [`io`] — plain-text edge-list parsing and a compact binary format.
 //! * [`order`] — degree orderings (landmark selection and PLL vertex orders).
+//! * [`overlay`] — the replaced-row map behind cheaply editable, structure-
+//!   sharing values ([`CsrGraph`] here, the label store in `hcl-core`).
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait that
 //!   every method (HL, PLL, FD, IS-L, online searches) implements.
 
@@ -29,6 +31,7 @@ pub mod generate;
 pub mod io;
 pub mod oracle;
 pub mod order;
+pub mod overlay;
 pub mod paths;
 pub mod stats;
 pub mod subgraph;

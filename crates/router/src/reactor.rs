@@ -761,8 +761,10 @@ impl Core {
     /// identical indexes, so — like `RELOAD` — the confirmation is
     /// all-or-nothing: any replica failing to apply the edit turns the
     /// whole fan-out into an `ERR` naming each responder's outcome.
-    /// Shards owning neither endpoint are untouched (their labels cannot
-    /// change: the edit's endpoints bound every affected vertex).
+    /// Shards owning neither endpoint are not told — which is wrong
+    /// whenever the edit moves a label or highway cell they hold (every
+    /// shard holds the global labelling): ROADMAP item 1, reproduced by
+    /// `sharded_update_keeps_every_untagged_answer_exact`.
     fn fan_out_update(
         &mut self,
         epoll: &Epoll,

@@ -410,6 +410,68 @@ fn update_fans_out_to_owning_shard_replicas_only() {
     drop(handles);
 }
 
+/// ROADMAP item 1, recorded by a machine: a sharded `UPDATE` answers
+/// wrongly and untagged on a component-respecting partition, in three
+/// ways. Landmarks 0 and 1 are five hops apart through community A
+/// (`0-2-3-4-1`, shard 0) and ten through community B
+/// (`0-10-12-…-18-11-1`, shard 1); every shard holds the *global*
+/// labelling and highway.
+///
+/// 1. `ADD 2 4` shortens the highway for everyone, but shard 1 owns
+///    neither endpoint and is never told: `(10, 11)` keeps answering 6,
+///    truth 5.
+/// 2. `DEL 3 4` lengthens it: shard 1 keeps answering 6, truth 8 — an
+///    untagged **under-report**.
+/// 3. Shard 0, which does apply `DEL 3 4`, repairs against its own graph
+///    `G[V₀ ∪ R]`, where the detour through community B does not exist:
+///    it concludes the landmarks are disconnected and answers `INF` for
+///    pairs that are 11–14 hops apart.
+///
+/// The assertions state the contract (every untagged answer is exact),
+/// so the test fails until the fix lands: one labeller that holds `G`
+/// computes the `LabelPatch` and every shard applies it.
+#[test]
+#[ignore = "ROADMAP item 1: sharded UPDATE serves untagged wrong answers (stale non-owning \
+            shards, owning shards repairing against G[Vi ∪ R]); fixed by shipping LabelPatch"]
+fn sharded_update_keeps_every_untagged_answer_exact() {
+    let mut edges = vec![(0, 2), (2, 3), (3, 4), (4, 1), (3, 5), (0, 10), (11, 1), (10, 12)];
+    edges.extend((12..18).map(|v| (v, v + 1)));
+    edges.push((18, 11));
+    let g = CsrGraph::from_edges(20, &edges);
+    let hubs: Vec<VertexId> = vec![0, 1];
+    let (labelling, _) = HighwayCoverLabelling::build(&g, &hubs).unwrap();
+    let map = PartitionMap::range(g.num_vertices(), 2, &hubs);
+    assert!(map.respects_components(&g), "fixture must be component-closed");
+    assert_eq!(labelling.highway().distance(0, 1), 4);
+
+    // (ADD?, u, v, then `(s, t, truth)` after the edit).
+    let cases = [
+        (true, 2, 4, vec![(10, 11, 5)]),
+        (false, 3, 4, vec![(10, 11, 8)]),
+        (false, 3, 4, vec![(2, 4, 12), (3, 4, 13), (2, 1, 11), (5, 4, 14)]),
+    ];
+    let mut wrong = Vec::new();
+    for (add, u, v, expected) in cases {
+        let edited = if add { g.with_edge(u, v) } else { g.without_edge(u, v) }.unwrap();
+        assert!(map.respects_components(&edited), "the edit keeps the partition exact");
+        let deployment = Deployment::start(&g, &labelling, &map);
+        let mut client = deployment.client();
+        client.update(add, u, v).unwrap();
+        for (s, t, truth) in expected {
+            assert_eq!(hcl_graph::traversal::bfs_distances(&edited, s)[t as usize], truth);
+            let (got, degraded) = client.query_tagged(s, t).unwrap();
+            if got != Some(truth) || degraded {
+                let verb = if add { "ADD" } else { "DEL" };
+                wrong.push(format!(
+                    "after UPDATE {verb} {u} {v}: d({s}, {t}) answered {got:?} \
+                     (tagged: {degraded}), truth {truth}"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
+
 /// The packed flavour of the fan-out: shards serve `.hclx` files
 /// zero-copy, the router detects `shard0.hclx` in the target directory
 /// and reloads every shard with the single-path `RELOAD dir/shardI.hclx`

@@ -315,6 +315,14 @@ impl ShardedCache {
         }
     }
 
+    /// Whether any resident entry is tagged `epoch` — whether a
+    /// [`retag`](Self::retag) from that epoch has anything to carry over.
+    pub fn holds_epoch(&self, epoch: u64) -> bool {
+        self.shards.iter().any(|shard| {
+            shard.lock().expect("cache shard poisoned").slab.iter().any(|e| e.epoch == epoch)
+        })
+    }
+
     /// Precise invalidation for an incremental update: every resident entry
     /// tagged `old_epoch` whose pair `keep(s, t, value)` certifies as
     /// unchanged is re-tagged to `new_epoch` (surviving the generation swap
@@ -491,11 +499,13 @@ mod tests {
         cache.insert(5, 6, 3, None); // unreachable, certified below
         cache.insert(7, 8, 3, Some(9)); // rejected by the predicate
         cache.insert(1, 9, 2, Some(1)); // older generation: untouched
+        assert!(cache.holds_epoch(3) && cache.holds_epoch(2) && !cache.holds_epoch(4));
         let kept = cache.retag(3, 4, |s, t, value| {
             assert!(s <= t, "keys are normalised");
             !(s == 7 && t == 8) && (value != Some(9))
         });
         assert_eq!(kept, 2);
+        assert!(cache.holds_epoch(4) && cache.holds_epoch(3), "the rejected pair keeps its tag");
         // Certified pairs hit under the new epoch with their old answers.
         assert_eq!(cache.get(1, 2, 4), Some(Some(4)));
         assert_eq!(cache.get(6, 5, 4), Some(None), "unreachable carries over");

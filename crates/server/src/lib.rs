@@ -62,7 +62,9 @@ pub use batch::BatchExecutor;
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
 pub use client::{Client, ClientError};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use oracle_pool::{IndexSizes, QueryError, QueryService, ReloadError, UpdateApplyError};
+pub use oracle_pool::{
+    IndexSizes, PendingRevalidation, QueryError, QueryService, ReloadError, UpdateApplyError,
+};
 pub use protocol::{Decoder, Frame, ProtocolError, Request, ResponseError};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use serving::ServingIndex;

@@ -39,6 +39,27 @@ pub struct ServeMetrics {
     /// applied updates (the work an `O(affected)` update actually did;
     /// divide by `updates_applied` for the mean edit footprint).
     pub update_affected_vertices: AtomicU64,
+    /// Cumulative nanoseconds applied updates spent publishing — patch,
+    /// overlay, swap: the part of an `UPDATE` its reply waits for.
+    pub update_publish_ns: AtomicU64,
+    /// Cumulative nanoseconds spent revalidating the cache after updates
+    /// (`PairFilter` + retag) — off the reply path when serving.
+    pub update_revalidate_ns: AtomicU64,
+    /// Gauge: rows the serving generation holds in overlays (graph +
+    /// sparse view + labels) instead of its flat base arrays.
+    pub overlay_rows: AtomicU64,
+    /// Updates whose generation came back with an overlay folded into
+    /// fresh flat arrays (the `O(n + m)` edits).
+    pub overlay_folds: AtomicU64,
+    /// Revalidations that found no cache entry under the old epoch and
+    /// skipped their two BFS passes.
+    pub revalidations_skipped: AtomicU64,
+    /// Revalidations discarded unrun because the queue behind the
+    /// revalidation worker overflowed (their entries age out as stale
+    /// misses).
+    pub revalidations_dropped: AtomicU64,
+    /// Cache entries revalidations certified and carried to a new epoch.
+    pub retag_kept: AtomicU64,
     /// Cumulative nanoseconds single `QUERY` cache misses spent in the
     /// label merge (Equation 4 upper bound).
     pub merge_ns: AtomicU64,
@@ -102,6 +123,13 @@ impl ServeMetrics {
             reloads: self.reloads.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             update_affected_vertices: self.update_affected_vertices.load(Ordering::Relaxed),
+            update_publish_ns: self.update_publish_ns.load(Ordering::Relaxed),
+            update_revalidate_ns: self.update_revalidate_ns.load(Ordering::Relaxed),
+            overlay_rows: self.overlay_rows.load(Ordering::Relaxed),
+            overlay_folds: self.overlay_folds.load(Ordering::Relaxed),
+            revalidations_skipped: self.revalidations_skipped.load(Ordering::Relaxed),
+            revalidations_dropped: self.revalidations_dropped.load(Ordering::Relaxed),
+            retag_kept: self.retag_kept.load(Ordering::Relaxed),
             merge_ns: self.merge_ns.load(Ordering::Relaxed),
             search_ns: self.search_ns.load(Ordering::Relaxed),
             searched_queries: self.searched_queries.load(Ordering::Relaxed),
@@ -144,6 +172,20 @@ pub struct MetricsSnapshot {
     pub updates_applied: u64,
     /// Cumulative affected vertices across all applied updates.
     pub update_affected_vertices: u64,
+    /// Cumulative nanoseconds updates spent publishing.
+    pub update_publish_ns: u64,
+    /// Cumulative nanoseconds spent revalidating the cache after updates.
+    pub update_revalidate_ns: u64,
+    /// Rows the serving generation holds in overlays.
+    pub overlay_rows: u64,
+    /// Updates that folded an overlay into fresh flat arrays.
+    pub overlay_folds: u64,
+    /// Revalidations skipped for want of cache entries to certify.
+    pub revalidations_skipped: u64,
+    /// Revalidations discarded when their queue overflowed.
+    pub revalidations_dropped: u64,
+    /// Cache entries carried to a new epoch by revalidation.
+    pub retag_kept: u64,
     /// Cumulative label-merge nanoseconds across single-`QUERY` misses.
     pub merge_ns: u64,
     /// Cumulative bounded-search nanoseconds across single-`QUERY` misses.

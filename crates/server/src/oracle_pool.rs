@@ -23,14 +23,12 @@ use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::serving::ServingIndex;
 use hcl_core::landmarks::LandmarkStrategy;
-use hcl_core::update::{apply_edit_reusing, EdgeEdit, PairFilter, RetiredGraphs, UpdateError};
-use hcl_core::{
-    EpochCell, HighwayCoverLabelling, OracleEpoch, QueryContext, SharedOracle, SparseView,
-};
+use hcl_core::update::{apply_edit, EdgeEdit, PairFilter, UpdateError};
+use hcl_core::{EpochCell, HighwayCoverLabelling, OracleEpoch, QueryContext, SharedOracle};
 use hcl_graph::{CsrGraph, VertexId};
 use hcl_store::PackedOracle;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A query the service cannot answer.
@@ -173,11 +171,6 @@ pub struct IndexSizes {
 #[derive(Debug)]
 pub struct QueryService {
     index: EpochCell<ServingIndex>,
-    /// The generation the last `UPDATE` replaced. The next `UPDATE` writes
-    /// its graph and view into this one's buffers once no query pins it
-    /// any more (see [`apply_update`](Self::apply_update)); a reload drops
-    /// it.
-    retired: Mutex<Option<Arc<OracleEpoch<ServingIndex>>>>,
     cache: Option<ShardedCache>,
     metrics: ServeMetrics,
     /// Wall-clock microseconds the last successful
@@ -191,20 +184,27 @@ pub struct QueryService {
     deadline_nanos: AtomicU64,
 }
 
-/// The CSRs of a retired generation, for the next update to overwrite.
-/// Whatever is still shared — the generation itself with a query in
-/// flight, its graph with whoever handed it to the service — is left to
-/// its other holders and replaced by an empty graph.
-fn retired_graphs(retired: Arc<OracleEpoch<ServingIndex>>) -> RetiredGraphs {
-    let Some(ServingIndex::Memory(oracle)) = Arc::into_inner(retired).map(OracleEpoch::into_index)
-    else {
-        return RetiredGraphs::default();
-    };
-    let (graph, _, sparse) = oracle.into_parts();
-    RetiredGraphs {
-        graph: Arc::into_inner(graph).unwrap_or_default(),
-        sparse: Arc::into_inner(sparse).map(SparseView::into_graph).unwrap_or_default(),
-    }
+/// The cache half of a published update, still to run: which epoch pair
+/// to certify entries across, and the two graphs (handles — an edited graph
+/// shares its parent's arrays) the [`PairFilter`] is built from. See
+/// [`QueryService::revalidate`].
+#[derive(Debug)]
+pub struct PendingRevalidation {
+    old_epoch: u64,
+    new_epoch: u64,
+    old_graph: CsrGraph,
+    new_graph: CsrGraph,
+    edit: EdgeEdit,
+}
+
+/// Rows a generation holds in overlays rather than in flat base arrays:
+/// graph, sparse view, labels.
+fn overlay_rows(oracle: &SharedOracle) -> [usize; 3] {
+    [
+        oracle.graph().overlay_rows(),
+        oracle.sparse_view().graph().overlay_rows(),
+        oracle.labelling().labels().overlay_rows(),
+    ]
 }
 
 impl QueryService {
@@ -222,7 +222,6 @@ impl QueryService {
         });
         QueryService {
             index: EpochCell::new(index),
-            retired: Mutex::new(None),
             cache,
             metrics: ServeMetrics::default(),
             load_micros: AtomicU64::new(0),
@@ -383,7 +382,6 @@ impl QueryService {
     /// cache (exactly once per swap). In-flight queries finish on the old
     /// generation; returns the new epoch.
     pub fn reload_index(&self, index: ServingIndex) -> u64 {
-        self.take_retired();
         let swapped = self.index.swap(index);
         // Clearing after the swap bounds the stale window: entries inserted
         // for the *new* epoch between these two lines are dropped (only a
@@ -397,64 +395,91 @@ impl QueryService {
     }
 
     /// Applies one incremental edge edit to the current in-memory
-    /// generation and publishes the patched index as a new epoch, without
-    /// rebuilding labels or clearing the cache wholesale.
-    ///
-    /// Returns `(new_epoch, affected_vertices)`. The whole operation is
-    /// copy-on-write: queries pin either the old generation or the new one,
-    /// never a half-patched index. Cached answers are *retagged*, not
-    /// dropped — a [`PairFilter`] (two BFS rows from the edit endpoints)
-    /// certifies exactly which pairs provably kept their distance, and only
-    /// those carry over to the new epoch; the rest age out as stale misses.
-    ///
-    /// The generation an update replaces is not freed but parked, and the
-    /// update after it builds its graph and sparse view inside that
-    /// generation's two CSRs — the bulk of an index generation — provided
-    /// every query that pinned it has finished (otherwise it is freed
-    /// and the update allocates). So a run of edits ping-pongs between
-    /// two sets of buffers: peak memory is what copy-on-write needs
-    /// anyway (two generations, and the second stays resident between
-    /// edits), and neither the cost nor the timing of an `UPDATE`
-    /// depends on what the allocator does with tens of megabytes handed
-    /// back and asked for again per edit.
+    /// generation: [`publish_update`](Self::publish_update), then
+    /// [`revalidate`](Self::revalidate) before returning — the synchronous
+    /// form for library callers, after which certified cache entries hit
+    /// under the new epoch at once. Returns `(new_epoch,
+    /// affected_vertices)`.
     ///
     /// Concurrent updates/reloads are serialised by the caller (the reactor
     /// runs updates under the same busy gate as `RELOAD`); racing this
     /// method unserialised is safe for queries but may strand retagged
     /// cache entries, costing warm-up only.
     pub fn apply_update(&self, edit: EdgeEdit) -> Result<(u64, u64), UpdateApplyError> {
-        let spare = self.take_retired().map_or_else(RetiredGraphs::default, retired_graphs);
+        let (epoch, affected, pending) = self.publish_update(edit)?;
+        self.revalidate(pending);
+        Ok((epoch, affected))
+    }
+
+    /// The reply-path half of an update: patches the current in-memory
+    /// generation and publishes the result as a new epoch, in
+    /// `O(affected rows + deg(u) + deg(v))` — the new generation is the
+    /// old one plus an overlay, sharing its arrays, its rank table and its
+    /// context pool (only the edit that overflows an overlay folds, see
+    /// `hcl_core::update`). Queries pin either the old generation or the
+    /// new one, never a half-patched index.
+    ///
+    /// Returns `(new_epoch, affected_vertices, pending)`. Nothing in the
+    /// cache carries the new epoch's tag yet, so every cached answer is
+    /// fenced off until [`revalidate`](Self::revalidate) has run on
+    /// `pending`; skipping or delaying that costs warm-up, never
+    /// correctness.
+    pub fn publish_update(
+        &self,
+        edit: EdgeEdit,
+    ) -> Result<(u64, u64, PendingRevalidation), UpdateApplyError> {
+        let started = Instant::now();
         let snap = self.snapshot();
         let oracle = snap.index().as_memory().ok_or(UpdateApplyError::Packed)?;
-        let result = apply_edit_reusing(
-            oracle.graph(),
-            oracle.labelling(),
-            oracle.sparse_view(),
-            edit,
-            spare,
-        )
-        .map_err(UpdateApplyError::Apply)?;
+        let result = apply_edit(oracle.graph(), oracle.labelling(), oracle.sparse_view(), edit)
+            .map_err(UpdateApplyError::Apply)?;
         let affected = result.affected_vertices as u64;
-        let filter = PairFilter::for_edit(oracle.graph(), &result.graph, edit);
-        let next = SharedOracle::from_parts(
+        let old_graph = oracle.graph().clone();
+        let new_graph = result.graph.clone();
+        let next = oracle.next_generation(
             Arc::new(result.graph),
             Arc::new(result.labelling),
             Arc::new(result.sparse),
         );
-        let old_epoch = snap.epoch();
-        let swapped = self.index.swap(ServingIndex::Memory(next));
-        let new_epoch = swapped.epoch();
-        if let Some(cache) = &self.cache {
-            cache.retag(old_epoch, new_epoch, |s, t, d| filter.keeps(s, t, d));
-        }
+        let (rows_before, rows) = (overlay_rows(oracle), overlay_rows(&next));
+        let new_epoch = self.index.swap(ServingIndex::Memory(next)).epoch();
         ServeMetrics::bump(&self.metrics.updates_applied);
         ServeMetrics::add(&self.metrics.update_affected_vertices, affected);
-        *self.retired.lock().expect("retired slot poisoned") = Some(snap);
-        Ok((new_epoch, affected))
+        // An overlay only grows between folds, so fewer rows means it folded.
+        if rows.iter().zip(&rows_before).any(|(now, before)| now < before) {
+            ServeMetrics::bump(&self.metrics.overlay_folds);
+        }
+        self.metrics.overlay_rows.store(rows.iter().sum::<usize>() as u64, Ordering::Relaxed);
+        ServeMetrics::add(&self.metrics.update_publish_ns, started.elapsed().as_nanos() as u64);
+        let pending =
+            PendingRevalidation { old_epoch: snap.epoch(), new_epoch, old_graph, new_graph, edit };
+        Ok((new_epoch, affected, pending))
     }
 
-    fn take_retired(&self) -> Option<Arc<OracleEpoch<ServingIndex>>> {
-        self.retired.lock().expect("retired slot poisoned").take()
+    /// The cache half of an update: cached answers are *retagged*, not
+    /// dropped — a [`PairFilter`] (two BFS rows from the edit endpoints)
+    /// certifies exactly which pairs provably kept their distance across
+    /// the edit, and those move from the old epoch's tag to the new one's;
+    /// the rest age out as stale misses. With nothing cached under the old
+    /// epoch there is nothing to certify and the BFS passes are skipped.
+    ///
+    /// May run at any time after the publish, on any thread, in any order
+    /// relative to queries, reloads and other updates: it only ever tags
+    /// an entry that was exact for the old generation with the epoch of
+    /// precisely that generation plus `edit`. Run in publish order,
+    /// revalidations compose — an entry certified by each of several
+    /// consecutive edits follows them all to the newest epoch.
+    pub fn revalidate(&self, pending: PendingRevalidation) {
+        let PendingRevalidation { old_epoch, new_epoch, old_graph, new_graph, edit } = pending;
+        let Some(cache) = self.cache.as_ref().filter(|cache| cache.holds_epoch(old_epoch)) else {
+            ServeMetrics::bump(&self.metrics.revalidations_skipped);
+            return;
+        };
+        let started = Instant::now();
+        let filter = PairFilter::for_edit(&old_graph, &new_graph, edit);
+        let kept = cache.retag(old_epoch, new_epoch, |s, t, d| filter.keeps(s, t, d));
+        ServeMetrics::add(&self.metrics.retag_kept, kept as u64);
+        ServeMetrics::add(&self.metrics.update_revalidate_ns, started.elapsed().as_nanos() as u64);
     }
 
     /// Loads the next index generation from disk and swaps it in via
@@ -478,9 +503,6 @@ impl QueryService {
         landmarks: usize,
     ) -> Result<u64, ReloadError> {
         let started = Instant::now();
-        // Before loading, not at the swap, so that a reload peaks at two
-        // generations, not three.
-        self.take_retired();
         if hcl_store::is_packed_path(graph_path) {
             if let Some(extra) = index_path {
                 return Err(ReloadError::Load(format!(
@@ -543,6 +565,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcl_core::HighwayLabels;
 
     fn oracle(n: usize, seed: u64, k: usize) -> SharedOracle {
         let (g, labelling) = hcl_core::testing::ba_fixture(n, 4, seed, k);
@@ -675,59 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn updates_build_inside_the_generation_before_last() {
-        let (g, labelling) = hcl_core::testing::ba_fixture(300, 4, 5, 8);
-        // An absent edge between two non-landmarks, so the view changes too.
-        let highway = labelling.highway().clone();
-        let (u, v) = (0..300u32)
-            .flat_map(|a| ((a + 1)..300).map(move |b| (a, b)))
-            .find(|&(a, b)| !g.has_edge(a, b) && !highway.is_landmark(a) && !highway.is_landmark(b))
-            .expect("BA graph is not complete");
-        let service = QueryService::from_parts(Arc::clone(&g), labelling, 0);
-        let buffers = |service: &QueryService| {
-            let snap = service.snapshot();
-            let oracle = snap.index().as_memory().unwrap();
-            (
-                oracle.graph().neighbors(0).as_ptr(),
-                oracle.sparse_view().graph().neighbors(0).as_ptr(),
-            )
-        };
-        let mut seen = Vec::new();
-        for round in 0..3 {
-            for (edit, truth_graph) in [
-                (EdgeEdit::Add(u, v), g.with_edge(u, v).unwrap()),
-                (EdgeEdit::Delete(u, v), (*g).clone()),
-            ] {
-                service.apply_update(edit).unwrap();
-                seen.push(buffers(&service));
-                let truth = hcl_graph::traversal::bfs_distances(&truth_graph, u);
-                for t in (0..300).step_by(13) {
-                    let expect = (truth[t as usize] != hcl_graph::INF).then_some(truth[t as usize]);
-                    assert_eq!(service.distance(u, t).unwrap(), expect, "round {round} {edit}");
-                }
-            }
-        }
-        // Generation 0's graph is shared with this test, so generations 1
-        // and 2 allocate; from then on two sets of buffers alternate.
-        assert_ne!(seen[0], seen[1]);
-        for k in 2..seen.len() {
-            assert_eq!(seen[k], seen[k - 2], "update {} reuses update {}'s CSRs", k + 1, k - 1);
-        }
-
-        // A pinned generation is left alone: the next update allocates.
-        let pinned = service.snapshot();
-        let pinned_buffers = buffers(&service);
-        service.apply_update(EdgeEdit::Add(u, v)).unwrap();
-        service.apply_update(EdgeEdit::Delete(u, v)).unwrap();
-        assert_ne!(buffers(&service), pinned_buffers);
-        assert_eq!(pinned.index().as_memory().unwrap().graph(), &*g, "still the graph it was");
-
-        // A reload drops the parked generation.
-        service.reload(oracle(100, 2, 4));
-        assert!(service.retired.lock().unwrap().is_none());
-    }
-
-    #[test]
     fn apply_update_retags_unaffected_cache_entries() {
         // A path graph makes "far from the edit" easy to reason about.
         let g = Arc::new(hcl_graph::generate::path(50));
@@ -747,6 +717,126 @@ mod tests {
         assert_eq!(service.distance(0, 3).unwrap(), Some(3));
         assert_eq!(service.cache_stats().hits, hits_before + 1, "retagged entry must hit");
         assert_eq!(service.cache_stats().stale, 0);
+    }
+
+    /// A path of 60 vertices behind a cache, and whether the next lookup of
+    /// `(s, t)` answers `want` from the cache (`true`) or by recomputing.
+    fn path_service() -> QueryService {
+        let g = Arc::new(hcl_graph::generate::path(60));
+        let landmarks = hcl_graph::order::top_degree(&g, 2);
+        let (labelling, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
+        QueryService::from_parts(g, Arc::new(labelling), 1 << 10)
+    }
+
+    fn answers_from_cache(service: &QueryService, s: u32, t: u32, want: u32) -> bool {
+        let hits = service.cache_stats().hits;
+        assert_eq!(service.distance(s, t).unwrap(), Some(want), "d({s}, {t})");
+        service.cache_stats().hits > hits
+    }
+
+    #[test]
+    fn consecutive_revalidations_compose_and_reject_independently() {
+        // Chords {20, 22} and {40, 42} on a path: each shortens exactly
+        // the pairs that straddle it.
+        let (first, second) = (EdgeEdit::Add(20, 22), EdgeEdit::Add(40, 42));
+        let warm = |service: &QueryService| {
+            for (s, t, d) in [(0, 3, 3), (18, 24, 6), (38, 44, 6), (50, 55, 5)] {
+                assert_eq!(service.distance(s, t).unwrap(), Some(d));
+            }
+        };
+
+        // In publish order, with both revalidations lagging both publishes.
+        let service = path_service();
+        warm(&service);
+        let (_, _, after_first) = service.publish_update(first).unwrap();
+        let (epoch, _, after_second) = service.publish_update(second).unwrap();
+        assert_eq!(epoch, 2);
+        service.revalidate(after_first);
+        service.revalidate(after_second);
+        assert_eq!(service.metrics_snapshot().retag_kept, 3 + 2);
+        assert!(answers_from_cache(&service, 0, 3, 3), "certified by both filters");
+        assert!(answers_from_cache(&service, 50, 55, 5), "certified by both filters");
+        assert!(!answers_from_cache(&service, 18, 24, 5), "rejected by the first filter");
+        assert!(!answers_from_cache(&service, 38, 44, 5), "rejected by the second filter");
+
+        // Out of order the chain breaks — nothing reaches the live epoch —
+        // and still nothing stale is served.
+        let service = path_service();
+        warm(&service);
+        let (_, _, after_first) = service.publish_update(first).unwrap();
+        let (_, _, after_second) = service.publish_update(second).unwrap();
+        service.revalidate(after_second);
+        service.revalidate(after_first);
+        let snap = service.metrics_snapshot();
+        assert_eq!((snap.revalidations_skipped, snap.retag_kept), (1, 3));
+        for (s, t, d) in [(0, 3, 3), (18, 24, 5), (38, 44, 5), (50, 55, 5)] {
+            assert!(!answers_from_cache(&service, s, t, d), "({s}, {t}) was never certified");
+        }
+    }
+
+    #[test]
+    fn a_reload_between_publish_and_revalidate_strands_the_revalidation() {
+        let service = path_service();
+        assert_eq!(service.distance(0, 3).unwrap(), Some(3));
+        let (_, _, pending) = service.publish_update(EdgeEdit::Add(40, 42)).unwrap();
+
+        // The reload lands first: a cycle, where d(0, 3) is still 3 but
+        // d(0, 35) is 25, not 35.
+        let cycle = Arc::new(hcl_graph::generate::cycle(60));
+        let landmarks = hcl_graph::order::top_degree(&cycle, 2);
+        let (labelling, _) = HighwayCoverLabelling::build(&cycle, &landmarks).unwrap();
+        assert_eq!(service.reload(SharedOracle::new(cycle, Arc::new(labelling))), 2);
+        // A query that pinned generation 0 before all this finishes now.
+        service.cache().unwrap().insert(0, 35, 0, Some(35));
+
+        service.revalidate(pending);
+        assert_eq!(service.metrics_snapshot().retag_kept, 1, "carried to epoch 1 — not live");
+        assert!(!service.cache().unwrap().holds_epoch(2));
+        assert!(!answers_from_cache(&service, 0, 35, 25), "the path's answer must not cross");
+    }
+
+    #[test]
+    fn update_metrics_account_for_publish_folds_and_skipped_revalidations() {
+        let (g, labelling) = hcl_core::testing::ba_fixture(400, 4, 21, 10);
+        let service = QueryService::from_parts(Arc::clone(&g), labelling, 1 << 10);
+        let absent: Vec<(u32, u32)> = (0..400u32)
+            .flat_map(|a| ((a + 1)..400).map(move |b| (a, b)))
+            .filter(|&(a, b)| !g.has_edge(a, b))
+            .step_by(397)
+            .take(CsrGraph::OVERLAY_MAX_ROWS)
+            .collect();
+
+        // Nothing cached: the first revalidation has nothing to certify.
+        service.apply_update(EdgeEdit::Add(absent[0].0, absent[0].1)).unwrap();
+        let snap = service.metrics_snapshot();
+        assert_eq!((snap.revalidations_skipped, snap.update_revalidate_ns), (1, 0));
+        assert!(snap.overlay_rows >= 2, "the endpoints' rows at least: {snap:?}");
+        assert!(snap.update_publish_ns > 0);
+
+        // Something cached: the next one runs its filter.
+        service.distance(1, 2).unwrap();
+        service.apply_update(EdgeEdit::Delete(absent[0].0, absent[0].1)).unwrap();
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.revalidations_skipped, 1);
+        assert!(snap.update_revalidate_ns > 0);
+
+        // Enough distinct endpoints to overflow the graph's overlay.
+        for &(a, b) in &absent[1..] {
+            service.apply_update(EdgeEdit::Add(a, b)).unwrap();
+            let rows = service.metrics_snapshot().overlay_rows as usize;
+            assert!(rows <= 2 * CsrGraph::OVERLAY_MAX_ROWS + HighwayLabels::OVERLAY_MAX_ROWS);
+        }
+        let snap = service.metrics_snapshot();
+        assert!(snap.overlay_folds >= 1, "{snap:?}");
+        assert_eq!(snap.updates_applied, absent.len() as u64 + 1);
+        assert_eq!(snap.revalidations_dropped, 0, "only the reactor's queue drops");
+        let truth = hcl_graph::traversal::bfs_distances(
+            service.snapshot().index().as_memory().unwrap().graph(),
+            7,
+        );
+        for t in (0..400).step_by(9) {
+            assert_eq!(service.distance(7, t).unwrap(), Some(truth[t as usize]), "d(7, {t})");
+        }
     }
 
     #[test]

@@ -604,6 +604,8 @@ pub fn format_stats_response(
          active_connections={} rejected_connections={} timed_out_connections={} errors={} \
          shed_requests={} deadline_expired={} \
          epoch={} reloads={} updates_applied={} update_affected_vertices={} \
+         update_publish_ns={} update_revalidate_ns={} overlay_rows={} overlay_folds={} \
+         revalidations_skipped={} revalidations_dropped={} retag_kept={} \
          search_ns={} searched_queries={} search_edges_scanned={} search_vertices_settled={} \
          index_bytes={} sparse_bytes={} sparse_edges={} \
          sparse_relabelled=1 rank_lane_bytes={} dist_lane_bytes={} store_bytes={} \
@@ -627,6 +629,13 @@ pub fn format_stats_response(
         metrics.reloads,
         metrics.updates_applied,
         metrics.update_affected_vertices,
+        metrics.update_publish_ns,
+        metrics.update_revalidate_ns,
+        metrics.overlay_rows,
+        metrics.overlay_folds,
+        metrics.revalidations_skipped,
+        metrics.revalidations_dropped,
+        metrics.retag_kept,
         metrics.search_ns,
         metrics.searched_queries,
         metrics.search_edges_scanned,
@@ -1078,6 +1087,17 @@ mod tests {
         assert!(body.contains("reloads=0"));
         assert!(body.contains("updates_applied=0"));
         assert!(body.contains("update_affected_vertices=0"));
+        for key in [
+            "update_publish_ns",
+            "update_revalidate_ns",
+            "overlay_rows",
+            "overlay_folds",
+            "revalidations_skipped",
+            "revalidations_dropped",
+            "retag_kept",
+        ] {
+            assert!(body.contains(&format!(" {key}=0 ")), "{key} missing from {body}");
+        }
         assert!(body.contains("search_ns=0"));
         assert!(body.contains("search_edges_scanned=0"));
         assert!(body.contains("search_vertices_settled=0"));

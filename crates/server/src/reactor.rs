@@ -47,9 +47,9 @@
 //! one eventfd write.
 
 use crate::metrics::ServeMetrics;
-use crate::oracle_pool::QueryService;
+use crate::oracle_pool::{PendingRevalidation, QueryService};
 use crate::protocol::{self, Frame};
-use crate::server::{Shared, UpdateJob};
+use crate::server::{Pushed, Shared, UpdateJob};
 use crate::transport::conn::Conn;
 use crate::transport::driver::{
     deadline_to_timeout_ms, ClientDriver, DriverConfig, DriverHooks, TOKEN_LISTENER, TOKEN_WAKE,
@@ -70,8 +70,10 @@ const FIRST_CONN_ID: u64 = 2;
 /// the worker queue cap).
 const MAX_PENDING_UPDATES: usize = 1024;
 
-/// Drains the pending-update queue, applying edits one at a time in
-/// arrival order. The caller must have just acquired the busy gate
+/// Drains the pending-update queue, publishing edits one at a time in
+/// arrival order. Each `UPDATED` goes out once its generation is published;
+/// the cache revalidation that follows a publish is handed to the
+/// revalidation worker, which does not hold the gate. The caller must have just acquired the busy gate
 /// (`reload_busy` swapped `false` → `true`); the gate is released when the
 /// queue is empty, with a lost-wakeup re-check — a producer that saw the
 /// gate busy after our last pop parks its job and spawns nobody, so the
@@ -96,8 +98,11 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
                 (pending.pop_front(), pending.is_empty())
             };
             let Some(job) = job else { break None };
-            let line = match shared.service.apply_update(job.edit) {
-                Ok((epoch, affected)) => protocol::format_update_response(epoch, affected),
+            let line = match shared.service.publish_update(job.edit) {
+                Ok((epoch, affected, pending)) => {
+                    hand_off_revalidation(&shared, pending);
+                    protocol::format_update_response(epoch, affected)
+                }
                 Err(e) => {
                     ServeMetrics::bump(&shared.service.metrics().errors);
                     protocol::format_error(e)
@@ -120,6 +125,26 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
             || shared.reload_busy.swap(true, std::sync::atomic::Ordering::AcqRel)
         {
             return;
+        }
+    }
+}
+
+/// Queues the cache revalidation of a published update for the
+/// revalidation worker, starting the worker if none is running
+/// (spawn-if-idle, like the update drain). The worker holds no gate.
+fn hand_off_revalidation(shared: &Arc<Shared>, pending: PendingRevalidation) {
+    match shared.revalidations.push(pending) {
+        Pushed::Queued => {}
+        Pushed::StartWorker => {
+            let shared = Arc::clone(shared);
+            spawn_named("hcl-revalidate", move || {
+                while let Some(pending) = shared.revalidations.pop() {
+                    shared.service.revalidate(pending);
+                }
+            });
+        }
+        Pushed::Dropped(count) => {
+            ServeMetrics::add(&shared.service.metrics().revalidations_dropped, count as u64);
         }
     }
 }
@@ -275,6 +300,9 @@ impl ServerHooks {
              \"rejected_connections\":{},\"timed_out_connections\":{},\"errors\":{},\
              \"shed_requests\":{},\"deadline_expired\":{},\
              \"reloads\":{},\"updates_applied\":{},\"update_affected_vertices\":{},\
+             \"update_publish_ns\":{},\"update_revalidate_ns\":{},\"overlay_rows\":{},\
+             \"overlay_folds\":{},\"revalidations_skipped\":{},\
+             \"revalidations_dropped\":{},\"retag_kept\":{},\
              \"merge_ns\":{},\"search_ns\":{},\"searched_queries\":{},\
              \"search_edges_scanned\":{},\"search_vertices_settled\":{},\
              \"load_us\":{},\"index_bytes\":{},\"sparse_bytes\":{},\
@@ -298,6 +326,13 @@ impl ServerHooks {
             m.reloads,
             m.updates_applied,
             m.update_affected_vertices,
+            m.update_publish_ns,
+            m.update_revalidate_ns,
+            m.overlay_rows,
+            m.overlay_folds,
+            m.revalidations_skipped,
+            m.revalidations_dropped,
+            m.retag_kept,
             m.merge_ns,
             m.search_ns,
             m.searched_queries,
@@ -428,9 +463,10 @@ impl DriverHooks for ServerHooks {
             }
             Frame::Update { add, u, v } => {
                 // An incremental edit is orders of magnitude cheaper than
-                // a rebuild but still index-sized work, so it runs
-                // off-reactor, serialised with RELOAD through the same
-                // busy gate. Unlike RELOAD, concurrent and pipelined
+                // a rebuild, but its affected-set search is unbounded and
+                // the edit that folds an overlay is index-sized work, so
+                // it runs off-reactor, serialised with RELOAD through the
+                // same busy gate. Unlike RELOAD, concurrent and pipelined
                 // UPDATEs queue instead of being refused: each is applied
                 // in arrival order and publishes its own epoch.
                 let seq = conn.push_waiting();

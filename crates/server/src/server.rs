@@ -13,7 +13,7 @@
 //! [`ServerHandle::shutdown`], or from dropping the handle.
 
 use crate::batch::BatchExecutor;
-use crate::oracle_pool::QueryService;
+use crate::oracle_pool::{PendingRevalidation, QueryService};
 use crate::reactor::{self, CompletionQueue};
 use hcl_core::update::EdgeEdit;
 use std::collections::VecDeque;
@@ -88,6 +88,9 @@ pub(crate) struct Shared {
     /// so pipelined `UPDATE` lines all get applied without ever running
     /// two swaps concurrently.
     pub pending_updates: Mutex<VecDeque<UpdateJob>>,
+    /// Cache revalidations of published updates, run off the reply path
+    /// and outside the busy gate by one worker, in publish order.
+    pub revalidations: RevalidationQueue,
 }
 
 /// One queued `UPDATE`, waiting for the busy gate: the edit plus the
@@ -99,6 +102,75 @@ pub(crate) struct UpdateJob {
     pub conn: u64,
     /// Response slot within that connection.
     pub seq: u64,
+}
+
+/// Most revalidations allowed to wait behind the revalidation worker. Each
+/// is two whole-graph BFS passes of lag; a cache entry that has waited out
+/// eight of them has mostly been recomputed or evicted already, so past this
+/// the chain is cheaper to abandon than to finish.
+const MAX_PENDING_REVALIDATIONS: usize = 8;
+
+/// What [`RevalidationQueue::push`] did with a job.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Pushed {
+    /// Queued behind the running worker.
+    Queued,
+    /// Queued, and no worker is running: the caller must start one.
+    StartWorker,
+    /// The queue was full: this many jobs — everything queued and the new
+    /// one — were discarded unrun.
+    Dropped(usize),
+}
+
+/// The FIFO between the update drain (which publishes) and the one
+/// revalidation worker (which certifies cache entries across each published
+/// edit, see [`QueryService::revalidate`]).
+///
+/// Order matters for warmth, not for soundness: an entry follows a run of
+/// edits to the newest epoch only if each edit's revalidation finds it
+/// under the epoch the previous one left it at. That is also why overflow
+/// discards the *whole* chain rather than its tail — with any link missing,
+/// the later links have nothing left to carry — and why discarding is safe:
+/// entries that are never retagged stay fenced behind their old epoch tag
+/// and age out as stale misses.
+#[derive(Default)]
+pub(crate) struct RevalidationQueue {
+    state: Mutex<RevalidationState>,
+}
+
+#[derive(Default)]
+struct RevalidationState {
+    jobs: VecDeque<PendingRevalidation>,
+    /// Whether a worker is between its spawn and the
+    /// [`pop`](RevalidationQueue::pop) that found nothing.
+    worker_running: bool,
+}
+
+impl RevalidationQueue {
+    /// Queues `job` (spawn-if-idle is the caller's half: see [`Pushed`]).
+    pub fn push(&self, job: PendingRevalidation) -> Pushed {
+        let mut state = self.state.lock().expect("revalidation queue poisoned");
+        if state.jobs.len() >= MAX_PENDING_REVALIDATIONS {
+            let dropped = state.jobs.len() + 1;
+            state.jobs.clear();
+            return Pushed::Dropped(dropped);
+        }
+        state.jobs.push_back(job);
+        if std::mem::replace(&mut state.worker_running, true) {
+            Pushed::Queued
+        } else {
+            Pushed::StartWorker
+        }
+    }
+
+    /// The worker's next job; `None` retires the worker (under the same
+    /// lock as `push`'s check, so a job is never left without one).
+    pub fn pop(&self) -> Option<PendingRevalidation> {
+        let mut state = self.state.lock().expect("revalidation queue poisoned");
+        let job = state.jobs.pop_front();
+        state.worker_running = job.is_some();
+        job
+    }
 }
 
 impl Shared {
@@ -145,6 +217,7 @@ impl Server {
             queue,
             reload_busy: AtomicBool::new(false),
             pending_updates: Mutex::new(VecDeque::new()),
+            revalidations: RevalidationQueue::default(),
         });
         let reactor_thread = reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(ServerHandle { shared, reactor_thread: Mutex::new(Some(reactor_thread)) })
@@ -194,5 +267,43 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.begin_shutdown();
         self.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hcl_core::update::EdgeEdit;
+
+    #[test]
+    fn revalidation_queue_starts_one_worker_and_drops_the_whole_chain_on_overflow() {
+        let (g, labelling) = hcl_core::testing::ba_fixture(200, 3, 4, 6);
+        let (u, v) = (198, 199);
+        assert!(!g.has_edge(u, v));
+        let service = QueryService::from_parts(g, labelling, 0);
+        let mut jobs = (0..).map(|i| {
+            let edit = if i % 2 == 0 { EdgeEdit::Add(u, v) } else { EdgeEdit::Delete(u, v) };
+            service.publish_update(edit).expect("alternating ADD/DEL is always valid").2
+        });
+        let queue = RevalidationQueue::default();
+
+        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::StartWorker);
+        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::Queued, "one worker at a time");
+        // The worker takes the first job and is busy with it while the
+        // queue fills behind it.
+        assert!(queue.pop().is_some());
+        for _ in 1..MAX_PENDING_REVALIDATIONS {
+            assert_eq!(queue.push(jobs.next().unwrap()), Pushed::Queued);
+        }
+        assert_eq!(
+            queue.push(jobs.next().unwrap()),
+            Pushed::Dropped(MAX_PENDING_REVALIDATIONS + 1),
+            "everything queued goes with the job that did not fit"
+        );
+        // The worker finds nothing and retires; the next job needs a new one.
+        assert!(queue.pop().is_none());
+        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::StartWorker);
+        assert!(queue.pop().is_some());
+        assert!(queue.pop().is_none());
     }
 }

@@ -17,6 +17,12 @@
 //! * pipelined updates on one connection are queued and applied in
 //!   order (never refused like concurrent `RELOAD`s), each advancing
 //!   the epoch by one;
+//! * `UPDATED` means *published*: the cache revalidation of each edit
+//!   runs afterwards, on its own thread, and may lag a burst of edits by
+//!   several generations or be dropped altogether — through all of which
+//!   every answer still comes from exactly one generation, and a `RELOAD`
+//!   sent the moment the last `UPDATED` arrives is neither refused nor
+//!   followed by an answer from before it;
 //! * packed (mmap-served) generations refuse updates and stay
 //!   untouched.
 
@@ -181,6 +187,138 @@ fn update_under_live_traffic_never_serves_stale_or_torn_answers() {
     assert!(get("cache_hits") > 0, "the repeated stream must produce cache hits");
 
     handle.shutdown();
+}
+
+/// A burst of pipelined `UPDATE`s under live repeated-pair traffic: the
+/// edits publish faster than their revalidations run (each revalidation
+/// is two whole-graph BFS passes and a cache sweep; the queue behind the
+/// worker holds eight), so hot entries spend the burst fenced behind old
+/// epoch tags, some chains are dropped, and the lagging worker keeps
+/// retagging for epochs that are no longer live. None of that may show:
+/// every reply matches one generation of the script, every batch matches
+/// one generation throughout, replies sent after the last `UPDATED` match
+/// the final generation, and replies after the `RELOAD` that follows at
+/// once — while revalidations may still be queued — match the reloaded
+/// graph.
+#[test]
+fn pipelined_updates_never_serve_stale_or_torn_answers_while_revalidation_lags() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (base, labelling) = ba_fixture(N, 4, 77, 12);
+    let base_truth = truth_map(&base, all_pairs());
+    // Edits at the hot set itself: ADD e₁, DEL e₁, ADD e₂, … ADD eₖ. Each
+    // added edge is a streamed pair, so every generation answers its own
+    // pair differently from the generations around it.
+    let mut hot: Vec<(u32, u32)> = all_pairs();
+    hot.sort_unstable();
+    hot.dedup();
+    let edges: Vec<(u32, u32)> = hot
+        .into_iter()
+        .filter(|&(s, t)| s != t && !base.has_edge(s, t) && base_truth[&(s, t)].unwrap_or(0) > 2)
+        .take(12)
+        .collect();
+    assert_eq!(edges.len(), 12);
+    let mut request = String::new();
+    let mut truths = vec![base_truth.clone()];
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        request.push_str(&format!("UPDATE ADD {u} {v}\n"));
+        truths.push(truth_map(&base.with_edge(u, v).unwrap(), all_pairs()));
+        if i + 1 < edges.len() {
+            request.push_str(&format!("UPDATE DEL {u} {v}\n"));
+        }
+    }
+    let updates = 2 * edges.len() - 1;
+    let final_truth = truths.last().unwrap().clone();
+
+    let graph_path = temp_path("lagging.hclg");
+    let index_path = temp_path("lagging.hcl");
+    hcl_graph::io::save_binary(&base, &graph_path).unwrap();
+    hcl_core::io::save_labelling(&labelling, &index_path).unwrap();
+
+    let service = Arc::new(QueryService::from_parts(Arc::clone(&base), labelling, 1 << 12));
+    let config = ServerConfig { batch_threads: 2, ..Default::default() };
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let addr = handle.local_addr();
+
+    // 0: the burst has not been acknowledged; 1: it has; 2: the reload is
+    // in flight; 3: it has been acknowledged. Sampled before a request is
+    // sent, so a reply can only be newer than the phase it was sent in.
+    let phase = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for thread in 0..CLIENT_THREADS {
+            let (phase, truths, final_truth, base_truth) =
+                (&phase, &truths, &final_truth, &base_truth);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut i = 0usize;
+                let mut rounds_after_reload = 0;
+                while rounds_after_reload < POST_UPDATE_ROUNDS {
+                    let sent_in = phase.load(Ordering::SeqCst);
+                    rounds_after_reload += (sent_in == 3) as usize;
+                    let mut pairs: Vec<(u32, u32)> =
+                        (0..=BATCH_SIZE).map(|b| pair_for(thread, i + b)).collect();
+                    let single = pairs.pop().unwrap();
+                    let got_single = client.query(single.0, single.1).expect("query");
+                    let got = client.batch(&pairs).expect("batch");
+                    let on = |truth: &HashMap<(u32, u32), Option<u32>>| {
+                        pairs.iter().zip(&got).all(|(&p, &d)| d == truth[&p])
+                    };
+                    match (sent_in, phase.load(Ordering::SeqCst)) {
+                        (3, _) => {
+                            assert_eq!(got_single, base_truth[&single], "after RELOAD: {single:?}");
+                            assert!(on(base_truth), "after RELOAD: {pairs:?} -> {got:?}");
+                        }
+                        (1, 1) => {
+                            assert_eq!(got_single, final_truth[&single], "after the burst");
+                            assert!(on(final_truth), "after the burst: {pairs:?} -> {got:?}");
+                        }
+                        _ => {
+                            assert!(
+                                truths.iter().any(|t| t[&single] == got_single),
+                                "d{single:?} = {got_single:?} matches no generation"
+                            );
+                            assert!(
+                                truths.iter().any(on),
+                                "torn or stale batch: {pairs:?} -> {got:?}"
+                            );
+                        }
+                    }
+                    i += 1;
+                }
+            });
+        }
+
+        // Let the clients fill the cache on epoch 0, then fire the burst.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(request.as_bytes()).unwrap();
+        let mut line = String::new();
+        for i in 0..updates {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with(&format!("UPDATED {} ", i + 1)), "update {i}: {line:?}");
+        }
+        phase.store(1, Ordering::SeqCst);
+        // Long enough for the clients to query the final generation, short
+        // against a backlog of revalidations.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let mut admin = Client::connect(addr).expect("admin connect");
+        phase.store(2, Ordering::SeqCst);
+        let reloaded = admin
+            .reload(graph_path.to_str().unwrap(), index_path.to_str())
+            .expect("RELOAD right after the burst must not be refused");
+        assert_eq!(reloaded, updates as u64 + 1);
+        phase.store(3, Ordering::SeqCst);
+    });
+
+    let snap = service.metrics().snapshot();
+    assert_eq!(snap.updates_applied, updates as u64);
+    assert!(snap.revalidations_dropped + snap.revalidations_skipped <= updates as u64, "{snap:?}");
+    handle.shutdown();
+    let _ = std::fs::remove_file(&graph_path);
+    let _ = std::fs::remove_file(&index_path);
 }
 
 /// Pipelined `UPDATE`s on one connection are queued behind the busy

@@ -168,6 +168,83 @@ fn packed_view_with_stale_degree_order_answers_exactly() {
     }
 }
 
+/// A generation that is base + overlay writes out as the logical index it
+/// answers for, through all three writers: the graph and plain-index files
+/// load back `==` to it, and packing those two files — what `hcl pack`
+/// does — gives a packed index that answers like the in-memory generation.
+#[test]
+fn writers_of_a_patched_generation_round_trip_to_its_logical_content() {
+    // A sparse random graph with landmarks several hops apart, so that
+    // some edit moves the highway as well.
+    let g = generate::erdos_renyi(160, 200, 3);
+    let landmarks: Vec<VertexId> =
+        hcl_graph::order::degree_descending(&g).into_iter().step_by(9).take(4).collect();
+    let (hcl, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
+    let sparse = SparseView::build(&g, hcl.highway());
+    let mut parts = (g.clone(), hcl, sparse);
+    let mut highway_moved = false;
+    for step in 0..24u32 {
+        let edit = if step % 3 == 0 {
+            let (u, v) = parts.0.edges().nth(step as usize * 5).unwrap();
+            EdgeEdit::Delete(u, v)
+        } else {
+            // Alternately at a landmark and between two ordinary vertices.
+            let a = if step % 2 == 0 {
+                landmarks[step as usize % landmarks.len()]
+            } else {
+                (step * 37) % 160
+            };
+            let b = (0..160u32)
+                .map(|i| (i + step * 13) % 160)
+                .find(|&b| b != a && !parts.0.has_edge(a, b))
+                .unwrap();
+            EdgeEdit::Add(a, b)
+        };
+        let r = apply_edit(&parts.0, &parts.1, &parts.2, edit).unwrap();
+        highway_moved |= r.highway_changed;
+        parts = (r.graph, r.labelling, r.sparse);
+    }
+    let (graph, hcl, sparse) = parts;
+    assert!(graph.overlay_rows() > 0 && hcl.labels().overlay_rows() > 0 && highway_moved);
+
+    let dir = std::env::temp_dir().join(format!("hcl_store_patched_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (graph_path, index_path, packed_path) =
+        (dir.join("g.hclg"), dir.join("g.hcl"), dir.join("g.hclx"));
+    hcl_graph::io::save_binary(&graph, &graph_path).unwrap();
+    hcl_core::io::save_labelling(&hcl, &index_path).unwrap();
+    save_packed(&hcl, &sparse, &packed_path).unwrap();
+
+    let loaded_graph = hcl_graph::io::load_auto(&graph_path).unwrap();
+    let loaded_hcl = hcl_core::io::load_labelling(&index_path).unwrap();
+    assert_eq!(loaded_graph, graph);
+    assert_eq!(loaded_graph.overlay_rows(), 0);
+    assert_eq!(loaded_hcl, hcl);
+    let direct = PackedOracle::open(&packed_path).unwrap();
+    assert_view_matches(direct.view(), &hcl, &sparse, "packed from the patched generation");
+
+    // `hcl pack graph index`: a fresh view over the loaded halves.
+    let repacked_path = dir.join("repacked.hclx");
+    let fresh_view = SparseView::build(&loaded_graph, loaded_hcl.highway());
+    save_packed(&loaded_hcl, &fresh_view, &repacked_path).unwrap();
+    let repacked = PackedOracle::open(&repacked_path).unwrap();
+    let memory = SharedOracle::from_parts(
+        std::sync::Arc::new(graph.clone()),
+        std::sync::Arc::new(hcl),
+        std::sync::Arc::new(sparse),
+    );
+    for s in 0..160 {
+        let truth = traversal::bfs_distances(&graph, s);
+        for t in 0..160 {
+            let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
+            assert_eq!(memory.distance(s, t), want, "memory {s}->{t}");
+            assert_eq!(direct.distance(s, t), want, "packed {s}->{t}");
+            assert_eq!(repacked.distance(s, t), want, "repacked {s}->{t}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn packed_oracle_serves_from_disk_via_mmap() {
     let dir = std::env::temp_dir().join("hcl_store_roundtrip_test");
