@@ -197,6 +197,7 @@ impl PrunedBfsWorker {
         self.epoch += 1;
         let epoch = self.epoch;
         let mut edges = 0u64;
+        let g = g.rows();
 
         self.labeled.clear();
         self.pruned.clear();

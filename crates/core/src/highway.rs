@@ -14,7 +14,7 @@ use std::sync::Arc;
 ///
 /// An edge edit can move matrix cells but never the landmark set, so the
 /// landmark list and the `O(n)` rank table are shared by every highway
-/// derived from this one ([`with_cells`](Highway::with_cells)); only the
+/// derived from this one (`with_cells`, how an edit moves cells); only the
 /// `|R|²` matrix is per value, and cloning a highway costs `O(|R|²)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Highway {

@@ -16,7 +16,7 @@
 //!
 //! The three arrays are immutable and shared; cloning a store copies no
 //! label. An edge edit moves the labels of the affected vertices only, so
-//! [`HighwayLabels::with_rows`] returns a store that keeps the parent's
+//! `HighwayLabels::with_rows` returns a store that keeps the parent's
 //! arrays and records the replaced rows in a [`RowOverlay`], probed before
 //! the base lanes on every access — `O(rows)` per edit, one predictable
 //! `overlay.is_empty()` branch per access on a store that was never

@@ -437,13 +437,15 @@ impl LabelStorage for HighwayCoverLabelling {
 pub struct MemIndex<'a> {
     labelling: &'a HighwayCoverLabelling,
     sparse: &'a SparseView,
+    /// The view's rows, resolved once per query rather than per row.
+    rows: hcl_graph::CsrRows<'a>,
 }
 
 impl<'a> MemIndex<'a> {
     /// Pairs `labelling` with the sparse view built from the same graph and
     /// landmark set.
     pub fn new(labelling: &'a HighwayCoverLabelling, sparse: &'a SparseView) -> Self {
-        MemIndex { labelling, sparse }
+        MemIndex { labelling, sparse, rows: sparse.graph().rows() }
     }
 }
 
@@ -508,7 +510,7 @@ impl SparseNeighbors for MemIndex<'_> {
 
     #[inline]
     fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.sparse.graph().neighbors(v)
+        self.rows.neighbors(v)
     }
 }
 

@@ -447,7 +447,9 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
 /// hops apart: every kind of edit, on both sides of several folds.
 #[test]
 fn a_long_script_stays_equivalent_across_folds() {
-    let steps = 3 * CsrGraph::OVERLAY_MAX_ROWS + 16;
+    // At least three bounds, and long enough to cut a landmark off and
+    // join it back whatever the bound is.
+    let steps = (3 * CsrGraph::OVERLAY_MAX_ROWS).max(400);
     let seen = run_fold_script(generate::erdos_renyi(220, 260, 41), 4, 0xF01D, steps, "long");
     assert!(seen.applied >= 3 * CsrGraph::OVERLAY_MAX_ROWS, "{seen:?}");
     assert!(seen.graph_folds >= 2 && seen.view_folds >= 1, "{seen:?}");

@@ -16,13 +16,14 @@
 //! [`RowOverlay`] — `O(deg(u) + deg(v))`, whatever `n` and `m` are — and
 //! every accessor answers for the *logical* graph (arrays as amended by the
 //! overlay). A graph that was never edited pays one predictable
-//! `overlay.is_empty()` branch per row access. The overlay is bounded
+//! "no overlay" branch per row access — a register test in loops that
+//! fetch rows through [`CsrGraph::rows`]. The overlay is bounded
 //! ([`CsrGraph::OVERLAY_MAX_ROWS`]): the edit that would cross the bound
 //! returns a [`folded`](CsrGraph::folded) graph — fresh flat arrays, empty
 //! overlay — so the cost of the rewrite is spread over the edits between
 //! two folds.
 
-use crate::overlay::RowOverlay;
+use crate::overlay::{RowFilter, RowOverlay};
 use crate::{GraphError, VertexId};
 use std::sync::Arc;
 
@@ -60,14 +61,15 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Most rows the overlay holds; the edit that would exceed it folds.
-    /// 128 rows put at least 64 edits between two `O(n + m)` folds and
-    /// keep the probe table at 4 KB, but what sets the figure is the
-    /// search: every replaced row it touches is a mispredicted "not in the
-    /// overlay" branch and a row outside the flat array. On a 20k-vertex
-    /// graph a full overlay costs the in-cache query rate 4% at 128 rows
-    /// and 6–7% at 256 (`bench_query`'s `patched_query_ratio`); on larger
-    /// graphs the replaced share, and the cost, shrink in proportion.
-    pub const OVERLAY_MAX_ROWS: usize = 128;
+    /// 64 rows put at least 32 edits between two `O(n + m)` folds. What
+    /// sets the figure is the search: a graph carrying an overlay pays a
+    /// filter test per row fetched (3–4% of the in-cache query rate), and
+    /// every replaced row it touches is a mispredicted "not replaced"
+    /// branch and a row outside the flat array. On a 20k-vertex graph a
+    /// full overlay costs 4–5% at 64 rows and 6% at 128 (`bench_query`'s
+    /// `patched_query_ratio`); on larger graphs the replaced share
+    /// shrinks in proportion.
+    pub const OVERLAY_MAX_ROWS: usize = 64;
 
     /// Builds a graph with `n` vertices from an edge list. Self-loops and
     /// duplicate edges (in either direction) are dropped.
@@ -107,24 +109,27 @@ impl CsrGraph {
         0..self.num_vertices() as VertexId
     }
 
+    /// The graph's rows, resolved for a loop: see [`CsrRows`].
+    #[inline]
+    pub fn rows(&self) -> CsrRows<'_> {
+        CsrRows {
+            offsets: &self.offsets,
+            adj: &self.adj,
+            filter: self.overlay.filter(),
+            overlay: &self.overlay,
+        }
+    }
+
     /// The sorted neighbour list of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        if let Some(row) = self.overlay.get(v) {
-            return row;
-        }
-        let v = v as usize;
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+        self.rows().neighbors(v)
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        if let Some(row) = self.overlay.get(v) {
-            return row.len();
-        }
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        self.rows().degree(v)
     }
 
     /// Whether the undirected edge `{u, v}` is present (binary search).
@@ -254,6 +259,68 @@ impl CsrGraph {
             overlay: RowOverlay::default(),
             num_edges,
         }
+    }
+}
+
+/// Borrowed row access to a [`CsrGraph`] with the shared-ownership
+/// indirections already followed: the two base slices and, when rows are
+/// replaced, the overlay's filter. A traversal takes one at its start and
+/// fetches rows through it, so the per-row cost on a graph that was never
+/// edited is a test of a local `Option` — no pointer chasing — and
+/// the searches run the same code on flat and edited graphs.
+#[derive(Clone, Copy, Debug)]
+pub struct CsrRows<'a> {
+    offsets: &'a [usize],
+    adj: &'a [VertexId],
+    filter: Option<&'a RowFilter>,
+    overlay: &'a RowOverlay<Arc<[VertexId]>>,
+}
+
+impl<'a> CsrRows<'a> {
+    #[inline]
+    fn replaced(&self, v: VertexId) -> Option<&'a [VertexId]> {
+        if self.filter?.may_contain(v) {
+            self.overlay.probe(v).map(|row| &**row)
+        } else {
+            None
+        }
+    }
+
+    /// The sorted neighbour list of `v`.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
+        if let Some(row) = self.replaced(v) {
+            return row;
+        }
+        let v = v as usize;
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Degree of `v`.
+    #[inline]
+    pub fn degree(&self, v: VertexId) -> usize {
+        if let Some(row) = self.replaced(v) {
+            return row.len();
+        }
+        let v = v as usize;
+        self.offsets[v + 1] - self.offsets[v]
+    }
+}
+
+impl Adjacency for CsrRows<'_> {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        CsrRows::neighbors(self, v)
+    }
+
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        CsrRows::degree(self, v)
     }
 }
 

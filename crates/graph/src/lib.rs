@@ -38,7 +38,7 @@ pub mod subgraph;
 pub mod traversal;
 pub mod wgraph;
 
-pub use csr::{Adjacency, CsrGraph, GraphBuilder};
+pub use csr::{Adjacency, CsrGraph, CsrRows, GraphBuilder};
 pub use oracle::DistanceOracle;
 pub use traversal::{SearchEffort, SearchSpace};
 pub use wgraph::{WeightedGraph, WeightedGraphBuilder};

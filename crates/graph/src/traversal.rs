@@ -41,6 +41,7 @@ pub fn bfs_distances_into(g: &CsrGraph, src: VertexId, dist: &mut Vec<u32>) {
     let mut frontier: Vec<VertexId> = vec![src];
     let mut next: Vec<VertexId> = Vec::new();
     let total_edges = 2 * g.num_edges() as u64;
+    let g = g.rows();
     let mut frontier_edges = g.degree(src) as u64;
     let mut d = 0u32;
     while !frontier.is_empty() {
