@@ -38,9 +38,10 @@ impl CsrGraph {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut adj = Vec::with_capacity(self.num_edges() * 2);
+        let rows = self.rows();
         for v in self.vertices() {
             if !is_removed[v as usize] {
-                adj.extend(self.neighbors(v).iter().copied().filter(|&w| !is_removed[w as usize]));
+                adj.extend(rows.neighbors(v).iter().copied().filter(|&w| !is_removed[w as usize]));
             }
             offsets.push(adj.len());
         }
@@ -101,9 +102,10 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
     let mut offsets = Vec::with_capacity(order.len() + 1);
     offsets.push(0usize);
     let mut adj: Vec<VertexId> = Vec::with_capacity(2 * g.num_edges());
+    let rows = g.rows();
     for &old in order {
         let start = adj.len();
-        adj.extend(g.neighbors(old).iter().map(|&w| new_id[w as usize]));
+        adj.extend(rows.neighbors(old).iter().map(|&w| new_id[w as usize]));
         adj[start..].sort_unstable();
         offsets.push(adj.len());
     }
