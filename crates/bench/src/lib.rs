@@ -4,8 +4,8 @@
 //!
 //! One binary per artefact (`table1`–`table3`, `fig1`, `fig6`–`fig9`,
 //! `paper_example`, `ablation`), all thin wrappers over the functions in
-//! [`experiments`]; `all_experiments` runs the lot. Criterion micro-benches
-//! live under `benches/`.
+//! [`experiments`]; `all_experiments` runs the lot. `bench_query` is the
+//! in-process query-path ledger (`BENCH_query.json`).
 //!
 //! Environment knobs:
 //!

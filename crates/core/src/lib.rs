@@ -59,7 +59,6 @@ pub mod storage;
 #[cfg(feature = "testing")]
 pub mod testing;
 pub mod update;
-pub mod weighted;
 
 pub use build::{BuildStats, HighwayCoverLabelling};
 pub use epoch::{EpochCell, OracleEpoch};
@@ -67,11 +66,10 @@ pub use highway::Highway;
 pub use labels::{HighwayLabels, LabelEntry};
 pub use partition::{PartitionMap, PartitionStrategy, ShardRoute};
 pub use query::{HlOracle, QueryContext};
-pub use shared::{ContextPool, PooledContext, SharedOracle};
-pub use sparse::SparseView;
-pub use storage::{LabelStorage, MemIndex, QueryPhases, SparseNeighbors};
+pub use shared::{ContextPool, MemoryIndex, Oracle, PooledContext, SharedOracle};
+pub use sparse::{SparseRows, SparseView};
+pub use storage::{IndexGeneration, LabelStorage, QueryPhases, SparseNeighbors};
 pub use update::{EdgeEdit, LabelPatch, PairFilter, UpdateError, UpdateResult};
-pub use weighted::{WeightedHighwayCoverLabelling, WeightedHlOracle};
 
 /// Errors produced while constructing a highway cover labelling.
 #[derive(Debug, Clone, PartialEq, Eq)]

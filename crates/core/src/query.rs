@@ -19,21 +19,22 @@
 //!
 //! Query state lives in a [`QueryContext`]; [`HlOracle`] bundles one with
 //! the labelling for the common single-threaded case, and
-//! [`HighwayCoverLabelling::batch_distances`](crate::build::HighwayCoverLabelling)
-//! fans contexts out across threads.
+//! [`Oracle::batch_distances`](crate::Oracle::batch_distances) fans
+//! contexts out across threads through [`batch_over`].
 
 use crate::build::HighwayCoverLabelling;
 use hcl_graph::oracle::DistanceOracle;
 use hcl_graph::{CsrGraph, SearchSpace, VertexId, INF};
+use std::sync::Arc;
 
 /// Algorithm 2 plus lane scratch for the Lemma 5.1 label merge.
 ///
 /// The merge in [`crate::storage`] works on structure-of-arrays label
 /// lanes: `dec_*` are decode targets for backends that don't store lanes
-/// natively (the packed `IndexView` expands its varint streams here;
-/// in-memory backends leave them untouched and lend their own slices), and
-/// `only_*` hold the label-exclusive remainders that feed the cross-term
-/// min-reduction.
+/// natively (the packed `IndexView` expands its varint streams here; the
+/// in-memory labelling leaves them untouched and lends its own slices),
+/// and `only_*` hold the label-exclusive remainders that feed the
+/// cross-term min-reduction.
 #[derive(Clone, Debug)]
 pub struct QueryContext {
     space: SearchSpace,
@@ -180,75 +181,15 @@ impl HighwayCoverLabelling {
             Some(d)
         }
     }
-
-    /// Exact distance via the fast path: identical semantics to
-    /// [`distance_with`](Self::distance_with), but the bounded search runs
-    /// on the precomputed sparsified CSR of
-    /// [`SparseView`](crate::SparseView) — zero skip-predicate and
-    /// rank-lookup calls per edge. `view` must have been built from the
-    /// graph the labelling was built from.
-    pub fn distance_sparse(
-        &self,
-        view: &crate::SparseView,
-        ctx: &mut QueryContext,
-        s: VertexId,
-        t: VertexId,
-    ) -> Option<u32> {
-        crate::storage::distance_on(&crate::storage::MemIndex::new(self, view), ctx, s, t)
-    }
-
-    /// [`distance_sparse`](Self::distance_sparse) with per-phase wall-clock
-    /// accounting (label merge vs bounded search) for observability.
-    pub fn distance_sparse_timed(
-        &self,
-        view: &crate::SparseView,
-        ctx: &mut QueryContext,
-        s: VertexId,
-        t: VertexId,
-    ) -> (Option<u32>, crate::storage::QueryPhases) {
-        crate::storage::distance_on_timed(&crate::storage::MemIndex::new(self, view), ctx, s, t)
-    }
-
-    /// Answers a batch of queries across `num_threads` worker threads
-    /// (0 = all cores). Results are in input order; throughput scales with
-    /// cores because queries share nothing but the read-only labelling and
-    /// graph. Worker contexts come from a
-    /// [`ContextPool`](crate::ContextPool) — callers that
-    /// batch repeatedly should use
-    /// [`SharedOracle::batch_distances`](crate::SharedOracle), whose
-    /// persistent pool reuses the contexts (and their O(n) mark arrays)
-    /// across calls.
-    pub fn batch_distances(
-        &self,
-        graph: &CsrGraph,
-        pairs: &[(VertexId, VertexId)],
-        num_threads: usize,
-    ) -> Vec<Option<u32>> {
-        let pool = crate::ContextPool::new(graph.num_vertices());
-        self.batch_distances_pooled(graph, &pool, pairs, num_threads)
-    }
-
-    /// [`batch_distances`](Self::batch_distances) with caller-owned context
-    /// storage: each worker checks one [`QueryContext`] out of `pool` and
-    /// returns it when the batch completes, so a long-lived pool amortises
-    /// the per-context allocations away entirely.
-    pub fn batch_distances_pooled(
-        &self,
-        graph: &CsrGraph,
-        pool: &crate::ContextPool,
-        pairs: &[(VertexId, VertexId)],
-        num_threads: usize,
-    ) -> Vec<Option<u32>> {
-        batch_over(pool, pairs, num_threads, |ctx, s, t| self.distance_with(graph, ctx, s, t))
-    }
 }
 
 /// Fans `pairs` across `num_threads` scoped workers (0 = all cores),
 /// preserving input order. Each worker holds one pooled context for its
 /// whole chunk; contexts return to `pool` as workers finish.
 ///
-/// Public so alternative backends (`hcl-store`'s packed oracle) can reuse
-/// the same batching machinery with their own per-pair query closure.
+/// The batching machinery behind
+/// [`Oracle::batch_distances`](crate::Oracle::batch_distances), public for
+/// callers that batch their own per-pair query closure.
 pub fn batch_over<F>(
     pool: &crate::ContextPool,
     pairs: &[(VertexId, VertexId)],
@@ -291,23 +232,24 @@ where
 /// `O(|R| · m)`; queries cost one label merge plus a distance-bounded
 /// bidirectional BFS on the landmark-free subgraph.
 ///
-/// Internally this is a thin wrapper over a borrowed-graph
-/// [`SharedOracle`](crate::SharedOracle): the shared handle answers the
-/// concurrent `&self` path, while `HlOracle` adds the classic `&mut self`
-/// API with a private context that skips the pool. Use
-/// [`shared`](Self::shared) to fan the same index out across threads.
-pub struct HlOracle<'g> {
-    shared: crate::SharedOracle<&'g CsrGraph>,
+/// A thin `&mut self` adapter over a [`SharedOracle`](crate::SharedOracle):
+/// the shared handle answers the concurrent `&self` path, while `HlOracle`
+/// adds the classic [`DistanceOracle`] API with a private context that
+/// skips the pool. Use [`shared`](Self::shared) to fan the same index out
+/// across threads.
+pub struct HlOracle {
+    shared: crate::SharedOracle,
     ctx: QueryContext,
 }
 
-impl<'g> HlOracle<'g> {
-    /// Wraps a labelling built over `graph`.
-    pub fn new(graph: &'g CsrGraph, labelling: HighwayCoverLabelling) -> Self {
-        let n = graph.num_vertices();
+impl HlOracle {
+    /// Wraps a labelling built over `graph`. The oracle keeps a clone of
+    /// the graph, which shares the caller's arrays rather than copying
+    /// them.
+    pub fn new(graph: &CsrGraph, labelling: HighwayCoverLabelling) -> Self {
         HlOracle {
-            shared: crate::SharedOracle::with_graph(graph, labelling),
-            ctx: QueryContext::new(n),
+            shared: crate::SharedOracle::new(Arc::new(graph.clone()), Arc::new(labelling)),
+            ctx: QueryContext::new(graph.num_vertices()),
         }
     }
 
@@ -316,14 +258,9 @@ impl<'g> HlOracle<'g> {
         self.shared.labelling()
     }
 
-    /// Consumes the oracle and returns the labelling (e.g. to serialise it).
-    pub fn into_labelling(self) -> HighwayCoverLabelling {
-        self.shared.into_labelling()
-    }
-
     /// The thread-safe shared oracle this wrapper fronts. Queries on the
     /// returned handle take `&self`, so it can be passed to scoped threads.
-    pub fn shared(&self) -> &crate::SharedOracle<&'g CsrGraph> {
+    pub fn shared(&self) -> &crate::SharedOracle {
         &self.shared
     }
 
@@ -335,7 +272,7 @@ impl<'g> HlOracle<'g> {
     /// Exact distance via the full framework (upper bound + bounded search
     /// on the shared oracle's precomputed [`SparseView`](crate::SparseView)).
     pub fn query(&mut self, s: VertexId, t: VertexId) -> Option<u32> {
-        self.shared.labelling().distance_sparse(self.shared.sparse_view(), &mut self.ctx, s, t)
+        self.shared.distance_with(&mut self.ctx, s, t)
     }
 
     /// Whether the pair `(s, t)` is *covered* by the landmarks: some
@@ -350,7 +287,7 @@ impl<'g> HlOracle<'g> {
     }
 }
 
-impl DistanceOracle for HlOracle<'_> {
+impl DistanceOracle for HlOracle {
     fn distance(&mut self, s: VertexId, t: VertexId) -> Option<u32> {
         self.query(s, t)
     }
@@ -374,7 +311,7 @@ mod tests {
     use crate::fixture;
     use hcl_graph::{generate, traversal};
 
-    fn build_oracle(g: &CsrGraph, k: usize) -> HlOracle<'_> {
+    fn build_oracle(g: &CsrGraph, k: usize) -> HlOracle {
         let landmarks = hcl_graph::order::top_degree(g, k);
         let (hcl, _) = HighwayCoverLabelling::build(g, &landmarks).unwrap();
         HlOracle::new(g, hcl)
@@ -543,8 +480,13 @@ mod tests {
         let mut ctx = QueryContext::new(g.num_vertices());
         let expect: Vec<Option<u32>> =
             pairs.iter().map(|&(s, t)| hcl.distance_with(&g, &mut ctx, s, t)).collect();
+        let oracle = HlOracle::new(&g, hcl);
         for threads in [0usize, 1, 2, 4] {
-            assert_eq!(hcl.batch_distances(&g, &pairs, threads), expect, "threads {threads}");
+            assert_eq!(
+                oracle.shared().batch_distances(&pairs, threads),
+                expect,
+                "threads {threads}"
+            );
         }
     }
 
@@ -552,8 +494,9 @@ mod tests {
     fn batch_on_empty_and_tiny_inputs() {
         let g = generate::path(4);
         let (hcl, _) = HighwayCoverLabelling::build(&g, &[1]).unwrap();
-        assert!(hcl.batch_distances(&g, &[], 4).is_empty());
-        assert_eq!(hcl.batch_distances(&g, &[(0, 3)], 8), vec![Some(3)]);
+        let oracle = HlOracle::new(&g, hcl);
+        assert!(oracle.shared().batch_distances(&[], 4).is_empty());
+        assert_eq!(oracle.shared().batch_distances(&[(0, 3)], 8), vec![Some(3)]);
     }
 
     #[test]

@@ -1,17 +1,24 @@
-//! Concurrent, shareable query access to a highway cover labelling.
+//! Concurrent, shareable query access to a highway cover index.
 //!
-//! The labelling and the graph it was built from are immutable after
-//! construction, so queries are embarrassingly parallel — the only mutable
-//! state is the per-query scratch in [`QueryContext`] (search buffers +
-//! label-merge vectors). [`SharedOracle`] packages the immutable parts
-//! behind `Arc`s together with a [`ContextPool`] of reusable contexts, so
-//! any number of threads can call [`SharedOracle::distance`] on `&self`
-//! concurrently. This is the seam the serving subsystem (`hcl-server`)
-//! builds on.
+//! An index generation is immutable once built, so queries are
+//! embarrassingly parallel — the only mutable state is the per-query
+//! scratch in [`QueryContext`] (search buffers + label-merge vectors).
+//! [`Oracle`] packages one generation together with a [`ContextPool`] of
+//! reusable contexts, so any number of threads can call
+//! [`Oracle::distance`] on `&self` concurrently. Its query methods are
+//! written once, over the generic kernel in [`crate::storage`], for any
+//! [`IndexGeneration`]; the two instantiations differ only in where the
+//! labels and the sparsified graph live:
+//!
+//! * [`SharedOracle`] = `Oracle<MemoryIndex>`: graph, labelling and sparse
+//!   view on the heap behind `Arc`s — what builds, edge edits and the
+//!   in-memory serving backend use;
+//! * `hcl_store::PackedOracle` = `Oracle<hcl_store::IndexView>`: a
+//!   memory-mapped packed file, queried in place.
 //!
 //! [`HlOracle`](crate::HlOracle) remains the ergonomic single-threaded
-//! front door; it is a thin wrapper over a [`SharedOracle`] that borrows
-//! its graph and skips the pool by holding a private context.
+//! front door: a [`SharedOracle`] plus a private context that skips the
+//! pool.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -38,9 +45,10 @@
 use crate::build::HighwayCoverLabelling;
 use crate::query::QueryContext;
 use crate::sparse::SparseView;
+use crate::storage::{self, IndexGeneration, LabelStorage, QueryPhases, SparseNeighbors};
 use hcl_graph::{CsrGraph, VertexId};
-use std::borrow::Borrow;
 use std::ops::{Deref, DerefMut};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// A pool of reusable [`QueryContext`]s for one graph size.
@@ -123,48 +131,158 @@ impl Drop for PooledContext<'_> {
     }
 }
 
-/// A thread-safe exact-distance oracle: immutable labelling + graph behind
-/// shared ownership, queries on `&self`.
-///
-/// `G` is the graph storage — [`Arc<CsrGraph>`] by default (the serving
-/// case), or `&CsrGraph` when a caller already owns the graph
-/// ([`HlOracle`](crate::HlOracle) uses that flavour). `SharedOracle` is
-/// `Send + Sync` for any sendable `G`, so one instance can serve every
-/// connection handler and worker thread in a process.
-#[derive(Debug)]
-pub struct SharedOracle<G: Borrow<CsrGraph> = Arc<CsrGraph>> {
-    graph: G,
+/// One in-memory index generation: a graph, the labelling built over it,
+/// and the precomputed sparsified graph `G[V∖R]` every bounded search
+/// traverses. The three always belong together, so a hot reload or an
+/// edge edit swaps them as one.
+#[derive(Clone, Debug)]
+pub struct MemoryIndex {
+    graph: Arc<CsrGraph>,
     labelling: Arc<HighwayCoverLabelling>,
-    /// The precomputed sparsified graph `G[V∖R]` every bounded search
-    /// traverses. Built once at construction, so it always corresponds to
-    /// exactly this graph + labelling pair and swaps atomically with them
-    /// under hot reload.
     sparse: Arc<SparseView>,
+}
+
+impl IndexGeneration for MemoryIndex {
+    type Labels = HighwayCoverLabelling;
+
+    #[inline]
+    fn labels(&self) -> &HighwayCoverLabelling {
+        &self.labelling
+    }
+
+    #[inline]
+    fn search(&self) -> impl SparseNeighbors + '_ {
+        self.sparse.rows()
+    }
+}
+
+/// A thread-safe exact-distance oracle over one index generation `I`:
+/// queries on `&self`, scratch from a persistent [`ContextPool`].
+///
+/// `Oracle` is `Send + Sync` whenever `I` is, so one instance can serve
+/// every connection handler and worker thread in a process. See the
+/// module docs for its two instantiations.
+#[derive(Debug)]
+pub struct Oracle<I> {
+    index: I,
     /// Shared with the generations an edge edit derives from this one
-    /// ([`next_generation`](SharedOracle::next_generation)): a context is
-    /// sized by the vertex count alone, which an edit never changes.
+    /// ([`SharedOracle::next_generation`]): a context is sized by the
+    /// vertex count alone, which an edit never changes.
     pool: Arc<ContextPool>,
 }
 
+/// The in-memory oracle: [`Oracle`] over a [`MemoryIndex`].
+pub type SharedOracle = Oracle<MemoryIndex>;
+
+impl<I: IndexGeneration> Oracle<I> {
+    /// Wraps an index generation, with a fresh context pool.
+    pub fn from_view(index: I) -> Self {
+        let pool = Arc::new(ContextPool::new(index.labels().num_vertices()));
+        Oracle { index, pool }
+    }
+
+    /// Opens the generation stored at `path`, for a backend that reads one
+    /// from a file (`hcl_store`'s packed `IndexView`).
+    pub fn open<P: AsRef<Path>, E>(path: P) -> Result<Self, E>
+    where
+        I: for<'p> TryFrom<&'p Path, Error = E>,
+    {
+        I::try_from(path.as_ref()).map(Oracle::from_view)
+    }
+
+    /// The index generation this oracle serves.
+    pub fn view(&self) -> &I {
+        &self.index
+    }
+
+    /// Number of vertices queries may address.
+    pub fn num_vertices(&self) -> usize {
+        self.index.labels().num_vertices()
+    }
+
+    /// The context pool (exposed so long-lived workers can hold one context
+    /// across many queries instead of checking out per query).
+    pub fn context_pool(&self) -> &ContextPool {
+        &self.pool
+    }
+
+    /// Exact distance between `s` and `t` (`None` when disconnected),
+    /// using a pooled context. Callable concurrently from any number of
+    /// threads.
+    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<u32> {
+        let mut ctx = self.pool.checkout();
+        self.distance_with(&mut ctx, s, t)
+    }
+
+    /// Exact distance using a caller-held context (the zero-overhead path
+    /// for worker loops).
+    #[inline]
+    pub fn distance_with(&self, ctx: &mut QueryContext, s: VertexId, t: VertexId) -> Option<u32> {
+        storage::distance_on(self.index.labels(), &self.index.search(), ctx, s, t)
+    }
+
+    /// [`distance_with`](Self::distance_with) plus per-phase wall-clock
+    /// accounting (label merge vs bounded search), for the server's
+    /// cumulative `METRICS` phase counters.
+    #[inline]
+    pub fn distance_with_timed(
+        &self,
+        ctx: &mut QueryContext,
+        s: VertexId,
+        t: VertexId,
+    ) -> (Option<u32>, QueryPhases) {
+        storage::distance_on_timed(self.index.labels(), &self.index.search(), ctx, s, t)
+    }
+
+    /// The query upper bound `d⊤(s, t)` (Equation 4), using a pooled
+    /// context.
+    pub fn upper_bound(&self, s: VertexId, t: VertexId) -> u32 {
+        let mut ctx = self.pool.checkout();
+        storage::upper_bound_on(self.index.labels(), &mut ctx, s, t)
+    }
+
+    /// Answers a batch across `num_threads` scoped worker threads
+    /// (0 = all cores), preserving input order. Each worker holds a
+    /// context checked out of this oracle's persistent pool, so repeated
+    /// batches allocate no per-call contexts.
+    pub fn batch_distances(
+        &self,
+        pairs: &[(VertexId, VertexId)],
+        num_threads: usize,
+    ) -> Vec<Option<u32>> {
+        crate::query::batch_over(&self.pool, pairs, num_threads, |ctx, s, t| {
+            self.distance_with(ctx, s, t)
+        })
+    }
+}
+
+impl<I: IndexGeneration + Clone> Clone for Oracle<I> {
+    /// Clones the handle (shared index data, fresh context pool).
+    fn clone(&self) -> Self {
+        Oracle::from_view(self.index.clone())
+    }
+}
+
 impl SharedOracle {
-    /// The owning flavour used by servers: both halves behind `Arc`.
+    /// An oracle over `labelling`, built over `graph`; derives the sparse
+    /// view.
     pub fn new(graph: Arc<CsrGraph>, labelling: Arc<HighwayCoverLabelling>) -> Self {
-        SharedOracle::with_graph(graph, labelling)
+        let sparse = Arc::new(SparseView::build(&graph, labelling.highway()));
+        SharedOracle::from_parts(graph, labelling, sparse)
     }
 
     /// Assembles an oracle from already-consistent parts — the incremental
     /// update path (`hcl_core::update::apply_edit`) produces a patched
     /// sparse view alongside the new graph and labelling, so rebuilding the
     /// view here would throw the `O(affected)` work away. The caller
-    /// guarantees the triple belongs together (the same invariant
-    /// [`with_graph`](Self::with_graph) establishes internally).
+    /// guarantees the triple belongs together (the invariant
+    /// [`new`](Self::new) establishes internally).
     pub fn from_parts(
         graph: Arc<CsrGraph>,
         labelling: Arc<HighwayCoverLabelling>,
         sparse: Arc<SparseView>,
     ) -> Self {
-        let pool = Arc::new(ContextPool::new(graph.num_vertices()));
-        SharedOracle { graph, labelling, sparse, pool }
+        Oracle::from_view(MemoryIndex { graph, labelling, sparse })
     }
 
     /// The oracle of the generation an edge edit derives from this one:
@@ -179,117 +297,22 @@ impl SharedOracle {
         sparse: Arc<SparseView>,
     ) -> Self {
         assert_eq!(graph.num_vertices(), self.num_vertices(), "an edit keeps the vertex count");
-        SharedOracle { graph, labelling, sparse, pool: Arc::clone(&self.pool) }
-    }
-}
-
-impl<G: Borrow<CsrGraph>> SharedOracle<G> {
-    /// Wraps a labelling built over `graph` (any storage implementing
-    /// `Borrow<CsrGraph>`).
-    pub fn with_graph(graph: G, labelling: impl Into<Arc<HighwayCoverLabelling>>) -> Self {
-        let labelling = labelling.into();
-        let sparse = Arc::new(SparseView::build(graph.borrow(), labelling.highway()));
-        let pool = Arc::new(ContextPool::new(graph.borrow().num_vertices()));
-        SharedOracle { graph, labelling, sparse, pool }
+        Oracle { index: MemoryIndex { graph, labelling, sparse }, pool: Arc::clone(&self.pool) }
     }
 
     /// The graph the labelling was built from.
     pub fn graph(&self) -> &CsrGraph {
-        self.graph.borrow()
-    }
-
-    /// The precomputed sparsified graph `G[V∖R]` the query path traverses.
-    pub fn sparse_view(&self) -> &SparseView {
-        &self.sparse
+        &self.index.graph
     }
 
     /// The underlying labelling.
     pub fn labelling(&self) -> &HighwayCoverLabelling {
-        &self.labelling
+        &self.index.labelling
     }
 
-    /// A new shared handle to the labelling (cheap; no label data copied).
-    pub fn labelling_arc(&self) -> Arc<HighwayCoverLabelling> {
-        Arc::clone(&self.labelling)
-    }
-
-    /// The context pool (exposed so long-lived workers can hold one context
-    /// across many queries instead of checking out per query).
-    pub fn context_pool(&self) -> &ContextPool {
-        &self.pool
-    }
-
-    /// Number of vertices queries may address.
-    pub fn num_vertices(&self) -> usize {
-        self.graph().num_vertices()
-    }
-
-    /// Exact distance between `s` and `t` (`None` when disconnected),
-    /// using a pooled context. Callable concurrently from any number of
-    /// threads. The bounded search runs on the precomputed [`SparseView`]
-    /// — no skip predicate, no rank lookups.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<u32> {
-        let mut ctx = self.pool.checkout();
-        self.labelling.distance_sparse(&self.sparse, &mut ctx, s, t)
-    }
-
-    /// Exact distance using a caller-held context (the zero-overhead path
-    /// for worker loops). Runs on the [`SparseView`].
-    pub fn distance_with(&self, ctx: &mut QueryContext, s: VertexId, t: VertexId) -> Option<u32> {
-        self.labelling.distance_sparse(&self.sparse, ctx, s, t)
-    }
-
-    /// [`distance_with`](Self::distance_with) plus per-phase wall-clock
-    /// accounting (label merge vs bounded search), for the server's
-    /// cumulative `METRICS` phase counters.
-    pub fn distance_with_timed(
-        &self,
-        ctx: &mut QueryContext,
-        s: VertexId,
-        t: VertexId,
-    ) -> (Option<u32>, crate::storage::QueryPhases) {
-        self.labelling.distance_sparse_timed(&self.sparse, ctx, s, t)
-    }
-
-    /// The query upper bound `d⊤(s, t)` (Equation 4), using a pooled
-    /// context.
-    pub fn upper_bound(&self, s: VertexId, t: VertexId) -> u32 {
-        let mut ctx = self.pool.checkout();
-        self.labelling.upper_bound_with(&mut ctx, s, t)
-    }
-
-    /// Answers a batch across `num_threads` scoped worker threads
-    /// (0 = all cores), preserving input order. Each worker queries the
-    /// [`SparseView`] with a context checked out of this oracle's
-    /// persistent pool, so repeated batches allocate no per-call contexts.
-    pub fn batch_distances(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        num_threads: usize,
-    ) -> Vec<Option<u32>> {
-        // Capture only the Sync halves (graph storage `G` need not be).
-        let (labelling, sparse) = (&*self.labelling, &*self.sparse);
-        crate::query::batch_over(&self.pool, pairs, num_threads, |ctx, s, t| {
-            labelling.distance_sparse(sparse, ctx, s, t)
-        })
-    }
-
-    /// Recovers the labelling, cloning only if other `Arc` handles exist.
-    pub fn into_labelling(self) -> HighwayCoverLabelling {
-        Arc::try_unwrap(self.labelling).unwrap_or_else(|arc| (*arc).clone())
-    }
-}
-
-impl<G: Borrow<CsrGraph> + Clone> Clone for SharedOracle<G> {
-    /// Clones the handle (shared labelling and sparse view, fresh context
-    /// pool).
-    fn clone(&self) -> Self {
-        SharedOracle {
-            graph: self.graph.clone(),
-            labelling: Arc::clone(&self.labelling),
-            sparse: Arc::clone(&self.sparse),
-            pool: Arc::new(ContextPool::new(self.graph.borrow().num_vertices())),
-        }
+    /// The precomputed sparsified graph `G[V∖R]` the query path traverses.
+    pub fn sparse_view(&self) -> &SparseView {
+        &self.index.sparse
     }
 }
 
@@ -309,7 +332,6 @@ mod tests {
     fn shared_oracle_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedOracle>();
-        assert_send_sync::<SharedOracle<&'static CsrGraph>>();
         assert_send_sync::<ContextPool>();
     }
 
@@ -344,24 +366,16 @@ mod tests {
 
     #[test]
     fn borrowed_graph_flavour_works() {
+        // A caller that keeps its graph hands the oracle a clone, which
+        // shares the graph's arrays instead of copying them.
         let g = generate::erdos_renyi(120, 300, 3);
         let landmarks = hcl_graph::order::top_degree(&g, 6);
         let (labelling, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
-        let oracle: SharedOracle<&CsrGraph> = SharedOracle::with_graph(&g, labelling);
+        let oracle = SharedOracle::new(Arc::new(g.clone()), Arc::new(labelling));
         let mut space = hcl_graph::SearchSpace::new(g.num_vertices());
         for (s, t) in [(0u32, 119u32), (5, 5), (17, 80)] {
             assert_eq!(oracle.distance(s, t), space.bibfs_distance(&g, s, t));
         }
-    }
-
-    #[test]
-    fn into_labelling_round_trips() {
-        let oracle = shared_oracle(100, 3, 5, 4);
-        let d = oracle.distance(0, 99);
-        let labelling = oracle.into_labelling();
-        let g = generate::barabasi_albert(100, 3, 5);
-        let mut ctx = QueryContext::new(g.num_vertices());
-        assert_eq!(labelling.distance_with(&g, &mut ctx, 0, 99), d);
     }
 
     #[test]

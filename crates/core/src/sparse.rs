@@ -25,11 +25,12 @@
 //! whenever either changes. A packed `.hclx` file stores the view as built
 //! (view-space CSR plus the `view_of` permutation), so the packed
 //! `IndexView` serves it straight off the mapping and never derives it.
-//! [`SharedOracle`](crate::SharedOracle) owns one per index generation, so
-//! a hot reload swaps the view atomically with the labelling.
+//! A [`MemoryIndex`](crate::MemoryIndex) owns one per index generation,
+//! so a hot reload swaps the view atomically with the labelling.
 
 use crate::highway::Highway;
-use hcl_graph::{CsrGraph, VertexId};
+use crate::storage::SparseNeighbors;
+use hcl_graph::{CsrGraph, CsrRows, VertexId};
 use std::sync::Arc;
 
 /// A compacted, degree-ordered CSR of the sparsified graph `G[V∖R]`, plus
@@ -189,6 +190,32 @@ impl SparseView {
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + (self.to_view.len() + self.to_orig.len()) * std::mem::size_of::<VertexId>()
+    }
+
+    /// The view as one query's bounded search reads it: its rows resolved
+    /// once ([`CsrGraph::rows`]) rather than per row fetched.
+    #[inline]
+    pub fn rows(&self) -> SparseRows<'_> {
+        SparseRows { view: self, rows: self.graph.rows() }
+    }
+}
+
+/// A [`SparseView`] resolved for one query; see [`SparseView::rows`].
+#[derive(Clone, Copy, Debug)]
+pub struct SparseRows<'a> {
+    view: &'a SparseView,
+    rows: CsrRows<'a>,
+}
+
+impl SparseNeighbors for SparseRows<'_> {
+    #[inline]
+    fn view_of(&self, v: VertexId) -> VertexId {
+        self.view.view_of(v)
+    }
+
+    #[inline]
+    fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.rows.neighbors(v)
     }
 }
 

@@ -9,13 +9,15 @@
 //! functions in this module ([`upper_bound_on`], [`bound_from_landmark_on`],
 //! [`distance_on`]) implement Equation 4 with the Lemma 5.1 merge, the
 //! Corollary 3.8 landmark-endpoint shortcut, and the Algorithm 2 bounded
-//! search over any backend.
+//! search over any backend. [`IndexGeneration`] bundles the two halves of
+//! one index generation, which is all [`Oracle`](crate::Oracle) needs to
+//! serve it.
 //!
 //! # Data layout of the hot path
 //!
 //! The merge runs over **label lanes**: two parallel `&[u16]` slices (ranks
 //! and distances) per endpoint, obtained through
-//! [`LabelStorage::label_into`]. The in-memory backends return their stored
+//! [`LabelStorage::label_into`]. The in-memory labelling returns its stored
 //! lanes by reference with zero copying; the packed `IndexView` decodes its
 //! delta-varint streams into per-[`QueryContext`] scratch lanes, after
 //! which both backends monomorphise the *same* branch-light merge loops —
@@ -46,7 +48,6 @@
 
 use crate::build::HighwayCoverLabelling;
 use crate::query::{LaneScratch, QueryContext};
-use crate::sparse::SparseView;
 use hcl_graph::{Adjacency, VertexId, INF};
 
 /// Read access to one generation of a highway cover index: labels, highway
@@ -90,7 +91,7 @@ pub trait LabelStorage {
     /// The label of `v` as parallel rank/dist lanes, using `ranks`/`dists`
     /// as decode scratch when the backend does not store lanes natively.
     ///
-    /// The in-memory backends override this to return their stored lanes
+    /// The in-memory labelling overrides this to return its stored lanes
     /// by reference (the scratch is untouched); the packed backend decodes
     /// its varint stream into the scratch. Either way the merge sees two
     /// contiguous `u16` runs.
@@ -125,22 +126,55 @@ pub trait SparseNeighbors {
     fn sparse_neighbors(&self, v: VertexId) -> &[VertexId];
 }
 
+impl<S: SparseNeighbors + ?Sized> SparseNeighbors for &S {
+    #[inline]
+    fn view_of(&self, v: VertexId) -> VertexId {
+        (**self).view_of(v)
+    }
+
+    #[inline]
+    fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
+        (**self).sparse_neighbors(v)
+    }
+}
+
+/// One index generation as the query kernel sees it: its labels, and the
+/// sparsified graph the bounded search of each query traverses.
+///
+/// [`Oracle`](crate::Oracle) is generic over this trait; the in-memory
+/// [`MemoryIndex`](crate::MemoryIndex) and `hcl-store`'s mapped
+/// `IndexView` are its two implementations.
+pub trait IndexGeneration: Sync {
+    /// The label half of the generation.
+    type Labels: LabelStorage;
+
+    /// The generation's labels.
+    fn labels(&self) -> &Self::Labels;
+
+    /// The generation's `G[V∖R]` for one query. It is taken once per
+    /// query, so a backend can resolve its rows here rather than per row.
+    fn search(&self) -> impl SparseNeighbors + '_;
+}
+
 /// Adapter presenting a backend's sparsified graph as
 /// [`hcl_graph::Adjacency`] so [`SearchSpace::bounded_bibfs_sparse`]
 /// traverses it directly (in view-space ids).
 ///
 /// [`SearchSpace`]: hcl_graph::SearchSpace
-struct SparseAdj<'a, S: ?Sized>(&'a S);
+struct SparseAdj<'a, S: ?Sized> {
+    num_vertices: usize,
+    sparse: &'a S,
+}
 
-impl<S: LabelStorage + SparseNeighbors + ?Sized> Adjacency for SparseAdj<'_, S> {
+impl<S: SparseNeighbors + ?Sized> Adjacency for SparseAdj<'_, S> {
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.0.num_vertices()
+        self.num_vertices
     }
 
     #[inline]
     fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.0.sparse_neighbors(v)
+        self.sparse.sparse_neighbors(v)
     }
 }
 
@@ -273,13 +307,15 @@ pub fn bound_from_landmark_on<S: LabelStorage + ?Sized>(index: &S, rank: u32, v:
     best
 }
 
-/// Exact distance via the full framework over any backend implementing both
-/// storage traits: label upper bound, Corollary 3.8 shortcut for landmark
-/// endpoints, then the distance-bounded bidirectional BFS (Algorithm 2) on
-/// the backend's sparsified graph. The endpoints are translated into the
-/// view's degree-ordered id space exactly once, here.
-pub fn distance_on<S: LabelStorage + SparseNeighbors + ?Sized>(
-    index: &S,
+/// Exact distance via the full framework over one backend's `labels` and
+/// the sparsified graph `sparse` of the same generation: label upper
+/// bound, Corollary 3.8 shortcut for landmark endpoints, then the
+/// distance-bounded bidirectional BFS (Algorithm 2) on `sparse`. The
+/// endpoints are translated into the view's degree-ordered id space
+/// exactly once, here.
+pub fn distance_on<L: LabelStorage + ?Sized, S: SparseNeighbors + ?Sized>(
+    labels: &L,
+    sparse: &S,
     ctx: &mut QueryContext,
     s: VertexId,
     t: VertexId,
@@ -287,16 +323,17 @@ pub fn distance_on<S: LabelStorage + SparseNeighbors + ?Sized>(
     if s == t {
         return Some(0);
     }
-    let landmark_endpoint = index.is_landmark(s) || index.is_landmark(t);
-    let bound = upper_bound_on(index, ctx, s, t);
+    let landmark_endpoint = labels.is_landmark(s) || labels.is_landmark(t);
+    let bound = upper_bound_on(labels, ctx, s, t);
     if landmark_endpoint {
         // Corollary 3.8 / the highway matrix make the bound exact;
         // landmark endpoints are isolated in the sparsified graph, so the
         // search must not run.
         return if bound == INF { None } else { Some(bound) };
     }
-    let (vs, vt) = (index.view_of(s), index.view_of(t));
-    let d = ctx.search_space().bounded_bibfs_sparse(&SparseAdj(index), vs, vt, bound);
+    let (vs, vt) = (sparse.view_of(s), sparse.view_of(t));
+    let adj = SparseAdj { num_vertices: labels.num_vertices(), sparse };
+    let d = ctx.search_space().bounded_bibfs_sparse(&adj, vs, vt, bound);
     if d == INF {
         None
     } else {
@@ -325,8 +362,9 @@ pub struct QueryPhases {
 /// for observability (server `METRICS`) and the committed benchmark's
 /// merge-vs-BFS split. Semantically identical to [`distance_on`]; the two
 /// `Instant` reads per query keep it off the raw throughput loops.
-pub fn distance_on_timed<S: LabelStorage + SparseNeighbors + ?Sized>(
-    index: &S,
+pub fn distance_on_timed<L: LabelStorage + ?Sized, S: SparseNeighbors + ?Sized>(
+    labels: &L,
+    sparse: &S,
     ctx: &mut QueryContext,
     s: VertexId,
     t: VertexId,
@@ -335,17 +373,18 @@ pub fn distance_on_timed<S: LabelStorage + SparseNeighbors + ?Sized>(
     if s == t {
         return (Some(0), phases);
     }
-    let landmark_endpoint = index.is_landmark(s) || index.is_landmark(t);
+    let landmark_endpoint = labels.is_landmark(s) || labels.is_landmark(t);
     let start = std::time::Instant::now();
-    let bound = upper_bound_on(index, ctx, s, t);
+    let bound = upper_bound_on(labels, ctx, s, t);
     phases.merge_ns = start.elapsed().as_nanos() as u64;
     if landmark_endpoint {
         return (if bound == INF { None } else { Some(bound) }, phases);
     }
-    let (vs, vt) = (index.view_of(s), index.view_of(t));
+    let (vs, vt) = (sparse.view_of(s), sparse.view_of(t));
+    let adj = SparseAdj { num_vertices: labels.num_vertices(), sparse };
     let start = std::time::Instant::now();
     let space = ctx.search_space();
-    let d = space.bounded_bibfs_sparse(&SparseAdj(index), vs, vt, bound);
+    let d = space.bounded_bibfs_sparse(&adj, vs, vt, bound);
     phases.search_ns = start.elapsed().as_nanos() as u64;
     phases.searched = true;
     let effort = space.effort();
@@ -429,94 +468,10 @@ impl LabelStorage for HighwayCoverLabelling {
     }
 }
 
-/// The in-memory backend: a labelling plus the matching precomputed
-/// [`SparseView`]. [`SharedOracle`](crate::SharedOracle) queries go through
-/// this adapter, making the in-memory fast path an instantiation of the
-/// same generic framework the packed path uses.
-#[derive(Clone, Copy, Debug)]
-pub struct MemIndex<'a> {
-    labelling: &'a HighwayCoverLabelling,
-    sparse: &'a SparseView,
-    /// The view's rows, resolved once per query rather than per row.
-    rows: hcl_graph::CsrRows<'a>,
-}
-
-impl<'a> MemIndex<'a> {
-    /// Pairs `labelling` with the sparse view built from the same graph and
-    /// landmark set.
-    pub fn new(labelling: &'a HighwayCoverLabelling, sparse: &'a SparseView) -> Self {
-        MemIndex { labelling, sparse, rows: sparse.graph().rows() }
-    }
-}
-
-impl LabelStorage for MemIndex<'_> {
-    type LabelIter<'b>
-        = MemLabelIter<'b>
-    where
-        Self: 'b;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.labelling.labels().num_vertices()
-    }
-
-    #[inline]
-    fn num_landmarks(&self) -> usize {
-        self.labelling.highway().num_landmarks()
-    }
-
-    #[inline]
-    fn rank(&self, v: VertexId) -> Option<u32> {
-        self.labelling.highway().rank(v)
-    }
-
-    #[inline]
-    fn is_landmark(&self, v: VertexId) -> bool {
-        self.labelling.highway().is_landmark(v)
-    }
-
-    #[inline]
-    fn highway_distance(&self, rank_a: u32, rank_b: u32) -> u32 {
-        self.labelling.highway().distance(rank_a, rank_b)
-    }
-
-    #[inline]
-    fn highway_row(&self, rank: u32) -> &[u32] {
-        self.labelling.highway().row(rank)
-    }
-
-    #[inline]
-    fn label(&self, v: VertexId) -> MemLabelIter<'_> {
-        let (ranks, dists) = self.labelling.labels().label_lanes(v);
-        MemLabelIter { ranks: ranks.iter(), dists: dists.iter() }
-    }
-
-    #[inline]
-    fn label_into<'b>(
-        &'b self,
-        v: VertexId,
-        _ranks: &'b mut Vec<u16>,
-        _dists: &'b mut Vec<u16>,
-    ) -> (&'b [u16], &'b [u16]) {
-        self.labelling.labels().label_lanes(v)
-    }
-}
-
-impl SparseNeighbors for MemIndex<'_> {
-    #[inline]
-    fn view_of(&self, v: VertexId) -> VertexId {
-        self.sparse.view_of(v)
-    }
-
-    #[inline]
-    fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.rows.neighbors(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseView;
     use hcl_graph::generate;
 
     fn build(n: usize, k: usize, seed: u64) -> (hcl_graph::CsrGraph, HighwayCoverLabelling) {
@@ -541,13 +496,13 @@ mod tests {
     fn mem_backend_distance_matches_distance_with() {
         let (g, hcl) = build(200, 10, 9);
         let sparse = SparseView::build(&g, hcl.highway());
-        let index = MemIndex::new(&hcl, &sparse);
+        let rows = sparse.rows();
         let mut ctx = QueryContext::new(g.num_vertices());
         let mut ctx2 = QueryContext::new(g.num_vertices());
         for s in g.vertices().step_by(7) {
             for t in g.vertices() {
                 assert_eq!(
-                    distance_on(&index, &mut ctx, s, t),
+                    distance_on(&hcl, &rows, &mut ctx, s, t),
                     hcl.distance_with(&g, &mut ctx2, s, t),
                     "{s}->{t}"
                 );
@@ -559,14 +514,14 @@ mod tests {
     fn landmark_endpoints_skip_the_search() {
         let (g, hcl) = build(120, 6, 2);
         let sparse = SparseView::build(&g, hcl.highway());
-        let index = MemIndex::new(&hcl, &sparse);
+        let rows = sparse.rows();
         let mut ctx = QueryContext::new(g.num_vertices());
         let r = hcl.highway().landmark(0);
         for t in g.vertices() {
             let truth = hcl_graph::traversal::bfs_distances(&g, r)[t as usize];
             let expect = (truth != INF).then_some(truth);
-            assert_eq!(distance_on(&index, &mut ctx, r, t), expect, "{r}->{t}");
-            assert_eq!(distance_on(&index, &mut ctx, t, r), expect, "{t}->{r}");
+            assert_eq!(distance_on(&hcl, &rows, &mut ctx, r, t), expect, "{r}->{t}");
+            assert_eq!(distance_on(&hcl, &rows, &mut ctx, t, r), expect, "{t}->{r}");
         }
     }
 
@@ -618,13 +573,13 @@ mod tests {
     fn timed_distance_matches_untimed() {
         let (g, hcl) = build(180, 8, 4);
         let sparse = SparseView::build(&g, hcl.highway());
-        let index = MemIndex::new(&hcl, &sparse);
+        let rows = sparse.rows();
         let mut ctx = QueryContext::new(g.num_vertices());
         let mut searched_any = false;
         for s in g.vertices().step_by(5) {
             for t in g.vertices().step_by(7) {
-                let (d, phases) = distance_on_timed(&index, &mut ctx, s, t);
-                assert_eq!(d, distance_on(&index, &mut ctx, s, t), "{s}->{t}");
+                let (d, phases) = distance_on_timed(&hcl, &rows, &mut ctx, s, t);
+                assert_eq!(d, distance_on(&hcl, &rows, &mut ctx, s, t), "{s}->{t}");
                 if s != t && !hcl.highway().is_landmark(s) && !hcl.highway().is_landmark(t) {
                     assert!(phases.searched);
                     assert!(phases.vertices_settled >= 2, "both endpoints are marked");

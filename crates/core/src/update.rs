@@ -658,7 +658,13 @@ mod tests {
             for t in (0..result.graph.num_vertices() as VertexId).step_by(5) {
                 let expect = (truth[t as usize] != INF).then_some(truth[t as usize]);
                 assert_eq!(
-                    result.labelling.distance_sparse(&result.sparse, &mut ctx, s, t),
+                    crate::storage::distance_on(
+                        &result.labelling,
+                        &result.sparse.rows(),
+                        &mut ctx,
+                        s,
+                        t
+                    ),
                     expect,
                     "query {s}->{t}"
                 );

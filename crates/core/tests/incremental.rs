@@ -26,7 +26,7 @@
 
 use hcl_core::storage::distance_on;
 use hcl_core::update::{apply_edit, EdgeEdit, PairFilter, UpdateResult};
-use hcl_core::{HighwayCoverLabelling, MemIndex, QueryContext, SparseView};
+use hcl_core::{HighwayCoverLabelling, QueryContext, SparseView};
 use hcl_graph::{generate, traversal, CsrGraph, VertexId, INF};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -128,7 +128,7 @@ fn assert_equivalent(
         for t in (0..n).step_by(3).chain(landmarks.iter().copied()) {
             let expect = (truth[t as usize] != INF).then_some(truth[t as usize]);
             assert_eq!(
-                incremental.distance_sparse(sparse, &mut ctx, s, t),
+                distance_on(incremental, &sparse.rows(), &mut ctx, s, t),
                 expect,
                 "{tag}: query {s}->{t}"
             );
@@ -308,7 +308,7 @@ impl Generation {
             "{tag}: removed edges"
         );
         let n = flat.num_vertices() as u64;
-        let index = MemIndex::new(&self.labelling, &self.sparse);
+        let rows = self.sparse.rows();
         let mut ctx = QueryContext::new(n as usize);
         let landmarks = self.labelling.highway().landmarks();
         for i in 0..4 {
@@ -320,7 +320,11 @@ impl Generation {
             let truth = traversal::bfs_distances(&flat, s);
             for t in (0..n as VertexId).step_by(7).chain(landmarks.iter().copied()) {
                 let expect = (truth[t as usize] != INF).then_some(truth[t as usize]);
-                assert_eq!(distance_on(&index, &mut ctx, s, t), expect, "{tag}: d({s}, {t})");
+                assert_eq!(
+                    distance_on(&self.labelling, &rows, &mut ctx, s, t),
+                    expect,
+                    "{tag}: d({s}, {t})"
+                );
             }
         }
     }

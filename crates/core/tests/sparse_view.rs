@@ -1,5 +1,5 @@
 //! The sparsified-view fast path is a pure constant-factor rewrite of the
-//! skip-closure search: `distance_sparse` over the precomputed,
+//! skip-closure search: `distance_on` over the precomputed,
 //! **degree-ordered** `G[V∖R]` CSR must agree with the identity-order view
 //! (same sparsification, no relabelling) and with the reference
 //! `distance_with` (per-edge landmark filter) on every input — every
@@ -9,9 +9,11 @@
 //! any disagreement pins the bug to either the sparsification or the
 //! reordering.
 
+use hcl_core::storage::distance_on;
 use hcl_core::{HighwayCoverLabelling, QueryContext, SharedOracle, SparseView};
 use hcl_graph::{generate, CsrGraph, VertexId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Compares the degree-ordered fast path against the identity-order view
 /// and the skip-closure reference on a grid of pairs that always includes
@@ -30,8 +32,8 @@ fn assert_paths_agree(g: &CsrGraph, landmarks: &[VertexId], tag: &str) {
     for &s in &sources {
         for t in (0..n).step_by(3).chain(landmarks.iter().copied()) {
             let want = hcl.distance_with(g, &mut reference, s, t);
-            let via_ident = hcl.distance_sparse(&ident, &mut unordered, s, t);
-            let got = hcl.distance_sparse(&view, &mut fast, s, t);
+            let via_ident = distance_on(&hcl, &ident.rows(), &mut unordered, s, t);
+            let got = distance_on(&hcl, &view.rows(), &mut fast, s, t);
             assert_eq!(via_ident, want, "{tag}: identity view {s}->{t}");
             assert_eq!(got, want, "{tag}: degree-ordered view {s}->{t}");
         }
@@ -73,7 +75,7 @@ fn shared_oracle_view_agrees_with_reference_labelling_path() {
     let landmarks = hcl_graph::order::top_degree(&g, 10);
     let (hcl, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
     let reference = hcl.clone();
-    let oracle: SharedOracle<&CsrGraph> = SharedOracle::with_graph(&g, hcl);
+    let oracle = SharedOracle::new(Arc::new(g.clone()), Arc::new(hcl));
     let mut ctx = QueryContext::new(g.num_vertices());
     for s in g.vertices().step_by(11) {
         for t in g.vertices().step_by(5) {
@@ -134,8 +136,8 @@ proptest! {
             };
             let t = ((i.wrapping_mul(40503).wrapping_add(seed * 7 + 1)) % nv) as u32;
             let want = hcl.distance_with(&g, &mut reference, s, t);
-            let via_ident = hcl.distance_sparse(&ident, &mut unordered, s, t);
-            let got = hcl.distance_sparse(&view, &mut fast, s, t);
+            let via_ident = distance_on(&hcl, &ident.rows(), &mut unordered, s, t);
+            let got = distance_on(&hcl, &view.rows(), &mut fast, s, t);
             prop_assert_eq!(via_ident, want, "identity: n={} k={} seed={} {}->{}", n, k, seed, s, t);
             prop_assert_eq!(got, want, "ordered: n={} k={} seed={} {}->{}", n, k, seed, s, t);
         }

@@ -407,7 +407,7 @@ mod tests {
     fn matches_sequential_in_order() {
         let service = service(0);
         let pairs = pairs(997, 500);
-        let expect = service.snapshot().index().batch_distances(&pairs, 1);
+        let expect = service.snapshot().index().as_memory().unwrap().batch_distances(&pairs, 1);
         for threads in [1usize, 2, 4, 8] {
             let executor = BatchExecutor::new(Arc::clone(&service), threads);
             assert_eq!(executor.execute(&pairs).unwrap(), expect, "threads {threads}");
@@ -435,7 +435,8 @@ mod tests {
     fn concurrent_submitters_share_the_pool() {
         let service = service(1 << 12);
         let executor = Arc::new(BatchExecutor::new(Arc::clone(&service), 4));
-        let expect = service.snapshot().index().batch_distances(&pairs(400, 500), 1);
+        let expect =
+            service.snapshot().index().as_memory().unwrap().batch_distances(&pairs(400, 500), 1);
         std::thread::scope(|scope| {
             for _ in 0..6 {
                 let executor = Arc::clone(&executor);
@@ -514,7 +515,7 @@ mod tests {
         let service = service(64);
         let executor = BatchExecutor::new(Arc::clone(&service), 2);
         let good = pairs(40, 500);
-        let expect = service.snapshot().index().batch_distances(&good, 1);
+        let expect = service.snapshot().index().as_memory().unwrap().batch_distances(&good, 1);
 
         // Tags 0..40 are good; tag 100 (in the middle) names a bad vertex.
         let mut queries: Vec<(u64, u32, u32)> =
@@ -539,7 +540,7 @@ mod tests {
         let service = service(0);
         let executor = BatchExecutor::with_queue_cap(Arc::clone(&service), 1, 8);
         let all = pairs(32, 500);
-        let expect = service.snapshot().index().batch_distances(&all[..8], 1);
+        let expect = service.snapshot().index().as_memory().unwrap().batch_distances(&all[..8], 1);
         let queries = all.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
         let (refused, done) = run_queries(&executor, queries);
 

@@ -650,11 +650,11 @@ mod tests {
     fn pinned_snapshot_survives_a_reload() {
         let service = QueryService::new(oracle(200, 1, 6), 0);
         let snap = service.snapshot();
-        let d = snap.index().distance(0, 199);
+        let d = snap.index().as_memory().unwrap().distance(0, 199);
         service.reload(oracle(100, 2, 4));
         // The pinned generation still answers, on its own graph.
         assert_eq!(snap.index().num_vertices(), 200);
-        assert_eq!(snap.index().distance(0, 199), d);
+        assert_eq!(snap.index().as_memory().unwrap().distance(0, 199), d);
         // New queries see the new, smaller index.
         assert_eq!(service.num_vertices(), 100);
         assert!(service.distance(0, 199).is_err(), "199 is out of range after the swap");

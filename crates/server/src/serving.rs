@@ -7,8 +7,8 @@
 //! generation inside an `OracleEpoch`, so a `RELOAD` can swap not just the
 //! index contents but the *kind* of index: an in-memory build can be
 //! replaced by a remap of a packed file and vice versa, with in-flight
-//! queries finishing on whichever backend they pinned. Both variants run
-//! the same generic query code from `hcl_core::storage`; the enum only
+//! queries finishing on whichever backend they pinned. Both variants are
+//! instantiations of the one generic `hcl_core::Oracle`; the enum only
 //! dispatches once per query, never inside the merge or the search.
 
 use crate::oracle_pool::IndexSizes;
@@ -65,27 +65,6 @@ impl ServingIndex {
         match self {
             ServingIndex::Memory(o) => o.distance_with_timed(ctx, s, t),
             ServingIndex::Packed(o) => o.distance_with_timed(ctx, s, t),
-        }
-    }
-
-    /// Exact distance using a pooled context.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<u32> {
-        match self {
-            ServingIndex::Memory(o) => o.distance(s, t),
-            ServingIndex::Packed(o) => o.distance(s, t),
-        }
-    }
-
-    /// Answers a batch across scoped workers (0 = all cores), preserving
-    /// input order.
-    pub fn batch_distances(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        num_threads: usize,
-    ) -> Vec<Option<u32>> {
-        match self {
-            ServingIndex::Memory(o) => o.batch_distances(pairs, num_threads),
-            ServingIndex::Packed(o) => o.batch_distances(pairs, num_threads),
         }
     }
 

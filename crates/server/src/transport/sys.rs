@@ -130,8 +130,13 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
     };
+    // SAFETY: `socket` takes plain integer arguments and touches no
+    // memory of ours; a negative return is turned into the errno by `cvt`
+    // before anything else can overwrite it.
     let fd = cvt(unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
     // Owned from here on: any error path below closes the fd on drop.
+    // SAFETY: `fd` is a freshly created, open socket that nothing else
+    // owns; `TcpStream` takes sole ownership and closes it exactly once.
     let stream = unsafe { TcpStream::from_raw_fd(fd) };
     let rc = match addr {
         SocketAddr::V4(v4) => {
@@ -141,6 +146,9 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
                 addr: v4.ip().octets(),
                 zero: [0; 8],
             };
+            // SAFETY: `sa` is a live, `#[repr(C)]` `sockaddr_in` on this
+            // stack frame and the length passed is exactly its size; the
+            // kernel only reads it. The fd is owned by `stream`.
             unsafe {
                 connect(
                     stream.as_raw_fd(),
@@ -157,6 +165,9 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
                 addr: v6.ip().octets(),
                 scope_id: v6.scope_id(),
             };
+            // SAFETY: `sa` is a live, `#[repr(C)]` `sockaddr_in6` on this
+            // stack frame and the length passed is exactly its size; the
+            // kernel only reads it. The fd is owned by `stream`.
             unsafe {
                 connect(
                     stream.as_raw_fd(),
@@ -169,6 +180,7 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
     if rc == 0 {
         return Ok((stream, false));
     }
+    // Read right after `connect`: no call in between can clobber errno.
     let err = io::Error::last_os_error();
     if err.raw_os_error() == Some(EINPROGRESS) {
         Ok((stream, true))
@@ -183,6 +195,9 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
 pub fn socket_error(fd: RawFd) -> io::Result<()> {
     let mut err: c_int = 0;
     let mut len = std::mem::size_of::<c_int>() as c_uint;
+    // SAFETY: `err` and `len` are live locals; `len` holds the size of
+    // the `c_int` buffer, so the kernel writes at most that many bytes.
+    // An invalid `fd` is reported as `EBADF`, read by `cvt` at once.
     cvt(unsafe {
         getsockopt(fd, SOL_SOCKET, SO_ERROR, (&mut err as *mut c_int).cast(), &mut len)
     })?;
@@ -202,12 +217,18 @@ pub struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: integer flags only; the returned fd is owned by the new
+        // `Epoll` (closed in its `Drop`), and `cvt` reads errno at once.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent { events, data: token };
+        // SAFETY: `self.fd` is the epoll fd this value owns; `ev` is a live
+        // `EpollEvent` laid out as the kernel's `struct epoll_event`
+        // (packed on x86_64), which the kernel only reads. `cvt` reads
+        // errno at once.
         cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) }).map(|_| ())
     }
 
@@ -235,10 +256,15 @@ impl Epoll {
         // `EINTR` exercises the same interrupted-wait mapping below.
         let raw = match fault::check(fault::Op::EpollWait) {
             fault::Verdict::Proceed => {
+                // SAFETY: `events` is a live, writable slice of
+                // `EpollEvent`s (the kernel's `struct epoll_event` layout)
+                // and `maxevents` is its length, so the kernel writes only
+                // inside it. `self.fd` is the epoll fd this value owns.
                 let n = unsafe {
                     epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
                 };
                 if n < 0 {
+                    // Read right after `epoll_wait`: errno is still its.
                     Err(io::Error::last_os_error())
                 } else {
                     Ok(n as usize)
@@ -256,6 +282,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` was opened by `Epoll::new`, is owned by this
+        // value alone and is closed exactly once, here.
         unsafe { close(self.fd) };
     }
 }
@@ -275,6 +303,9 @@ pub struct EventFd {
 impl EventFd {
     /// Creates a nonblocking, close-on-exec eventfd with counter zero.
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: integer arguments only; the returned fd is owned by the
+        // new `EventFd` (closed in its `Drop`), and `cvt` reads errno at
+        // once.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd { fd })
     }
@@ -297,6 +328,10 @@ impl EventFd {
                 fault::Verdict::Fail(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 fault::Verdict::Fail(_) | fault::Verdict::Short(_) | fault::Verdict::Eof => return,
             }
+            // SAFETY: `one` is a live 8-byte `u64` and exactly 8 bytes are
+            // passed, the size an eventfd write requires; the kernel only
+            // reads it. `self.fd` is the eventfd this value owns. errno is
+            // read on the next line, before any other call.
             let rc = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
             if rc < 0 && io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
                 continue;
@@ -317,6 +352,10 @@ impl EventFd {
                 fault::Verdict::Fail(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 fault::Verdict::Fail(_) | fault::Verdict::Short(_) | fault::Verdict::Eof => return,
             }
+            // SAFETY: `value` is a live, writable 8-byte `u64` and exactly 8
+            // bytes are requested, so the kernel writes only inside it.
+            // `self.fd` is the eventfd this value owns. errno is read on
+            // the next line, before any other call.
             let rc = unsafe { read(self.fd, (&mut value as *mut u64).cast(), 8) };
             if rc < 0 && io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
                 continue;
@@ -328,6 +367,8 @@ impl EventFd {
 
 impl Drop for EventFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` was opened by `EventFd::new`, is owned by this
+        // value alone and is closed exactly once, here.
         unsafe { close(self.fd) };
     }
 }

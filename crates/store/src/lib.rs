@@ -15,10 +15,10 @@
 //!   lazily during the merge, the `u32` sections (the degree-ordered
 //!   search view included, stored as the packer built it) are served as
 //!   slices over the mapping, so open is map + validate;
-//! * [`PackedOracle`] wraps a view with a context pool into the same
-//!   distance-oracle surface [`hcl_core::SharedOracle`] exposes, so the
-//!   server can swap a generation by *remapping* a file instead of
-//!   rebuilding arrays.
+//! * [`PackedOracle`] is [`hcl_core::Oracle`] over an [`IndexView`]: the
+//!   same query front door, written once, that serves the in-memory
+//!   [`hcl_core::SharedOracle`], so the server can swap a generation by
+//!   *remapping* a file instead of rebuilding arrays.
 //!
 //! All loader failures are typed [`StoreError`]s — a truncated, bit-flipped
 //! or version-skewed file is an `Err`, never a panic.
@@ -28,14 +28,19 @@ pub mod sys;
 pub mod varint;
 
 mod deploy;
-mod oracle;
 mod view;
 
 pub use deploy::write_packed_deployment;
 pub use format::{is_packed_path, pack, plain_index_bytes, save_packed, PACKED_EXTENSION};
-pub use oracle::PackedOracle;
 pub use sys::Mmap;
 pub use view::{IndexView, PackedLabelIter};
+
+/// The distance oracle over a packed index file: [`hcl_core::Oracle`]
+/// over a validated [`IndexView`]. `PackedOracle::open(path)` maps and
+/// validates the file, [`Oracle::from_view`](hcl_core::Oracle::from_view)
+/// wraps a view already open, and [`Oracle::view`](hcl_core::Oracle::view)
+/// hands it back.
+pub type PackedOracle = hcl_core::Oracle<IndexView>;
 
 /// Errors opening, validating, or writing a packed index.
 #[derive(Debug)]

@@ -40,8 +40,12 @@ pub struct Mmap {
 }
 
 // SAFETY: the mapping is PROT_READ and never mutated or remapped after
-// construction; sharing `&[u8]` views across threads is sound.
+// construction, and `Mmap` owns it alone; moving that ownership to
+// another thread (which then unmaps it in `Drop`) is sound.
 unsafe impl Send for Mmap {}
+// SAFETY: the only access through `&Mmap` is reading the PROT_READ
+// bytes, which nothing writes; sharing `&[u8]` views across threads is
+// sound.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
@@ -66,6 +70,11 @@ impl Mmap {
         if len == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "cannot map an empty file"));
         }
+        // SAFETY: a null hint lets the kernel place the mapping; `len` is
+        // nonzero and no larger than the file; the fd is open for the whole
+        // call (`file` is borrowed). The kernel creates a new mapping and
+        // writes none of our memory. errno is read right below, before any
+        // other call.
         let ptr =
             unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0) };
         // MAP_FAILED is (void*)-1, not null.
@@ -98,6 +107,9 @@ impl Mmap {
 
 impl Drop for Mmap {
     fn drop(&mut self) {
+        // SAFETY: `ptr`/`len` are exactly the mapping `map_file` created;
+        // this value owns it alone, every `&[u8]` borrowed from it has
+        // ended (they borrow `self`), and it is unmapped once, here.
         unsafe { munmap(self.ptr, self.len) };
     }
 }

@@ -23,7 +23,7 @@ use crate::format::{self, HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use crate::sys::Mmap;
 use crate::varint;
 use crate::StoreError;
-use hcl_core::{LabelStorage, SparseNeighbors};
+use hcl_core::{IndexGeneration, LabelStorage, SparseNeighbors};
 use hcl_graph::{VertexId, INF};
 use std::ops::Range;
 use std::path::Path;
@@ -559,5 +559,32 @@ impl SparseNeighbors for IndexView {
         let at = self.sparse_offsets.start / 4 + v;
         let adj = self.sparse_adj.start / 4;
         &words[adj + words[at] as usize..adj + words[at + 1] as usize]
+    }
+}
+
+/// A packed index is one index generation of its own: labels and search
+/// view are the same mapped bytes, so [`PackedOracle`](crate::PackedOracle)
+/// queries them in place.
+impl IndexGeneration for IndexView {
+    type Labels = IndexView;
+
+    #[inline]
+    fn labels(&self) -> &IndexView {
+        self
+    }
+
+    #[inline]
+    fn search(&self) -> impl SparseNeighbors + '_ {
+        self
+    }
+}
+
+/// What [`PackedOracle::open`](crate::PackedOracle) opens a path with:
+/// [`IndexView::open`].
+impl TryFrom<&Path> for IndexView {
+    type Error = StoreError;
+
+    fn try_from(path: &Path) -> Result<IndexView, StoreError> {
+        IndexView::open(path)
     }
 }

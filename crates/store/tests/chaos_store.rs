@@ -52,8 +52,8 @@ fn failed_mmap_falls_back_to_owned_read_with_identical_answers() {
     for s in (0..n).step_by(13) {
         for t in (0..n).step_by(29) {
             assert_eq!(
-                hcl_core::storage::distance_on(&owned, &mut ctx_a, s, t),
-                hcl_core::storage::distance_on(&mapped, &mut ctx_b, s, t),
+                hcl_core::storage::distance_on(&owned, &owned, &mut ctx_a, s, t),
+                hcl_core::storage::distance_on(&mapped, &mapped, &mut ctx_b, s, t),
                 "{s}->{t}"
             );
         }
@@ -62,8 +62,8 @@ fn failed_mmap_falls_back_to_owned_read_with_identical_answers() {
     let mut mem_ctx = QueryContext::new(g.num_vertices());
     let mut ctx = QueryContext::new(g.num_vertices());
     for s in (0..n).step_by(41) {
-        let want = hcl.distance_sparse(&sparse, &mut mem_ctx, s, n - 1);
-        assert_eq!(hcl_core::storage::distance_on(&owned, &mut ctx, s, n - 1), want);
+        let want = hcl_core::storage::distance_on(&hcl, &sparse.rows(), &mut mem_ctx, s, n - 1);
+        assert_eq!(hcl_core::storage::distance_on(&owned, &owned, &mut ctx, s, n - 1), want);
     }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }

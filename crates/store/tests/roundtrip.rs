@@ -7,12 +7,14 @@
 
 use hcl_core::update::{apply_edit, EdgeEdit};
 use hcl_core::{
-    HighwayCoverLabelling, LabelStorage, QueryContext, SharedOracle, SparseNeighbors, SparseView,
+    fixture, HighwayCoverLabelling, IndexGeneration, LabelStorage, Oracle, QueryContext,
+    SharedOracle, SparseNeighbors, SparseView,
 };
 use hcl_graph::{generate, traversal, CsrGraph, VertexId, INF};
 use hcl_store::format::{HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use hcl_store::{pack, save_packed, IndexView, PackedOracle};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn build(g: &CsrGraph, k: usize) -> (HighwayCoverLabelling, SparseView) {
     let landmarks = hcl_graph::order::top_degree(g, k);
@@ -119,8 +121,9 @@ fn packed_queries_match_in_memory_on_all_families() {
                 (0..n).step_by(7).chain(landmarks.iter().copied()).collect();
             for &s in &sources {
                 for t in (0..n).step_by(3).chain(landmarks.iter().copied()) {
-                    let want = hcl.distance_sparse(&sparse, &mut mem_ctx, s, t);
-                    let got = hcl_core::storage::distance_on(&view, &mut packed_ctx, s, t);
+                    let want =
+                        hcl_core::storage::distance_on(&hcl, &sparse.rows(), &mut mem_ctx, s, t);
+                    let got = hcl_core::storage::distance_on(&view, &view, &mut packed_ctx, s, t);
                     assert_eq!(got, want, "{name} k={k}: {s}->{t}");
                     let want_bound = hcl.upper_bound_with(&mut mem_ctx, s, t);
                     let got_bound = hcl_core::storage::upper_bound_on(&view, &mut packed_ctx, s, t);
@@ -163,7 +166,11 @@ fn packed_view_with_stale_degree_order_answers_exactly() {
         let truth = traversal::bfs_distances(&edited.graph, s);
         for t in 0..g.num_vertices() as VertexId {
             let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
-            assert_eq!(hcl_core::storage::distance_on(&view, &mut ctx, s, t), want, "{s}->{t}");
+            assert_eq!(
+                hcl_core::storage::distance_on(&view, &view, &mut ctx, s, t),
+                want,
+                "{s}->{t}"
+            );
         }
     }
 }
@@ -228,11 +235,7 @@ fn writers_of_a_patched_generation_round_trip_to_its_logical_content() {
     let fresh_view = SparseView::build(&loaded_graph, loaded_hcl.highway());
     save_packed(&loaded_hcl, &fresh_view, &repacked_path).unwrap();
     let repacked = PackedOracle::open(&repacked_path).unwrap();
-    let memory = SharedOracle::from_parts(
-        std::sync::Arc::new(graph.clone()),
-        std::sync::Arc::new(hcl),
-        std::sync::Arc::new(sparse),
-    );
+    let memory = SharedOracle::from_parts(Arc::new(graph.clone()), Arc::new(hcl), Arc::new(sparse));
     for s in 0..160 {
         let truth = traversal::bfs_distances(&graph, s);
         for t in 0..160 {
@@ -245,43 +248,85 @@ fn writers_of_a_patched_generation_round_trip_to_its_logical_content() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Drives every query method of one oracle over all pairs of `g`:
+/// `distance`, `distance_with`, `distance_with_timed` and
+/// `batch_distances` (1 and 2 threads, input order) agree with each other
+/// and with BFS truth; `upper_bound` never under-reports; the bounded
+/// search runs exactly when neither endpoint is a landmark. Returns the
+/// upper bounds, for comparison across backends.
+fn assert_front_door<I: IndexGeneration>(oracle: &Oracle<I>, g: &CsrGraph, tag: &str) -> Vec<u32> {
+    let n = g.num_vertices() as VertexId;
+    assert_eq!(oracle.num_vertices(), g.num_vertices(), "{tag}: n");
+    let pairs: Vec<(VertexId, VertexId)> =
+        (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).collect();
+    let labels = oracle.view().labels();
+    let mut ctx = oracle.context_pool().checkout();
+    let (mut answers, mut bounds) = (Vec::new(), Vec::new());
+    for s in 0..n {
+        let truth = traversal::bfs_distances(g, s);
+        for t in 0..n {
+            let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
+            let d = oracle.distance(s, t);
+            assert_eq!(d, want, "{tag}: distance {s}->{t}");
+            assert_eq!(oracle.distance_with(&mut ctx, s, t), d, "{tag}: distance_with {s}->{t}");
+            let (timed, phases) = oracle.distance_with_timed(&mut ctx, s, t);
+            assert_eq!(timed, d, "{tag}: distance_with_timed {s}->{t}");
+            let searched = s != t && !labels.is_landmark(s) && !labels.is_landmark(t);
+            assert_eq!(phases.searched, searched, "{tag}: searched {s}->{t}");
+            let bound = oracle.upper_bound(s, t);
+            assert!(bound >= truth[t as usize], "{tag}: bound {bound} under-reports {s}->{t}");
+            answers.push(d);
+            bounds.push(bound);
+        }
+    }
+    drop(ctx);
+    for threads in [1, 2] {
+        assert_eq!(oracle.batch_distances(&pairs, threads), answers, "{tag}: {threads} threads");
+    }
+    bounds
+}
+
+/// One index per graph, served by both instantiations of the one oracle —
+/// the in-memory build and its packed file mapped back — on a scale-free
+/// graph and on the paper's example, whose landmarks 5 and 9 are
+/// non-adjacent hubs.
 #[test]
 fn packed_oracle_serves_from_disk_via_mmap() {
-    let dir = std::env::temp_dir().join("hcl_store_roundtrip_test");
+    let dir = std::env::temp_dir().join(format!("hcl_store_front_door_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("index.hclx");
-
-    let g = generate::barabasi_albert(400, 4, 21);
-    let (hcl, sparse) = build(&g, 12);
-    save_packed(&hcl, &sparse, &path).unwrap();
-
-    let packed = PackedOracle::open(&path).unwrap();
-    assert_eq!(packed.num_vertices(), 400);
-    let mem: SharedOracle<&CsrGraph> = SharedOracle::with_graph(&g, hcl.clone());
-
-    // Pooled single queries and the shared batch machinery agree with the
-    // in-memory oracle.
-    let pairs: Vec<(VertexId, VertexId)> = (0..400u32)
-        .step_by(11)
-        .flat_map(|s| (0..400u32).step_by(37).map(move |t| (s, t)))
-        .chain(hcl.highway().landmarks().iter().map(|&r| (r, 399)))
-        .collect();
-    for &(s, t) in &pairs {
-        assert_eq!(packed.distance(s, t), mem.distance(s, t), "{s}->{t}");
-        assert_eq!(packed.upper_bound(s, t), mem.upper_bound(s, t), "bound {s}->{t}");
+    let cases = [
+        ("ba", generate::barabasi_albert(150, 3, 21), None),
+        ("paper", fixture::paper_graph(), Some(fixture::paper_landmarks())),
+    ];
+    for (tag, g, landmarks) in cases {
+        let landmarks = landmarks.unwrap_or_else(|| hcl_graph::order::top_degree(&g, 10));
+        let (hcl, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
+        let sparse = SparseView::build(&g, hcl.highway());
+        let path = dir.join(format!("{tag}.hclx"));
+        save_packed(&hcl, &sparse, &path).unwrap();
+        let packed = PackedOracle::open(&path).unwrap();
+        assert!(packed.view().is_mapped(), "{tag}: served from the mapping");
+        let memory = SharedOracle::from_parts(Arc::new(g.clone()), Arc::new(hcl), Arc::new(sparse));
+        let memory_bounds = assert_front_door(&memory, &g, &format!("{tag} memory"));
+        let packed_bounds = assert_front_door(&packed, &g, &format!("{tag} packed"));
+        assert_eq!(packed_bounds, memory_bounds, "{tag}: upper bounds across backends");
     }
-    assert_eq!(packed.batch_distances(&pairs, 2), mem.batch_distances(&pairs, 2));
+    std::fs::remove_dir_all(&dir).ok();
+}
 
+#[test]
+fn packed_index_beats_the_plain_serialisation() {
     // The compression the format exists for: the index sections beat the
     // plain serialisation comfortably on a scale-free instance.
-    let view = packed.view();
+    let g = generate::barabasi_albert(400, 4, 21);
+    let (hcl, sparse) = build(&g, 12);
+    let view = IndexView::from_bytes(&pack(&hcl, &sparse).unwrap()).unwrap();
     assert!(
         view.packed_index_bytes() * 4 <= view.plain_index_bytes() * 3,
         "packed {} vs plain {}",
         view.packed_index_bytes(),
         view.plain_index_bytes()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -316,8 +361,8 @@ proptest! {
                 ((i.wrapping_mul(2654435761).wrapping_add(seed)) % nv) as u32
             };
             let t = ((i.wrapping_mul(40503).wrapping_add(seed * 7 + 1)) % nv) as u32;
-            let want = hcl.distance_sparse(&sparse, &mut mem_ctx, s, t);
-            let got = hcl_core::storage::distance_on(&view, &mut packed_ctx, s, t);
+            let want = hcl_core::storage::distance_on(&hcl, &sparse.rows(), &mut mem_ctx, s, t);
+            let got = hcl_core::storage::distance_on(&view, &view, &mut packed_ctx, s, t);
             prop_assert_eq!(got, want, "n={} k={} seed={} {}->{}", n, k, seed, s, t);
         }
     }
