@@ -32,7 +32,6 @@ pub mod io;
 pub mod oracle;
 pub mod order;
 pub mod overlay;
-pub mod paths;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;

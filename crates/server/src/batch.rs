@@ -19,13 +19,16 @@
 //!   `batch_requests` / `batch_queries`.
 //! * [`submit_queries`](BatchExecutor::submit_queries) — every pair is
 //!   **its own** request (the run of `QUERY` frames one reactor read pass
-//!   decoded): each is admitted and validated on its own, the refused ones
-//!   are handed straight back with their error, and the rest — however
-//!   many — ride one job, counted in `queries`.
+//!   decoded): each is validated and looked up in the cache on the
+//!   calling thread, so cache hits and refused requests are handed
+//!   straight back with their answer or error; only the misses are
+//!   admitted, and they — however many — ride one job. All accepted
+//!   queries are counted in `queries`, the hits also in `inline_hits`.
 //!
 //! Either way the hand-off costs one snapshot pin, one deadline, one
 //! callback box and one allocation of each per-pair array *per job*, not
-//! per query, and `executor_jobs` counts it once.
+//! per query, and `executor_jobs` counts it once. A run of `QUERY`s that
+//! all hit costs no hand-off at all.
 //!
 //! Completion is asynchronous: the job's callback runs on the worker
 //! finishing the last chunk — the reactor passes one that formats the
@@ -78,6 +81,9 @@ struct Job {
     /// Absolute wall-clock bound: a chunk picked up past it computes
     /// nothing and the whole job resolves `DeadlineExpired`.
     deadline: Option<Instant>,
+    /// Every pair already missed the cache under `index`'s epoch at
+    /// submission: compute and insert, without a second lookup.
+    probed: bool,
     /// Set by the first worker to observe the deadline passed.
     expired: AtomicBool,
 }
@@ -185,7 +191,11 @@ impl BatchExecutor {
             // The job's pinned generation supplies graph, labelling, and
             // cache epoch (the context self-resizes across graph sizes).
             for (cell, &(s, t)) in job.results[start..end].iter().zip(&job.pairs[start..end]) {
-                let d = service.cached_distance_with(&job.index, ctx, s, t);
+                let d = if job.probed {
+                    service.computed_distance_with(&job.index, ctx, s, t)
+                } else {
+                    service.cached_distance_with(&job.index, ctx, s, t)
+                };
                 cell.store(d.unwrap_or(INF), Ordering::Relaxed);
             }
         }
@@ -203,8 +213,9 @@ impl BatchExecutor {
 
     /// Overload gate: reserves queue room for `count` queries and returns
     /// how many it granted — all or none of them, or with `partial` the
-    /// leading ones that still fit. Runs before validation so a flood is
-    /// turned away at the door.
+    /// leading ones that still fit. A `BATCH` passes it before validation,
+    /// so a flood is turned away at the door; a run of `QUERY`s after the
+    /// cache probe, since only its misses take queue room.
     fn reserve(&self, count: usize, partial: bool) -> usize {
         if self.max_pending == 0 {
             self.depth.fetch_add(count, Ordering::AcqRel);
@@ -264,58 +275,71 @@ impl BatchExecutor {
             on_done(Ok(Vec::new()));
             return Ok(());
         }
-        self.enqueue(pairs, index, on_done);
+        self.enqueue(pairs, index, false, on_done);
         Ok(())
     }
 
     /// Submits a run of **independent single queries** — `(tag, s, t)`,
     /// the tag being whatever the caller needs to route the answer (the
-    /// reactor's response-slot number) — as one job.
+    /// reactor's response-slot number) — answering what it can on the
+    /// calling thread and the rest as one job.
     ///
-    /// Admission and validation are *per request*: the leading queries
-    /// that fit under the queue cap are admitted and the rest shed
-    /// ([`QueryError::Overloaded`], one `shed_requests` each); each
-    /// admitted query is then range-checked on its own against the one
-    /// generation pinned for the job. Every refused query comes back in
-    /// the returned list with its error — a bad vertex or a full queue
-    /// fails *that request*, never the run it arrived in. The accepted
-    /// queries are counted in `queries` and computed as one job;
+    /// One index generation is pinned for the whole run. Each query is
+    /// range-checked against it and then looked up in the cache under its
+    /// epoch tag; a hit is answered here and counted in `inline_hits`.
+    /// Only the misses take queue room: the leading ones that fit under
+    /// the queue cap are admitted and the rest shed
+    /// ([`QueryError::Overloaded`], one `shed_requests` each). The
+    /// returned list holds every query answered here — its hit or its
+    /// error, in no particular order — so a bad vertex or a full queue
+    /// fails *that request*, never the run it arrived in, and a hit is
+    /// never shed or expired. The admitted misses are computed as one job
+    /// on the same pinned generation, without a second cache lookup;
     /// `on_done` receives their tags and, in the same order, their
     /// distances (or the one [`QueryError::DeadlineExpired`] that expired
-    /// the whole job). With nothing accepted, no job is queued and
-    /// `on_done` is dropped unused.
+    /// the whole job). With no miss admitted, no job is queued and
+    /// `on_done` is dropped unused. Hits and admitted misses are counted
+    /// in `queries`.
     pub fn submit_queries<T, F>(
         &self,
         queries: Vec<(T, VertexId, VertexId)>,
         on_done: F,
-    ) -> Vec<(T, QueryError)>
+    ) -> Vec<(T, Result<Option<u32>, QueryError>)>
     where
         T: Send + 'static,
         F: FnOnce(Vec<T>, Result<Vec<Option<u32>>, QueryError>) + Send + 'static,
     {
         let metrics = self.service.metrics();
-        let admitted = self.reserve(queries.len(), true);
-        ServeMetrics::add(&metrics.shed_requests, (queries.len() - admitted) as u64);
         let index = self.service.snapshot();
-        let mut refused = Vec::new();
-        let mut tags = Vec::with_capacity(admitted);
-        let mut pairs = Vec::with_capacity(admitted);
-        for (i, (tag, s, t)) in queries.into_iter().enumerate() {
-            if i >= admitted {
-                refused.push((tag, QueryError::Overloaded));
-            } else if let Err(e) = QueryService::check_pair_in(&index, s, t) {
-                refused.push((tag, e));
-            } else {
-                tags.push(tag);
-                pairs.push((s, t));
+        let mut answered = Vec::new();
+        let mut tags = Vec::new();
+        let mut pairs = Vec::new();
+        for (tag, s, t) in queries {
+            // `None`: a valid pair that missed the cache.
+            let answer = QueryService::check_pair_in(&index, s, t)
+                .map(|()| self.service.cached(&index, s, t))
+                .transpose();
+            match answer {
+                Some(answer) => answered.push((tag, answer)),
+                None => {
+                    tags.push(tag);
+                    pairs.push((s, t));
+                }
             }
         }
-        self.depth.fetch_sub(admitted - pairs.len(), Ordering::AcqRel);
-        ServeMetrics::add(&metrics.queries, pairs.len() as u64);
+        let hits = answered.iter().filter(|(_, answer)| answer.is_ok()).count();
+        ServeMetrics::add(&metrics.inline_hits, hits as u64);
+        let admitted = self.reserve(pairs.len(), true);
+        ServeMetrics::add(&metrics.shed_requests, (pairs.len() - admitted) as u64);
+        ServeMetrics::add(&metrics.queries, (hits + admitted) as u64);
+        pairs.truncate(admitted);
+        answered.extend(
+            tags.split_off(admitted).into_iter().map(|tag| (tag, Err(QueryError::Overloaded))),
+        );
         if !pairs.is_empty() {
-            self.enqueue(pairs, index, Box::new(move |distances| on_done(tags, distances)));
+            self.enqueue(pairs, index, true, Box::new(move |distances| on_done(tags, distances)));
         }
-        refused
+        answered
     }
 
     /// Splits an already admitted and validated job into chunks on the
@@ -324,6 +348,7 @@ impl BatchExecutor {
         &self,
         pairs: Vec<(VertexId, VertexId)>,
         index: Arc<OracleEpoch<ServingIndex>>,
+        probed: bool,
         on_done: BatchCallback,
     ) {
         ServeMetrics::bump(&self.service.metrics().executor_jobs);
@@ -340,6 +365,7 @@ impl BatchExecutor {
             results: (0..len).map(|_| AtomicU32::new(INF)).collect(),
             on_done: Mutex::new(on_done),
             deadline: self.service.request_deadline().map(|d| Instant::now() + d),
+            probed,
             expired: AtomicBool::new(false),
         }));
         let injector = self.injector.as_ref().expect("executor not shut down");
@@ -497,22 +523,25 @@ mod tests {
     /// What a job's callback received: the accepted tags and their answers.
     type Done = (Vec<u64>, Result<Vec<Option<u32>>, QueryError>);
 
+    /// What `submit_queries` answered on the calling thread.
+    type Answered = Vec<(u64, Result<Option<u32>, QueryError>)>;
+
     /// Runs `queries` through `submit_queries` and waits for the job.
     fn run_queries(
         executor: &BatchExecutor,
         queries: Vec<(u64, u32, u32)>,
-    ) -> (Vec<(u64, QueryError)>, Option<Done>) {
+    ) -> (Answered, Option<Done>) {
         let (tx, rx) = mpsc::channel();
-        let refused = executor.submit_queries(queries, move |tags, distances| {
+        let answered = executor.submit_queries(queries, move |tags, distances| {
             tx.send((tags, distances)).unwrap();
         });
-        // The sender is dropped unused when nothing was accepted.
-        (refused, rx.recv_timeout(std::time::Duration::from_secs(30)).ok())
+        // The sender is dropped unused when nothing was queued.
+        (answered, rx.recv_timeout(std::time::Duration::from_secs(30)).ok())
     }
 
     #[test]
     fn a_run_of_queries_is_one_job_validated_per_request() {
-        let service = service(64);
+        let service = service(1 << 10);
         let executor = BatchExecutor::new(Arc::clone(&service), 2);
         let good = pairs(40, 500);
         let expect = service.snapshot().index().as_memory().unwrap().batch_distances(&good, 1);
@@ -521,9 +550,10 @@ mod tests {
         let mut queries: Vec<(u64, u32, u32)> =
             good.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
         queries.insert(17, (100, 3, 500));
-        let (refused, done) = run_queries(&executor, queries);
+        let (answered, done) = run_queries(&executor, queries.clone());
 
-        assert_eq!(refused, vec![(100, QueryError::VertexOutOfRange { vertex: 500, n: 500 })]);
+        let bad = Err(QueryError::VertexOutOfRange { vertex: 500, n: 500 });
+        assert_eq!(answered, vec![(100, bad.clone())]);
         let (tags, distances) = done.expect("the good queries ran");
         assert_eq!(tags, (0..40).collect::<Vec<u64>>(), "accepted tags keep their order");
         assert_eq!(distances.unwrap(), expect, "the bad query failed alone, not the run");
@@ -532,7 +562,22 @@ mod tests {
         assert_eq!(snap.queries, 40, "one per accepted query");
         assert_eq!(snap.batch_requests, 0, "single queries are not batches");
         assert_eq!(snap.executor_jobs, 1, "forty queries, one hand-off");
+        assert_eq!(snap.inline_hits, 0, "a cold cache answers nothing inline");
         assert_eq!(executor.queued(), 0);
+
+        // The same run again: every good query now hits and is answered
+        // on the calling thread, with no job and no second lookup.
+        let (mut answered, done) = run_queries(&executor, queries);
+        assert!(done.is_none(), "no miss, no job");
+        answered.sort_by_key(|&(tag, _)| tag);
+        let mut want: Answered =
+            expect.iter().enumerate().map(|(i, &d)| (i as u64, Ok(d))).collect();
+        want.push((100, bad));
+        assert_eq!(answered, want);
+        let snap = service.metrics_snapshot();
+        assert_eq!((snap.queries, snap.inline_hits, snap.executor_jobs), (80, 40, 1));
+        let cache = service.cache_stats();
+        assert_eq!(cache.hits + cache.misses, 80, "one lookup per accepted query");
     }
 
     #[test]
@@ -542,13 +587,13 @@ mod tests {
         let all = pairs(32, 500);
         let expect = service.snapshot().index().as_memory().unwrap().batch_distances(&all[..8], 1);
         let queries = all.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
-        let (refused, done) = run_queries(&executor, queries);
+        let (answered, done) = run_queries(&executor, queries);
 
         // The eight that fit are served; the 24 behind them are shed one
         // by one, each counted.
-        assert_eq!(refused.len(), 24);
-        assert!(refused.iter().all(|(_, e)| *e == QueryError::Overloaded));
-        assert_eq!(refused[0].0, 8, "shedding starts at the first request past the cap");
+        assert_eq!(answered.len(), 24);
+        assert!(answered.iter().all(|(_, e)| *e == Err(QueryError::Overloaded)));
+        assert_eq!(answered[0].0, 8, "shedding starts at the first request past the cap");
         let (tags, distances) = done.expect("the admitted head ran");
         assert_eq!(tags, (0..8).collect::<Vec<u64>>());
         assert_eq!(distances.unwrap(), expect);
@@ -558,8 +603,8 @@ mod tests {
         assert_eq!(executor.queued(), 0, "shed and invalid requests leave no depth behind");
 
         // Nothing accepted: no job, the callback is dropped unused.
-        let (refused, done) = run_queries(&executor, vec![(7, 0, 999)]);
-        assert_eq!(refused.len(), 1);
+        let (answered, done) = run_queries(&executor, vec![(7, 0, 999)]);
+        assert_eq!(answered.len(), 1);
         assert!(done.is_none());
         assert_eq!(service.metrics_snapshot().executor_jobs, 1);
         assert_eq!(executor.queued(), 0);
@@ -571,8 +616,8 @@ mod tests {
         service.set_request_deadline(Some(std::time::Duration::ZERO));
         let executor = BatchExecutor::new(Arc::clone(&service), 2);
         let queries = pairs(50, 500).iter().map(|&(s, t)| (0u64, s, t)).collect();
-        let (refused, done) = run_queries(&executor, queries);
-        assert!(refused.is_empty());
+        let (answered, done) = run_queries(&executor, queries);
+        assert!(answered.is_empty());
         let (tags, distances) = done.unwrap();
         assert_eq!(tags.len(), 50, "every request of the run learns of the expiry");
         assert_eq!(distances.unwrap_err(), QueryError::DeadlineExpired);

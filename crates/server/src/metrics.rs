@@ -85,9 +85,12 @@ pub struct ServeMetrics {
     /// Eventfd writes waking the reactor (completions signal only the
     /// empty → non-empty transition of the completion queue).
     pub wake_signals: AtomicU64,
-    /// Jobs handed to the worker pool (`(queries + batch_requests) /
-    /// executor_jobs` = requests per hand-off).
+    /// Jobs handed to the worker pool (`(queries - inline_hits +
+    /// batch_requests) / executor_jobs` = requests per hand-off).
     pub executor_jobs: AtomicU64,
+    /// `QUERY` cache hits answered on the reactor thread, with no
+    /// executor job and no wake-up (a subset of `queries`).
+    pub inline_hits: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -139,6 +142,7 @@ impl ServeMetrics {
             socket_writes: self.socket_writes.load(Ordering::Relaxed),
             wake_signals: self.wake_signals.load(Ordering::Relaxed),
             executor_jobs: self.executor_jobs.load(Ordering::Relaxed),
+            inline_hits: self.inline_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -204,6 +208,8 @@ pub struct MetricsSnapshot {
     pub wake_signals: u64,
     /// Jobs handed to the worker pool.
     pub executor_jobs: u64,
+    /// `QUERY` cache hits answered on the reactor thread.
+    pub inline_hits: u64,
 }
 
 impl MetricsSnapshot {

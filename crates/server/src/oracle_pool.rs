@@ -312,17 +312,22 @@ impl QueryService {
         let snap = self.snapshot();
         Self::check_pair_in(&snap, s, t)?;
         ServeMetrics::bump(&self.metrics.queries);
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(s, t, snap.epoch()) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.cached(&snap, s, t) {
+            return Ok(hit);
         }
         let mut ctx = snap.index().context_pool().checkout();
-        let d = self.timed_distance(&snap, &mut ctx, s, t);
-        if let Some(cache) = &self.cache {
-            cache.insert(s, t, snap.epoch(), d);
-        }
-        Ok(d)
+        Ok(self.computed_distance_with(&snap, &mut ctx, s, t))
+    }
+
+    /// One cache lookup of `(s, t)` under `snap`'s epoch tag: `None` on a
+    /// miss (a stale entry included) or when serving without a cache.
+    pub(crate) fn cached(
+        &self,
+        snap: &OracleEpoch<ServingIndex>,
+        s: VertexId,
+        t: VertexId,
+    ) -> Option<Option<u32>> {
+        self.cache.as_ref()?.get(s, t, snap.epoch())
     }
 
     /// Cache-through distance for callers that hold their own context and
@@ -336,17 +341,28 @@ impl QueryService {
         s: VertexId,
         t: VertexId,
     ) -> Option<u32> {
-        debug_assert!(Self::check_pair_in(snap, s, t).is_ok());
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(s, t, snap.epoch()) {
-                return hit;
-            }
-            let d = self.timed_distance(snap, ctx, s, t);
-            cache.insert(s, t, snap.epoch(), d);
-            d
-        } else {
-            self.timed_distance(snap, ctx, s, t)
+        match self.cached(snap, s, t) {
+            Some(hit) => hit,
+            None => self.computed_distance_with(snap, ctx, s, t),
         }
+    }
+
+    /// Computes a distance whose cache lookup has already missed, and
+    /// caches it under `snap`'s epoch — no second lookup. Same contract
+    /// as [`cached_distance_with`](Self::cached_distance_with) otherwise.
+    pub(crate) fn computed_distance_with(
+        &self,
+        snap: &OracleEpoch<ServingIndex>,
+        ctx: &mut QueryContext,
+        s: VertexId,
+        t: VertexId,
+    ) -> Option<u32> {
+        debug_assert!(Self::check_pair_in(snap, s, t).is_ok());
+        let d = self.timed_distance(snap, ctx, s, t);
+        if let Some(cache) = &self.cache {
+            cache.insert(s, t, snap.epoch(), d);
+        }
+        d
     }
 
     /// Uncached distance with the merge/search phase split folded into the

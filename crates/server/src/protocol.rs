@@ -600,7 +600,7 @@ pub fn format_stats_response(
 ) -> String {
     format!(
         "STATS queries={} batch_requests={} batch_queries={} reactor_passes={} \
-         socket_writes={} wake_signals={} executor_jobs={} connections={} \
+         socket_writes={} wake_signals={} executor_jobs={} inline_hits={} connections={} \
          active_connections={} rejected_connections={} timed_out_connections={} errors={} \
          shed_requests={} deadline_expired={} \
          epoch={} reloads={} updates_applied={} update_affected_vertices={} \
@@ -618,6 +618,7 @@ pub fn format_stats_response(
         metrics.socket_writes,
         metrics.wake_signals,
         metrics.executor_jobs,
+        metrics.inline_hits,
         metrics.connections,
         metrics.active_connections,
         metrics.rejected_connections,

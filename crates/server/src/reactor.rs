@@ -19,14 +19,18 @@
 //! (one `epoll_wait` return) produced, not one query:
 //!
 //! * **socket → executor:** the `QUERY` frames one read pass decodes on a
-//!   connection are gathered into a run and handed to the executor as one
-//!   job ([`BatchExecutor::submit_queries`](crate::batch::BatchExecutor::submit_queries))
+//!   connection are gathered into a run and handed to the executor
+//!   ([`BatchExecutor::submit_queries`](crate::batch::BatchExecutor::submit_queries))
 //!   when the read pass ends — or earlier, the moment any other frame is
 //!   dispatched, so a `QUERY` never pins its index generation after a
 //!   later `UPDATE`/`RELOAD`/`EPOCH` on the same connection was handled.
-//!   Each `QUERY` still claims its response slot *at decode time*, so
-//!   grouping cannot reorder responses or loosen `MAX_INFLIGHT`, and
-//!   admission and validation stay per request inside the job hand-off.
+//!   The executor looks every query up in the epoch-tagged cache on this
+//!   thread: **a hit never leaves the pass** — it fills its slot at once
+//!   and goes out with this pass's write, with no job and no wake-up.
+//!   Only the misses become one job. Each `QUERY` still claims its
+//!   response slot *at decode time*, so neither the grouping nor the
+//!   inline hits can reorder responses or loosen `MAX_INFLIGHT`, and
+//!   admission and validation stay per request.
 //! * **executor → reactor:** the worker finishing a job formats its
 //!   responses and appends them under one lock; the queue signals the
 //!   eventfd only when it goes from empty to non-empty
@@ -37,8 +41,10 @@
 //!
 //! There is no batching window: a batch is exactly what one `epoll_wait`
 //! return delivered, so at depth 1 a request passes through alone and
-//! waits for nothing. `reactor_passes`, `socket_writes`, `wake_signals`
-//! and `executor_jobs` in `STATS`/`METRICS` make the amortisation visible.
+//! waits for nothing — a cache hit costs one pass and one write, a miss
+//! a second pass for its completion. `reactor_passes`, `socket_writes`,
+//! `wake_signals`, `executor_jobs` and `inline_hits` in `STATS`/`METRICS`
+//! make the amortisation visible.
 //!
 //! Timers (idle timeout, shutdown drain grace, accept backoff) are epoll
 //! timeouts computed from the nearest deadline; with no deadline pending
@@ -251,9 +257,10 @@ struct ServerHooks {
 }
 
 impl ServerHooks {
-    /// Hands the gathered run of `QUERY`s to the executor as one job;
-    /// the requests it refuses (shed at the queue cap, vertex out of
-    /// range) are answered here, each on its own slot.
+    /// Hands the gathered run of `QUERY`s to the executor; the requests
+    /// it answers on this thread — cache hits, and refusals (shed at the
+    /// queue cap, vertex out of range) — fill their slots here, in this
+    /// pass, and only the misses go on as one job.
     fn flush_run(&mut self, conn: &mut Conn, id: u64) {
         if self.run.is_empty() {
             return;
@@ -263,7 +270,7 @@ impl ServerHooks {
         let run = std::mem::replace(&mut self.run, next);
         let shared = &self.shared;
         let owner = Arc::clone(shared);
-        let refused = shared.executor.submit_queries(run, move |seqs: Vec<u64>, distances| {
+        let answered = shared.executor.submit_queries(run, move |seqs: Vec<u64>, distances| {
             let replies = match distances {
                 Ok(distances) => seqs
                     .into_iter()
@@ -280,9 +287,15 @@ impl ServerHooks {
             };
             owner.queue.push(Completion { conn: id, replies });
         });
-        for (seq, e) in refused {
-            ServeMetrics::bump(&shared.service.metrics().errors);
-            conn.complete(seq, protocol::format_error(e));
+        for (seq, answer) in answered {
+            let line = match answer {
+                Ok(d) => protocol::format_query_response(d),
+                Err(e) => {
+                    ServeMetrics::bump(&shared.service.metrics().errors);
+                    protocol::format_error(e)
+                }
+            };
+            conn.complete(seq, line);
         }
     }
 
@@ -295,7 +308,7 @@ impl ServerHooks {
         format!(
             "{{\"role\":\"server\",\"epoch\":{},\"queries\":{},\"batch_requests\":{},\
              \"batch_queries\":{},\"reactor_passes\":{},\"socket_writes\":{},\
-             \"wake_signals\":{},\"executor_jobs\":{},\
+             \"wake_signals\":{},\"executor_jobs\":{},\"inline_hits\":{},\
              \"connections\":{},\"active_connections\":{},\
              \"rejected_connections\":{},\"timed_out_connections\":{},\"errors\":{},\
              \"shed_requests\":{},\"deadline_expired\":{},\
@@ -316,6 +329,7 @@ impl ServerHooks {
             m.socket_writes,
             m.wake_signals,
             m.executor_jobs,
+            m.inline_hits,
             m.connections,
             m.active_connections,
             m.rejected_connections,

@@ -1,11 +1,13 @@
-//! The per-pass request path over the wire: the reactor gathers the
-//! `QUERY` frames of one read pass into one executor job, workers hand
-//! back a job's responses in one append with one wake-up per burst, and
-//! each connection gets one `write` per pass. None of that may be visible
-//! to a client — same bytes, same order, per-request errors — except in
-//! the amortisation counters, which these tests read.
+//! The per-pass request path over the wire: the reactor answers the
+//! cache hits among the `QUERY` frames of one read pass itself and gathers
+//! the misses into one executor job, workers hand back a job's responses
+//! in one append with one wake-up per burst, and each connection gets one
+//! `write` per pass. None of that may be visible to a client — same
+//! bytes, same order, per-request errors — except in the amortisation
+//! counters, which these tests read.
 
 use hcl_core::testing::{ba_fixture, truth_map};
+use hcl_core::HighwayCoverLabelling;
 use hcl_graph::CsrGraph;
 use hcl_server::protocol::format_query_response as dist_line;
 use hcl_server::{QueryService, Server, ServerConfig, ServerHandle};
@@ -29,28 +31,70 @@ fn pair(i: usize) -> (u32, u32) {
 
 /// Writes `request` in one `write_all` and reads `replies` lines back.
 fn exchange(addr: std::net::SocketAddr, request: &str, replies: usize) -> Vec<String> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream);
-    (0..replies)
-        .map(|i| {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line).unwrap();
-            assert!(n > 0, "connection closed after {i} of {replies} replies");
-            line.trim_end().to_string()
-        })
-        .collect()
+    Conn::open(addr).send(request, replies)
 }
 
-/// (a) One segment mixing runs of queries with every kind of frame that
-/// ends a run: answered in exactly request order, the one bad query alone
-/// gets `ERR`, and `queries` counts exactly the 80 good ones.
+/// One client connection, kept open across exchanges.
+struct Conn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(addr: std::net::SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        Conn { writer: stream.try_clone().unwrap(), reader: BufReader::new(stream) }
+    }
+
+    /// Writes `request` in one `write_all` and reads `replies` lines back.
+    fn send(&mut self, request: &str, replies: usize) -> Vec<String> {
+        self.writer.write_all(request.as_bytes()).unwrap();
+        (0..replies)
+            .map(|i| {
+                let mut line = String::new();
+                let n = self.reader.read_line(&mut line).unwrap();
+                assert!(n > 0, "connection closed after {i} of {replies} replies");
+                line.trim_end().to_string()
+            })
+            .collect()
+    }
+
+    /// One request, one reply.
+    fn call(&mut self, request: &str) -> String {
+        self.send(&format!("{request}\n"), 1).remove(0)
+    }
+
+    /// Reads `METRICS` over this connection and returns the named
+    /// counters. The reply reflects every earlier pass in full, and the
+    /// `METRICS` pass itself only up to its own reply.
+    fn counters<const K: usize>(&mut self, keys: [&str; K]) -> [u64; K] {
+        let json = self.call("METRICS");
+        keys.map(|key| {
+            let at = json.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("{key}: {json}"));
+            let digits = &json[at + key.len() + 3..];
+            let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+            digits[..end].parse().unwrap()
+        })
+    }
+}
+
+/// (a, g) One segment mixing runs of queries — cache hits and misses
+/// interleaved — with every kind of frame that ends a run: answered in
+/// exactly request order, the hits on the reactor, the one bad query
+/// alone gets `ERR`, and `queries` counts exactly the good ones.
 #[test]
 fn mixed_pipeline_in_one_segment_is_answered_in_request_order() {
     let (handle, service, g) = serve(1 << 10, ServerConfig::default());
     let truth = truth_map(&g, (0..83).map(pair));
+
+    // Warm every other pair of the segment's queries: those 40 hit.
+    let warm: String =
+        (0..80).step_by(2).map(pair).map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
+    let expect_warm: Vec<String> = (0..80).step_by(2).map(|i| dist_line(truth[&pair(i)])).collect();
+    assert_eq!(exchange(handle.local_addr(), &warm, 40), expect_warm);
+    assert_eq!(service.metrics_snapshot().inline_hits, 0, "a cold cache answers nothing inline");
 
     let mut request = String::new();
     let mut expect = Vec::new();
@@ -83,21 +127,26 @@ fn mixed_pipeline_in_one_segment_is_answered_in_request_order() {
     let got = exchange(handle.local_addr(), &request, expect.len());
     assert_eq!(got, expect);
     let snap = service.metrics_snapshot();
-    assert_eq!(snap.queries, 80, "the out-of-range query is not counted as answered");
+    assert_eq!(snap.queries, 40 + 80, "the out-of-range query is not counted as answered");
+    assert_eq!(snap.inline_hits, 40, "every warmed pair, and only those, hit on the reactor");
     assert_eq!(snap.batch_requests, 1);
     assert_eq!(snap.batch_queries, 3);
     assert_eq!(snap.errors, 1, "one ERR, for the one bad request");
     handle.shutdown();
 }
 
-/// (b) Admission is per request: a pipelined run larger than the queue
-/// cap is served up to the cap and shed (`ERR busy`) past it — the run
-/// does not fail as a whole — and every shed request is counted.
+/// (b, i) Admission is per request: a pipelined run larger than the
+/// queue cap is served up to the cap and shed (`ERR busy`) past it — the
+/// run does not fail as a whole — and every shed request is counted. A
+/// cache hit takes no queue room, so with the queue full hits are still
+/// answered and only misses are shed.
 #[test]
 fn a_run_past_max_pending_is_served_up_to_the_cap_then_shed() {
-    let (handle, service, g) =
-        serve(0, ServerConfig { max_pending: 8, batch_threads: 1, ..ServerConfig::default() });
-    let truth = truth_map(&g, (0..32).map(pair));
+    let (handle, service, g) = serve(
+        1 << 14,
+        ServerConfig { max_pending: 8, batch_threads: 1, ..ServerConfig::default() },
+    );
+    let truth = truth_map(&g, (0..72).map(pair));
     let request: String = (0..32).map(pair).map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
 
     let got = exchange(handle.local_addr(), &request, 32);
@@ -124,20 +173,55 @@ fn a_run_past_max_pending_is_served_up_to_the_cap_then_shed() {
         assert_eq!(got[0], dist_line(truth[&(s, t)]));
     }
     assert_eq!(service.metrics_snapshot().shed_requests, busy as u64);
+
+    // Now all 32 are cached. Forty fresh misses fill the queue and spill;
+    // the 32 hits behind them in the same segment are all answered.
+    let before = service.metrics_snapshot();
+    let request: String =
+        (32..72).chain(0..32).map(pair).map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
+    let got = exchange(handle.local_addr(), &request, 72);
+    for (line, i) in got.iter().zip((32..72).chain(0..32)) {
+        let exact = dist_line(truth[&pair(i)]);
+        match i {
+            0..32 => assert_eq!(*line, exact, "hit {i} must never be shed"),
+            _ => assert!(*line == exact || line == "ERR busy", "miss {i}: {line:?}"),
+        }
+    }
+    let busy = got.iter().filter(|line| *line == "ERR busy").count() as u64;
+    assert!(busy >= 40 - 8, "forty misses against a cap of 8: {got:?}");
+    let after = service.metrics_snapshot();
+    assert_eq!(after.inline_hits - before.inline_hits, 32);
+    assert_eq!(after.shed_requests - before.shed_requests, busy);
+    assert_eq!(after.queries - before.queries, 72 - busy);
     handle.shutdown();
 }
 
 /// (c) A zero deadline expires a whole run: `deadline_expired` counts
-/// jobs, the wire carries one `ERR deadline expired` per request.
+/// jobs, the wire carries one `ERR deadline expired` per queued request.
+/// A cache hit is never queued, so it never meets the deadline.
 #[test]
 fn zero_deadline_expires_a_run_once_per_job_and_errs_every_request() {
-    let (handle, service, _) =
-        serve(0, ServerConfig { request_deadline: Some(Duration::ZERO), ..Default::default() });
-    let request: String = (0..24).map(pair).map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
-    let got = exchange(handle.local_addr(), &request, 24);
-    assert!(got.iter().all(|line| line == "ERR deadline expired"), "{got:?}");
+    let (handle, service, g) = serve(
+        1 << 10,
+        ServerConfig { request_deadline: Some(Duration::ZERO), ..Default::default() },
+    );
+    // Nothing computed under a zero deadline reaches the cache, so the
+    // hits are planted: the exact answers of pairs 0..8 under epoch 0.
+    let truth = truth_map(&g, (0..8).map(pair));
+    for (&(s, t), &d) in &truth {
+        service.cache().unwrap().insert(s, t, 0, d);
+    }
+    let request: String = (0..32).map(pair).map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
+    let got = exchange(handle.local_addr(), &request, 32);
+    for (i, line) in got.iter().enumerate() {
+        match i {
+            0..8 => assert_eq!(*line, dist_line(truth[&pair(i)]), "hit {i}"),
+            _ => assert_eq!(line, "ERR deadline expired", "miss {i}"),
+        }
+    }
     let snap = service.metrics_snapshot();
-    assert_eq!(snap.errors, 24, "one error response per request");
+    assert_eq!(snap.errors, 24, "one error response per expired request");
+    assert_eq!(snap.inline_hits, 8);
     assert_eq!(snap.deadline_expired, snap.executor_jobs, "one expiry per job");
     assert!(snap.deadline_expired <= 24);
     handle.shutdown();
@@ -222,5 +306,82 @@ fn a_thousand_pipelined_queries_cost_few_jobs_and_few_writes() {
     assert!(snap.socket_writes <= 64, "{} writes for 1000 replies", snap.socket_writes);
     assert!(snap.wake_signals <= 1 + snap.executor_jobs, "at most one wake-up per job");
     assert!(snap.reactor_passes >= 1);
+    handle.shutdown();
+}
+
+/// (f) A depth-1 loop of repeated queries: after the warm-up misses,
+/// every request is a cache hit answered on the reactor — one pass and
+/// one write per reply, no executor job and no wake-up — and the cache
+/// is looked up exactly once per `QUERY`.
+#[test]
+fn depth_one_cache_hits_take_one_pass_one_write_and_no_hand_off() {
+    const KEYS: [&str; 6] = [
+        "executor_jobs",
+        "wake_signals",
+        "inline_hits",
+        "socket_writes",
+        "reactor_passes",
+        "queries",
+    ];
+    let (handle, service, g) = serve(1 << 10, ServerConfig::default());
+    let pairs: Vec<(u32, u32)> = (0..10).map(pair).collect();
+    let truth = truth_map(&g, pairs.iter().copied());
+    let mut conn = Conn::open(handle.local_addr());
+    let ask = |conn: &mut Conn, i: usize| {
+        let (s, t) = pairs[i % pairs.len()];
+        assert_eq!(conn.call(&format!("QUERY {s} {t}")), dist_line(truth[&(s, t)]), "query {i}");
+    };
+
+    for i in 0..10 {
+        ask(&mut conn, i);
+    }
+    let warm = conn.counters(KEYS);
+    assert_eq!(warm[2], 0, "the warm-up queries all missed");
+    for i in 10..200 {
+        ask(&mut conn, i);
+    }
+    let hot = conn.counters(KEYS);
+    let delta: Vec<u64> = hot.iter().zip(&warm).map(|(h, w)| h - w).collect();
+    // The first METRICS read's own pass and write land in the delta too.
+    assert_eq!(delta, [0, 0, 190, 190 + 1, 190 + 1, 190], "{KEYS:?}");
+
+    let cache = service.cache_stats();
+    assert_eq!(cache.misses, 10);
+    assert_eq!(cache.hits + cache.misses, service.metrics_snapshot().queries);
+    handle.shutdown();
+}
+
+/// (h) A cached answer never outlives an edit on its only shortest path:
+/// `QUERY s t` twice (a miss, then a hit on the reactor), `UPDATE DEL` of
+/// an edge on that path, `QUERY s t` again — on one connection — and the
+/// last answer is the post-edit distance. The landmarks are two
+/// non-adjacent hubs, so the edit moves the highway between them too.
+#[test]
+fn an_update_between_two_queries_is_never_answered_from_the_cache() {
+    // Hubs 0 and 1 joined by a short path 0-2-3-1 and a long one
+    // 0-4-5-6-7-1; s = 8 hangs off hub 0, t = 9 off hub 1, and six more
+    // leaves each make the hubs the two top-degree vertices.
+    let mut edges =
+        vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 7), (7, 1), (0, 8), (1, 9)];
+    edges.extend((10..16).map(|v| (0, v)));
+    edges.extend((16..22).map(|v| (1, v)));
+    let g = Arc::new(CsrGraph::from_edges(22, &edges));
+    let landmarks = hcl_graph::order::top_degree(&g, 2);
+    assert_eq!(landmarks.len(), 2);
+    assert!(landmarks.contains(&0) && landmarks.contains(&1) && !g.has_edge(0, 1));
+    let (labelling, _) = HighwayCoverLabelling::build(&g, &landmarks).unwrap();
+    let service = Arc::new(QueryService::from_parts(Arc::clone(&g), Arc::new(labelling), 1 << 10));
+    let handle =
+        Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let before = truth_map(&g, [(8, 9)])[&(8, 9)];
+    let after = truth_map(&g.without_edge(2, 3).unwrap(), [(8, 9)])[&(8, 9)];
+    assert_eq!((before, after), (Some(5), Some(7)));
+
+    let mut conn = Conn::open(handle.local_addr());
+    assert_eq!(conn.call("QUERY 8 9"), dist_line(before));
+    assert_eq!(conn.call("QUERY 8 9"), dist_line(before));
+    assert_eq!(service.metrics_snapshot().inline_hits, 1, "the repeat hit on the reactor");
+    assert!(conn.call("UPDATE DEL 2 3").starts_with("UPDATED 1 "));
+    assert_eq!(conn.call("QUERY 8 9"), dist_line(after), "served the pre-edit answer");
     handle.shutdown();
 }

@@ -49,10 +49,12 @@ const MAX_N: u64 = 400_000;
 
 impl DatasetSpec {
     /// Vertex count of the stand-in at the given scale multiplier
-    /// (`scale = 1.0` is the default ~1/1000 of the paper).
+    /// (`scale = 1.0` is the default ~1/1000 of the paper). Never below
+    /// 16, nor below four times the density: both generators need more
+    /// vertices than the attachment degree.
     pub fn scaled_n(&self, scale: f64) -> usize {
         let base = (self.paper_n / 1000).clamp(MIN_N, MAX_N) as f64;
-        (base * scale).round().max(16.0) as usize
+        ((base * scale).round() as usize).max(16).max(4 * self.density)
     }
 
     /// Generates the stand-in graph and extracts its largest connected
@@ -229,6 +231,20 @@ mod tests {
             assert!(
                 avg > target * 0.5 && avg < target * 1.6,
                 "{}: m/n = {avg:.1}, target {target}",
+                d.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_standin_generates_at_toy_scale() {
+        for d in all_datasets() {
+            let n = d.scaled_n(0.01);
+            assert!(n > d.density + 1, "{}: n = {n} at density {}", d.name, d.density);
+            let g = d.generate(0.01);
+            assert!(
+                g.num_vertices() > 1 && hcl_graph::connectivity::is_connected(&g),
+                "{}",
                 d.name
             );
         }
