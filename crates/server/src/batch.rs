@@ -20,10 +20,11 @@
 //! * [`submit_queries`](BatchExecutor::submit_queries) — every pair is
 //!   **its own** request (the run of `QUERY` frames one reactor read pass
 //!   decoded): each is validated and looked up in the cache on the
-//!   calling thread, so cache hits and refused requests are handed
-//!   straight back with their answer or error; only the misses are
-//!   admitted, and they — however many — ride one job. All accepted
-//!   queries are counted in `queries`, the hits also in `inline_hits`.
+//!   calling thread, so cache hits and refused requests are answered
+//!   there; only the misses are admitted, and they — however many — ride
+//!   one job, whose completion carries the whole run's answers. All
+//!   accepted queries are counted in `queries`, the hits also in
+//!   `inline_hits`.
 //!
 //! Either way the hand-off costs one snapshot pin, one deadline, one
 //! callback box and one allocation of each per-pair array *per job*, not
@@ -281,25 +282,27 @@ impl BatchExecutor {
 
     /// Submits a run of **independent single queries** — `(tag, s, t)`,
     /// the tag being whatever the caller needs to route the answer (the
-    /// reactor's response-slot number) — answering what it can on the
-    /// calling thread and the rest as one job.
+    /// reactor's response-slot number) — and answers each exactly once.
     ///
     /// One index generation is pinned for the whole run. Each query is
     /// range-checked against it and then looked up in the cache under its
     /// epoch tag; a hit is answered here and counted in `inline_hits`.
     /// Only the misses take queue room: the leading ones that fit under
     /// the queue cap are admitted and the rest shed
-    /// ([`QueryError::Overloaded`], one `shed_requests` each). The
-    /// returned list holds every query answered here — its hit or its
-    /// error, in no particular order — so a bad vertex or a full queue
-    /// fails *that request*, never the run it arrived in, and a hit is
-    /// never shed or expired. The admitted misses are computed as one job
-    /// on the same pinned generation, without a second cache lookup;
-    /// `on_done` receives their tags and, in the same order, their
-    /// distances (or the one [`QueryError::DeadlineExpired`] that expired
-    /// the whole job). With no miss admitted, no job is queued and
-    /// `on_done` is dropped unused. Hits and admitted misses are counted
-    /// in `queries`.
+    /// ([`QueryError::Overloaded`], one `shed_requests` each). So a bad
+    /// vertex or a full queue fails *that request*, never the run it
+    /// arrived in, and a hit is never shed or expired. The admitted misses
+    /// are computed as one job on the same pinned generation, without a
+    /// second cache lookup; a job that outlives its deadline answers each
+    /// of them [`QueryError::DeadlineExpired`]. Hits and admitted misses
+    /// are counted in `queries`.
+    ///
+    /// A run that queued no job is answered in the returned list. A run
+    /// that queued one is answered through `on_done`, on the worker that
+    /// finishes the job, with *every* answer of the run — those found here
+    /// included — so the run's replies still leave together; the returned
+    /// list is then empty. Either way the answers come keyed by tag, in
+    /// no particular order.
     pub fn submit_queries<T, F>(
         &self,
         queries: Vec<(T, VertexId, VertexId)>,
@@ -307,7 +310,7 @@ impl BatchExecutor {
     ) -> Vec<(T, Result<Option<u32>, QueryError>)>
     where
         T: Send + 'static,
-        F: FnOnce(Vec<T>, Result<Vec<Option<u32>>, QueryError>) + Send + 'static,
+        F: FnOnce(Vec<(T, Result<Option<u32>, QueryError>)>) + Send + 'static,
     {
         let metrics = self.service.metrics();
         let index = self.service.snapshot();
@@ -336,10 +339,20 @@ impl BatchExecutor {
         answered.extend(
             tags.split_off(admitted).into_iter().map(|tag| (tag, Err(QueryError::Overloaded))),
         );
-        if !pairs.is_empty() {
-            self.enqueue(pairs, index, true, Box::new(move |distances| on_done(tags, distances)));
+        if pairs.is_empty() {
+            return answered;
         }
-        answered
+        let on_done = move |distances: Result<Vec<Option<u32>>, QueryError>| {
+            match distances {
+                Ok(distances) => {
+                    answered.extend(tags.into_iter().zip(distances.into_iter().map(Ok)))
+                }
+                Err(e) => answered.extend(tags.into_iter().map(|tag| (tag, Err(e.clone())))),
+            }
+            on_done(answered)
+        };
+        self.enqueue(pairs, index, true, Box::new(on_done));
+        Vec::new()
     }
 
     /// Splits an already admitted and validated job into chunks on the
@@ -520,23 +533,26 @@ mod tests {
         assert!(rx.recv().is_err(), "callback must never fire on a rejected batch");
     }
 
-    /// What a job's callback received: the accepted tags and their answers.
-    type Done = (Vec<u64>, Result<Vec<Option<u32>>, QueryError>);
+    /// Answers of a run, keyed by tag.
+    type Answers = Vec<(u64, Result<Option<u32>, QueryError>)>;
 
-    /// What `submit_queries` answered on the calling thread.
-    type Answered = Vec<(u64, Result<Option<u32>, QueryError>)>;
-
-    /// Runs `queries` through `submit_queries` and waits for the job.
+    /// Runs `queries` through `submit_queries`: the answers it returned,
+    /// and those its job delivered (`None` when it queued none). Both
+    /// sorted by tag.
     fn run_queries(
         executor: &BatchExecutor,
         queries: Vec<(u64, u32, u32)>,
-    ) -> (Answered, Option<Done>) {
+    ) -> (Answers, Option<Answers>) {
         let (tx, rx) = mpsc::channel();
-        let answered = executor.submit_queries(queries, move |tags, distances| {
-            tx.send((tags, distances)).unwrap();
-        });
+        let mut answered =
+            executor.submit_queries(queries, move |answers| tx.send(answers).unwrap());
+        answered.sort_by_key(|&(tag, _)| tag);
         // The sender is dropped unused when nothing was queued.
-        (answered, rx.recv_timeout(std::time::Duration::from_secs(30)).ok())
+        let mut done = rx.recv_timeout(std::time::Duration::from_secs(30)).ok();
+        if let Some(done) = &mut done {
+            done.sort_by_key(|&(tag, _)| tag);
+        }
+        (answered, done)
     }
 
     #[test]
@@ -550,14 +566,15 @@ mod tests {
         let mut queries: Vec<(u64, u32, u32)> =
             good.iter().enumerate().map(|(i, &(s, t))| (i as u64, s, t)).collect();
         queries.insert(17, (100, 3, 500));
+        let mut want: Answers =
+            expect.iter().enumerate().map(|(i, &d)| (i as u64, Ok(d))).collect();
+        want.push((100, Err(QueryError::VertexOutOfRange { vertex: 500, n: 500 })));
+
+        // Cold: the misses are one job, and its completion carries the
+        // whole run — the bad query failed alone, not the run.
         let (answered, done) = run_queries(&executor, queries.clone());
-
-        let bad = Err(QueryError::VertexOutOfRange { vertex: 500, n: 500 });
-        assert_eq!(answered, vec![(100, bad.clone())]);
-        let (tags, distances) = done.expect("the good queries ran");
-        assert_eq!(tags, (0..40).collect::<Vec<u64>>(), "accepted tags keep their order");
-        assert_eq!(distances.unwrap(), expect, "the bad query failed alone, not the run");
-
+        assert!(answered.is_empty(), "a run with a job answers through the job");
+        assert_eq!(done.expect("the misses ran"), want);
         let snap = service.metrics_snapshot();
         assert_eq!(snap.queries, 40, "one per accepted query");
         assert_eq!(snap.batch_requests, 0, "single queries are not batches");
@@ -565,14 +582,10 @@ mod tests {
         assert_eq!(snap.inline_hits, 0, "a cold cache answers nothing inline");
         assert_eq!(executor.queued(), 0);
 
-        // The same run again: every good query now hits and is answered
-        // on the calling thread, with no job and no second lookup.
-        let (mut answered, done) = run_queries(&executor, queries);
+        // Warm: every good query hits and the run is answered on the
+        // calling thread, with no job and no second lookup.
+        let (answered, done) = run_queries(&executor, queries);
         assert!(done.is_none(), "no miss, no job");
-        answered.sort_by_key(|&(tag, _)| tag);
-        let mut want: Answered =
-            expect.iter().enumerate().map(|(i, &d)| (i as u64, Ok(d))).collect();
-        want.push((100, bad));
         assert_eq!(answered, want);
         let snap = service.metrics_snapshot();
         assert_eq!((snap.queries, snap.inline_hits, snap.executor_jobs), (80, 40, 1));
@@ -591,12 +604,12 @@ mod tests {
 
         // The eight that fit are served; the 24 behind them are shed one
         // by one, each counted.
-        assert_eq!(answered.len(), 24);
-        assert!(answered.iter().all(|(_, e)| *e == Err(QueryError::Overloaded)));
-        assert_eq!(answered[0].0, 8, "shedding starts at the first request past the cap");
-        let (tags, distances) = done.expect("the admitted head ran");
-        assert_eq!(tags, (0..8).collect::<Vec<u64>>());
-        assert_eq!(distances.unwrap(), expect);
+        assert!(answered.is_empty());
+        let done = done.expect("the admitted head ran");
+        let (served, shed) = done.split_at(8);
+        assert_eq!(served.iter().map(|(_, d)| d.clone().unwrap()).collect::<Vec<_>>(), expect);
+        assert!(shed.iter().all(|(_, e)| *e == Err(QueryError::Overloaded)));
+        assert_eq!(shed[0].0, 8, "shedding starts at the first request past the cap");
         let snap = service.metrics_snapshot();
         assert_eq!(snap.shed_requests, 24);
         assert_eq!(snap.queries, 8);
@@ -618,9 +631,9 @@ mod tests {
         let queries = pairs(50, 500).iter().map(|&(s, t)| (0u64, s, t)).collect();
         let (answered, done) = run_queries(&executor, queries);
         assert!(answered.is_empty());
-        let (tags, distances) = done.unwrap();
-        assert_eq!(tags.len(), 50, "every request of the run learns of the expiry");
-        assert_eq!(distances.unwrap_err(), QueryError::DeadlineExpired);
+        let done = done.unwrap();
+        assert_eq!(done.len(), 50, "every request of the run learns of the expiry");
+        assert!(done.iter().all(|(_, e)| *e == Err(QueryError::DeadlineExpired)));
         assert_eq!(service.metrics_snapshot().deadline_expired, 1, "once per job");
         assert_eq!(executor.queued(), 0);
     }

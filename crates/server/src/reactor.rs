@@ -25,9 +25,11 @@
 //!   dispatched, so a `QUERY` never pins its index generation after a
 //!   later `UPDATE`/`RELOAD`/`EPOCH` on the same connection was handled.
 //!   The executor looks every query up in the epoch-tagged cache on this
-//!   thread: **a hit never leaves the pass** — it fills its slot at once
-//!   and goes out with this pass's write, with no job and no wake-up.
-//!   Only the misses become one job. Each `QUERY` still claims its
+//!   thread, so **a hit never leaves the reactor**: a run of hits fills
+//!   its slots at once and goes out with this pass's write, with no job
+//!   and no wake-up. Only the misses become one job, and its completion
+//!   carries the answers of the whole run, hits included, so a run's
+//!   replies still leave in one write. Each `QUERY` still claims its
 //!   response slot *at decode time*, so neither the grouping nor the
 //!   inline hits can reorder responses or loosen `MAX_INFLIGHT`, and
 //!   admission and validation stay per request.
@@ -53,7 +55,7 @@
 //! one eventfd write.
 
 use crate::metrics::ServeMetrics;
-use crate::oracle_pool::{PendingRevalidation, QueryService};
+use crate::oracle_pool::{PendingRevalidation, QueryError, QueryService};
 use crate::protocol::{self, Frame};
 use crate::server::{Pushed, Shared, UpdateJob};
 use crate::transport::conn::Conn;
@@ -247,6 +249,19 @@ impl CompletionQueue {
     }
 }
 
+/// The response line of one `QUERY`; an error is counted in `errors`
+/// (a deadline expiry once per request here, and once per job in
+/// `deadline_expired` by the executor).
+fn query_reply(service: &QueryService, answer: Result<Option<u32>, QueryError>) -> String {
+    match answer {
+        Ok(d) => protocol::format_query_response(d),
+        Err(e) => {
+            ServeMetrics::bump(&service.metrics().errors);
+            protocol::format_error(e)
+        }
+    }
+}
+
 /// The serving policy plugged into the shared connection driver.
 struct ServerHooks {
     shared: Arc<Shared>,
@@ -257,10 +272,12 @@ struct ServerHooks {
 }
 
 impl ServerHooks {
-    /// Hands the gathered run of `QUERY`s to the executor; the requests
-    /// it answers on this thread — cache hits, and refusals (shed at the
-    /// queue cap, vertex out of range) — fill their slots here, in this
-    /// pass, and only the misses go on as one job.
+    /// Hands the gathered run of `QUERY`s to the executor. A run it
+    /// answers on this thread — cache hits, and refusals (shed at the
+    /// queue cap, vertex out of range) — fills its slots here, in this
+    /// pass. A run with misses is answered whole by the completion of the
+    /// one job those misses became, so its replies still leave in one
+    /// write.
     fn flush_run(&mut self, conn: &mut Conn, id: u64) {
         if self.run.is_empty() {
             return;
@@ -268,34 +285,15 @@ impl ServerHooks {
         // The next run starts out sized like this one.
         let next = Vec::with_capacity(self.run.len());
         let run = std::mem::replace(&mut self.run, next);
-        let shared = &self.shared;
-        let owner = Arc::clone(shared);
-        let answered = shared.executor.submit_queries(run, move |seqs: Vec<u64>, distances| {
-            let replies = match distances {
-                Ok(distances) => seqs
-                    .into_iter()
-                    .zip(distances.into_iter().map(protocol::format_query_response))
-                    .collect(),
-                // Deadline expiry: counted once per job in
-                // deadline_expired by the executor, and once per request
-                // as an error response.
-                Err(e) => {
-                    ServeMetrics::add(&owner.service.metrics().errors, seqs.len() as u64);
-                    let line = protocol::format_error(e);
-                    seqs.into_iter().map(|seq| (seq, line.clone())).collect()
-                }
-            };
+        let owner = Arc::clone(&self.shared);
+        let answered = self.shared.executor.submit_queries(run, move |answers| {
+            let service = &owner.service;
+            let replies =
+                answers.into_iter().map(|(seq, a)| (seq, query_reply(service, a))).collect();
             owner.queue.push(Completion { conn: id, replies });
         });
         for (seq, answer) in answered {
-            let line = match answer {
-                Ok(d) => protocol::format_query_response(d),
-                Err(e) => {
-                    ServeMetrics::bump(&shared.service.metrics().errors);
-                    protocol::format_error(e)
-                }
-            };
-            conn.complete(seq, line);
+            conn.complete(seq, query_reply(&self.shared.service, answer));
         }
     }
 

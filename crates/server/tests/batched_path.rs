@@ -312,7 +312,8 @@ fn a_thousand_pipelined_queries_cost_few_jobs_and_few_writes() {
 /// (f) A depth-1 loop of repeated queries: after the warm-up misses,
 /// every request is a cache hit answered on the reactor — one pass and
 /// one write per reply, no executor job and no wake-up — and the cache
-/// is looked up exactly once per `QUERY`.
+/// is looked up exactly once per `QUERY`. A pipelined run with one miss
+/// among its hits is one job and one write.
 #[test]
 fn depth_one_cache_hits_take_one_pass_one_write_and_no_hand_off() {
     const KEYS: [&str; 6] = [
@@ -345,8 +346,25 @@ fn depth_one_cache_hits_take_one_pass_one_write_and_no_hand_off() {
     // The first METRICS read's own pass and write land in the delta too.
     assert_eq!(delta, [0, 0, 190, 190 + 1, 190 + 1, 190], "{KEYS:?}");
 
+    // One pipelined run of 31 hits around one miss: the miss is the only
+    // job, and its completion carries the hits, so the run still leaves
+    // in one write.
+    let run: Vec<(u32, u32)> =
+        (0..32).map(|j| if j == 16 { pair(10) } else { pairs[j % pairs.len()] }).collect();
+    let truth = truth_map(&g, run.iter().copied());
+    let request: String = run.iter().map(|(s, t)| format!("QUERY {s} {t}\n")).collect();
+    let expect: Vec<String> = run.iter().map(|p| dist_line(truth[p])).collect();
+    assert_eq!(conn.send(&request, 32), expect);
+    let mixed = conn.counters(KEYS);
+    let delta: Vec<u64> = mixed.iter().zip(&hot).map(|(m, h)| m - h).collect();
+    assert_eq!(
+        [delta[0], delta[1], delta[2], delta[3], delta[5]],
+        [1, 1, 31, 1 + 1, 32],
+        "{KEYS:?}"
+    );
+
     let cache = service.cache_stats();
-    assert_eq!(cache.misses, 10);
+    assert_eq!(cache.misses, 11);
     assert_eq!(cache.hits + cache.misses, service.metrics_snapshot().queries);
     handle.shutdown();
 }
