@@ -4,7 +4,7 @@
 //! C++ binaries are not redistributable) and verified against brute-force
 //! BFS in the test suites:
 //!
-//! * [`online`] — Dijkstra \[27\], BFS, and bidirectional BFS \[21\]
+//! * [`online`] — BFS and bidirectional BFS \[21\]
 //!   ("Bi-BFS"): index-free searches, the query-time floor of Figure 1(a).
 //! * [`pll`] — *Pruned Landmark Labelling* (Akiba, Iwata, Yoshida —
 //!   SIGMOD 2013) \[3\]: a full 2-hop cover built by pruned BFSs from every
@@ -30,7 +30,7 @@ pub mod pll;
 
 pub use fd::{FdConfig, FdIndex, FdOracle};
 pub use isl::{IslConfig, IslIndex, IslOracle};
-pub use online::{BfsOracle, BiBfsOracle, DijkstraOracle};
+pub use online::{BfsOracle, BiBfsOracle};
 pub use pll::{PllConfig, PllIndex};
 
 /// Errors produced while constructing baseline indexes.

@@ -1,5 +1,5 @@
-//! Index-free online searches: BFS, bidirectional BFS ("Bi-BFS" in
-//! Table 2), and Dijkstra on unit weights (Figure 1(a)'s "Dijkstra").
+//! Index-free online searches: BFS and bidirectional BFS ("Bi-BFS" in
+//! Table 2).
 //!
 //! These answer queries with zero preprocessing and zero index space, at the
 //! cost of visiting a large fraction of the graph per query — the paper
@@ -7,7 +7,7 @@
 //! networks, which is what the labelling methods exist to beat.
 
 use hcl_graph::oracle::DistanceOracle;
-use hcl_graph::{CsrGraph, SearchSpace, VertexId, WeightedGraph, WeightedGraphBuilder};
+use hcl_graph::{CsrGraph, SearchSpace, VertexId};
 
 /// Unidirectional BFS oracle.
 pub struct BfsOracle<'g> {
@@ -56,39 +56,6 @@ impl DistanceOracle for BiBfsOracle<'_> {
     }
 }
 
-/// Dijkstra oracle. The paper's graphs are unweighted, so this treats every
-/// edge as weight 1; it exists to reproduce the "Dijkstra" series of
-/// Figure 1(a) and as the reference oracle for weighted substrates (IS-L).
-pub struct DijkstraOracle {
-    graph: WeightedGraph,
-}
-
-impl DijkstraOracle {
-    /// Builds a unit-weight copy of `graph` to search on.
-    pub fn from_unit_weights(graph: &CsrGraph) -> Self {
-        let mut b = WeightedGraphBuilder::new(graph.num_vertices());
-        for (u, v) in graph.edges() {
-            b.add_edge(u, v, 1);
-        }
-        DijkstraOracle { graph: b.build() }
-    }
-
-    /// Wraps an existing weighted graph.
-    pub fn new(graph: WeightedGraph) -> Self {
-        DijkstraOracle { graph }
-    }
-}
-
-impl DistanceOracle for DijkstraOracle {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Option<u32> {
-        hcl_graph::traversal::dijkstra_distance(&self.graph, s, t)
-    }
-
-    fn name(&self) -> &'static str {
-        "Dijkstra"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,14 +66,12 @@ mod tests {
         let g = generate::barabasi_albert(120, 3, 17);
         let mut bfs = BfsOracle::new(&g);
         let mut bibfs = BiBfsOracle::new(&g);
-        let mut dij = DijkstraOracle::from_unit_weights(&g);
         for s in [0u32, 17, 119] {
             let truth = traversal::bfs_distances(&g, s);
             for t in g.vertices() {
                 let expect = (truth[t as usize] != INF).then_some(truth[t as usize]);
                 assert_eq!(bfs.distance(s, t), expect);
                 assert_eq!(bibfs.distance(s, t), expect);
-                assert_eq!(dij.distance(s, t), expect);
             }
         }
     }
@@ -124,7 +89,6 @@ mod tests {
         let g = generate::path(3);
         assert_eq!(BfsOracle::new(&g).name(), "BFS");
         assert_eq!(BiBfsOracle::new(&g).name(), "Bi-BFS");
-        assert_eq!(DijkstraOracle::from_unit_weights(&g).name(), "Dijkstra");
         assert_eq!(BiBfsOracle::new(&g).index_bytes(), 0);
     }
 }

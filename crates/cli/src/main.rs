@@ -217,8 +217,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let (labelling, stats) = HighwayCoverLabelling::build_parallel(&g, &landmarks, threads)
         .map_err(|e| format!("building labelling: {e}"))?;
     println!(
-        "built {} label entries in {:?} ({} edges traversed)",
-        stats.labels_added, stats.duration, stats.edges_traversed
+        "built {} label entries in {:?} ({} edges traversed, {} adjacency entries scanned)",
+        stats.labels_added, stats.duration, stats.edges_traversed, stats.rows_scanned
     );
     match format.as_str() {
         "plain" => {

@@ -1,6 +1,8 @@
-//! Sequential construction of the highway cover labelling (Algorithm 1).
+//! Construction of the highway cover labelling (Algorithm 1), many
+//! landmarks per breadth-first pass.
 //!
-//! One pruned BFS per landmark. Each BFS maintains two frontiers:
+//! Algorithm 1 runs one pruned BFS per landmark. Each BFS keeps two
+//! frontiers:
 //!
 //! * the **labelled** frontier (`Qlabel`): vertices whose shortest paths
 //!   from the root are free of other landmarks — their unvisited neighbours
@@ -9,29 +11,49 @@
 //!   landmark on some shortest path from the root — their neighbours are
 //!   claimed *without* labels.
 //!
-//! At every level the pruned frontier expands **first** (mirroring
-//! Algorithm 1's queue interleaving), so a vertex reachable at the same
-//! depth through both a pruned and a labelled parent is pruned. This yields
-//! exactly the semantics of Lemma 3.7: `(r, d)` enters `L(v)` iff **no**
-//! shortest `r–v` path contains another landmark. The BFS stops as soon as
-//! the labelled frontier empties — typically long before the graph is
-//! exhausted, which is where the method's construction-time advantage
-//! comes from.
+//! A vertex reachable at the same depth through both a pruned and a
+//! labelled parent is pruned. This yields exactly the semantics of
+//! Lemma 3.7: `(r, d)` enters `L(v)` iff **no** shortest `r–v` path contains
+//! another landmark. A BFS stops as soon as its labelled frontier empties —
+//! typically long before the graph is exhausted, which is where the
+//! method's construction-time advantage comes from.
+//!
+//! By Lemma 3.11 each landmark's BFS is independent of every other, so
+//! `GroupBfs` runs the BFSs of a *group* of up to 32 landmarks in one
+//! pass, one bit per landmark (the bit-parallel idea of PLL, Akiba et al.
+//! §4.2). Per vertex it keeps four masks: `seen`, the next level's
+//! labelled and pruned arrivals, and the bits that labelled the vertex. A
+//! frontier vertex reads its adjacency row once for all the bits it
+//! expands, so the builder scans each row at most once per level instead
+//! of once per landmark. A bit whose labelled frontier empties stops
+//! expanding, exactly as its own BFS would. The output is the labelling
+//! the per-landmark BFSs produce, entry for entry; the tests hold the
+//! per-landmark BFS as the reference.
+//!
+//! Assembly places each label entry directly in the flat store: the groups
+//! are contiguous rank ranges, so a vertex's entries from earlier groups
+//! precede its entries from this one, and within a group they are ordered
+//! by bit.
 
 use crate::highway::Highway;
 use crate::labels::HighwayLabels;
 use crate::BuildError;
 use hcl_graph::{CsrGraph, VertexId};
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::time::Duration;
 
 /// Instrumentation returned by the builders.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuildStats {
     /// Wall-clock construction time.
     pub duration: Duration,
-    /// Neighbour examinations across all pruned BFSs (the "ET" counter of
-    /// the paper's Figures 3–4).
+    /// Neighbour examinations summed over the landmarks' pruned BFSs (the
+    /// "ET" counter of the paper's Figures 3–4): a row read for `k`
+    /// landmarks at once counts `k` times.
     pub edges_traversed: u64,
+    /// Adjacency entries the builder actually read: a row read for a whole
+    /// group of landmarks counts once.
+    pub rows_scanned: u64,
     /// Label entries produced (the "LS" counter).
     pub labels_added: u64,
 }
@@ -45,34 +67,13 @@ pub struct HighwayCoverLabelling {
 }
 
 impl HighwayCoverLabelling {
-    /// Builds the labelling sequentially ("HL" in the paper's tables).
+    /// Builds the labelling on the calling thread ("HL" in the paper's
+    /// tables): [`build_parallel`](Self::build_parallel) with one thread.
     ///
     /// `landmarks` may be in any order; the result is identical for every
     /// ordering (Lemma 3.11), which the tests verify.
     pub fn build(g: &CsrGraph, landmarks: &[VertexId]) -> Result<(Self, BuildStats), BuildError> {
-        let start = Instant::now();
-        validate_landmarks(g, landmarks)?;
-        let mut highway = Highway::new(g.num_vertices(), landmarks);
-        let mut worker = PrunedBfsWorker::new(g.num_vertices());
-        let mut per_landmark: Vec<Vec<(VertexId, u16)>> = Vec::with_capacity(landmarks.len());
-        let mut hw_buf: Vec<(u32, u32)> = Vec::new();
-        let mut stats = BuildStats::default();
-
-        for (rank, &root) in landmarks.iter().enumerate() {
-            let mut labels_out = Vec::new();
-            hw_buf.clear();
-            let edges = worker.run(g, rank as u32, root, &highway, &mut labels_out, &mut hw_buf)?;
-            stats.edges_traversed += edges;
-            stats.labels_added += labels_out.len() as u64;
-            for &(other_rank, d) in &hw_buf {
-                highway.record(rank as u32, other_rank, d);
-            }
-            per_landmark.push(labels_out);
-        }
-        highway.close();
-        let labels = assemble_labels(g.num_vertices(), &per_landmark);
-        stats.duration = start.elapsed();
-        Ok((HighwayCoverLabelling { highway, labels }, stats))
+        Self::build_parallel(g, landmarks, 1)
     }
 
     pub(crate) fn from_parts(highway: Highway, labels: HighwayLabels) -> Self {
@@ -122,151 +123,346 @@ pub(crate) fn validate_landmarks(g: &CsrGraph, landmarks: &[VertexId]) -> Result
     Ok(())
 }
 
-/// Merges per-landmark `(vertex, dist)` outputs into the flat CSR label
-/// store (separate rank and dist lanes). Iterating landmarks in rank order
-/// keeps every per-vertex list sorted by rank, so queries can merge labels
-/// in one pass.
-pub(crate) fn assemble_labels(n: usize, per_landmark: &[Vec<(VertexId, u16)>]) -> HighwayLabels {
-    let mut counts = vec![0u32; n + 1];
-    for batch in per_landmark {
-        for &(v, _) in batch {
-            counts[v as usize + 1] += 1;
-        }
+/// The most landmarks one [`GroupBfs`] pass carries: one bit each in a
+/// `u32` mask.
+pub(crate) const GROUP_BITS: usize = 32;
+
+/// Splits ranks `0..r` into `max(parts, ⌈r/32⌉)` contiguous groups of
+/// near-equal size (never more groups than landmarks).
+pub(crate) fn rank_groups(r: usize, parts: usize) -> Vec<Range<usize>> {
+    let count = parts.max(r.div_ceil(GROUP_BITS)).min(r);
+    let mut groups = Vec::with_capacity(count);
+    let mut start = 0;
+    for i in 0..count {
+        let len = r / count + usize::from(i < r % count);
+        groups.push(start..start + len);
+        start += len;
     }
-    for i in 1..=n {
-        counts[i] += counts[i - 1];
-    }
-    let offsets = counts;
-    let total = offsets[n] as usize;
-    let mut ranks = vec![0u16; total];
-    let mut dists = vec![0u16; total];
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    for (rank, batch) in per_landmark.iter().enumerate() {
-        for &(v, d) in batch {
-            let c = &mut cursor[v as usize];
-            ranks[*c as usize] = rank as u16;
-            dists[*c as usize] = d;
-            *c += 1;
-        }
-    }
-    HighwayLabels::from_parts(offsets, ranks, dists)
+    groups
 }
 
-/// Reusable state for one pruned BFS (Algorithm 1 body). A worker is sized
-/// for the graph once and then serves any number of landmarks; the parallel
-/// builder gives each thread its own worker.
-pub(crate) struct PrunedBfsWorker {
-    epoch: u32,
-    visited: Vec<u32>,
-    labeled: Vec<VertexId>,
-    pruned: Vec<VertexId>,
-    next_labeled: Vec<VertexId>,
-    next_pruned: Vec<VertexId>,
+/// One group's pruned BFSs, as [`assemble_labels`] and the highway need
+/// them.
+pub(crate) struct GroupLabels {
+    /// Rank of the group's bit 0; bit `b` is landmark rank `first + b`.
+    first: u32,
+    /// Per vertex, the bits whose landmark labels it.
+    labelled: Vec<u32>,
+    /// `(vertex, bits)`: the vertex is labelled by those bits at the
+    /// depth of the record's level.
+    records: Vec<(VertexId, u32)>,
+    /// `(depth, end)` per level that produced records: that level's
+    /// records are `records[previous end..end]`.
+    levels: Vec<(u16, usize)>,
+    /// Highway cells `(rank, rank, distance)` the group discovered.
+    pub(crate) highway_cells: Vec<(u32, u32, u32)>,
+    pub(crate) edges_traversed: u64,
+    pub(crate) rows_scanned: u64,
+    pub(crate) labels_added: u64,
 }
 
-impl PrunedBfsWorker {
+/// A vertex's arrivals at the next level of a [`GroupBfs`].
+#[derive(Clone, Copy, Default)]
+struct Arrivals {
+    /// Bits arriving through a labelled parent.
+    labelled: u32,
+    /// Bits arriving through a pruned parent.
+    pruned: u32,
+}
+
+/// Reusable state for the pruned BFSs of one landmark group. A worker is
+/// sized for the graph once and then serves any number of groups; the
+/// parallel builder gives each thread its own.
+pub(crate) struct GroupBfs {
+    /// Per vertex, the bits whose BFS has reached it. The scan reads only
+    /// this array for a neighbour that brings nothing new, so it is kept
+    /// apart from the rest.
+    seen: Vec<u32>,
+    next: Vec<Arrivals>,
+    /// The current level: `(vertex, labelled bits, pruned bits)`.
+    frontier: Vec<(VertexId, u32, u32)>,
+    /// Vertices with arrivals at the next level, each listed once.
+    touched: Vec<VertexId>,
+}
+
+impl GroupBfs {
     pub(crate) fn new(n: usize) -> Self {
-        PrunedBfsWorker {
-            epoch: 0,
-            visited: vec![0; n],
-            labeled: Vec::new(),
-            pruned: Vec::new(),
-            next_labeled: Vec::new(),
-            next_pruned: Vec::new(),
+        GroupBfs {
+            seen: vec![0; n],
+            next: vec![Arrivals::default(); n],
+            frontier: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    /// Runs the pruned BFS rooted at `root` (whose rank is `root_rank`).
-    ///
-    /// Appends `(vertex, distance)` label entries to `labels_out`, appends
-    /// `(landmark rank, distance)` for every *other* landmark discovered to
-    /// `highway_out`, and returns the number of neighbour examinations.
+    /// Runs the pruned BFSs of the landmarks with ranks `group` (at most
+    /// [`GROUP_BITS`]) together. Pruning consults `highway`'s rank table,
+    /// so landmarks outside the group prune too. The group's labelled
+    /// masks, the fourth per-vertex mask, go out with its result.
     pub(crate) fn run(
         &mut self,
         g: &CsrGraph,
-        root_rank: u32,
-        root: VertexId,
         highway: &Highway,
-        labels_out: &mut Vec<(VertexId, u16)>,
-        highway_out: &mut Vec<(u32, u32)>,
-    ) -> Result<u64, BuildError> {
-        if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|m| *m = 0);
-            self.epoch = 0;
+        group: Range<usize>,
+    ) -> Result<GroupLabels, BuildError> {
+        debug_assert!(group.len() <= GROUP_BITS);
+        let rows = g.rows();
+        let roots = &highway.landmarks()[group.clone()];
+        let first = group.start as u32;
+        let mut out = GroupLabels {
+            first,
+            labelled: vec![0; self.seen.len()],
+            records: Vec::new(),
+            levels: Vec::new(),
+            highway_cells: Vec::new(),
+            edges_traversed: 0,
+            rows_scanned: 0,
+            labels_added: 0,
+        };
+
+        // A run that failed may have left state behind.
+        self.seen.fill(0);
+        self.next.fill(Arrivals::default());
+        self.touched.clear();
+        self.frontier.clear();
+        for (bit, &root) in roots.iter().enumerate() {
+            self.seen[root as usize] = 1 << bit;
+            self.frontier.push((root, 1 << bit, 0));
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut edges = 0u64;
-        let g = g.rows();
-
-        self.labeled.clear();
-        self.pruned.clear();
-        self.labeled.push(root);
-        self.visited[root as usize] = epoch;
-
+        // Bits whose labelled frontier is non-empty: the BFSs still running.
+        let mut alive = if roots.len() == GROUP_BITS { u32::MAX } else { (1 << roots.len()) - 1 };
         let mut depth: u32 = 0;
-        while !self.labeled.is_empty() {
-            let next_depth = depth + 1;
-            self.next_labeled.clear();
-            self.next_pruned.clear();
+        while alive != 0 {
+            depth += 1;
+            for &(u, labelled, pruned) in &self.frontier {
+                let pruned = pruned & alive;
+                let spread = labelled | pruned;
+                if spread == 0 {
+                    continue;
+                }
+                let row = rows.neighbors(u);
+                out.rows_scanned += row.len() as u64;
+                out.edges_traversed += row.len() as u64 * u64::from(spread.count_ones());
+                for &v in row {
+                    let fresh = spread & !self.seen[v as usize];
+                    if fresh == 0 {
+                        continue;
+                    }
+                    let next = &mut self.next[v as usize];
+                    if next.labelled | next.pruned == 0 {
+                        self.touched.push(v);
+                    }
+                    next.labelled |= labelled & fresh;
+                    next.pruned |= pruned & fresh;
+                }
+            }
 
-            // Pruned frontier expands first: anything it can reach at this
-            // level is pruned even if a labelled parent also reaches it
-            // (Lemma 3.7: *some* shortest path through a landmark suffices).
-            for i in 0..self.pruned.len() {
-                let u = self.pruned[i];
-                for &v in g.neighbors(u) {
-                    edges += 1;
-                    if self.visited[v as usize] != epoch {
-                        self.visited[v as usize] = epoch;
-                        if let Some(rank) = highway.rank(v) {
-                            highway_out.push((rank, next_depth));
+            // Settle the next level. A bit that arrived through any pruned
+            // parent stays pruned; at a landmark every bit is pruned and
+            // records a highway cell; elsewhere the rest label the vertex.
+            self.frontier.clear();
+            alive = 0;
+            self.touched.sort_unstable();
+            for &v in &self.touched {
+                let next = std::mem::take(&mut self.next[v as usize]);
+                let fresh = next.labelled | next.pruned;
+                self.seen[v as usize] |= fresh;
+                let (labelled, pruned) = match highway.rank(v) {
+                    Some(rank) => {
+                        for bit in bits(fresh) {
+                            out.highway_cells.push((first + bit, rank, depth));
                         }
-                        self.next_pruned.push(v);
+                        (0, fresh)
                     }
-                }
-            }
-            // Labelled frontier: unvisited landmarks are pruned (and enter
-            // the highway); everything else receives a label entry.
-            for i in 0..self.labeled.len() {
-                let u = self.labeled[i];
-                for &v in g.neighbors(u) {
-                    edges += 1;
-                    if self.visited[v as usize] != epoch {
-                        self.visited[v as usize] = epoch;
-                        if let Some(rank) = highway.rank(v) {
-                            highway_out.push((rank, next_depth));
-                            self.next_pruned.push(v);
-                        } else {
-                            let d16 = u16::try_from(next_depth).map_err(|_| {
-                                BuildError::DistanceOverflow {
-                                    landmark: root,
-                                    vertex: v,
-                                    distance: next_depth,
-                                }
-                            })?;
-                            labels_out.push((v, d16));
-                            self.next_labeled.push(v);
-                        }
+                    None => (next.labelled & !next.pruned, next.pruned),
+                };
+                if labelled != 0 {
+                    if depth > u32::from(u16::MAX) {
+                        return Err(BuildError::DistanceOverflow {
+                            landmark: roots[labelled.trailing_zeros() as usize],
+                            vertex: v,
+                            distance: depth,
+                        });
                     }
+                    out.labelled[v as usize] |= labelled;
+                    out.records.push((v, labelled));
+                    out.labels_added += u64::from(labelled.count_ones());
                 }
+                alive |= labelled;
+                self.frontier.push((v, labelled, pruned));
             }
-            std::mem::swap(&mut self.labeled, &mut self.next_labeled);
-            std::mem::swap(&mut self.pruned, &mut self.next_pruned);
-            depth = next_depth;
+            self.touched.clear();
+            if out.levels.last().map_or(0, |&(_, end)| end) < out.records.len() {
+                out.levels.push((depth as u16, out.records.len()));
+            }
         }
-        // Root-to-root entries are never emitted; `root_rank` documents the
-        // caller's bookkeeping and guards against misuse in debug builds.
-        debug_assert_eq!(highway.rank(root), Some(root_rank));
-        Ok(edges)
+        Ok(out)
     }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Builds the flat label store (separate rank and dist lanes) from the
+/// groups' outputs, given in rank order. A vertex's entries from earlier
+/// groups come first and, within a group, entries follow bit order, so
+/// every per-vertex list is sorted by rank and queries can merge labels in
+/// one pass.
+pub(crate) fn assemble_labels(n: usize, groups: &[GroupLabels]) -> HighwayLabels {
+    let mut offsets = vec![0u32; n + 1];
+    for group in groups {
+        for (count, bits) in offsets[1..].iter_mut().zip(&group.labelled) {
+            *count += bits.count_ones();
+        }
+    }
+    for i in 1..=n {
+        offsets[i] += offsets[i - 1];
+    }
+    let total = offsets[n] as usize;
+    let mut ranks = vec![0u16; total];
+    let mut dists = vec![0u16; total];
+    // `base[v]`: the slot of `v`'s first entry from the current group.
+    let mut base: Vec<u32> = offsets[..n].to_vec();
+    for group in groups {
+        let mut start = 0;
+        for &(depth, end) in &group.levels {
+            for &(v, labelled) in &group.records[start..end] {
+                let all = group.labelled[v as usize];
+                for bit in bits(labelled) {
+                    let below = all & ((1u32 << bit) - 1);
+                    let slot = (base[v as usize] + below.count_ones()) as usize;
+                    ranks[slot] = (group.first + bit) as u16;
+                    dists[slot] = depth;
+                }
+            }
+            start = end;
+        }
+        for (slot, bits) in base.iter_mut().zip(&group.labelled) {
+            *slot += bits.count_ones();
+        }
+    }
+    HighwayLabels::from_parts(offsets, ranks, dists)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixture;
-    use hcl_graph::{generate, traversal, INF};
+    use hcl_graph::{connectivity, generate, traversal, INF};
+
+    /// One pruned BFS: its label entries `(vertex, dist)`, highway cells
+    /// `(other rank, dist)` and neighbour examinations (ET).
+    type ReferenceRun = (Vec<(VertexId, u16)>, Vec<(u32, u32)>, u64);
+
+    /// Algorithm 1 as written: one pruned BFS from `root`, the reference
+    /// the word-parallel kernel must reproduce.
+    fn reference_bfs(g: &CsrGraph, highway: &Highway, root: VertexId) -> ReferenceRun {
+        let mut visited = vec![false; g.num_vertices()];
+        visited[root as usize] = true;
+        let (mut labelled, mut pruned) = (vec![root], Vec::new());
+        let (mut labels, mut cells, mut edges) = (Vec::new(), Vec::new(), 0u64);
+        let mut depth = 0u32;
+        while !labelled.is_empty() {
+            depth += 1;
+            let (mut next_labelled, mut next_pruned) = (Vec::new(), Vec::new());
+            // The pruned frontier expands first: anything it reaches at this
+            // level is pruned even if a labelled parent also reaches it.
+            for &u in &pruned {
+                for &v in g.neighbors(u) {
+                    edges += 1;
+                    if !std::mem::replace(&mut visited[v as usize], true) {
+                        if let Some(rank) = highway.rank(v) {
+                            cells.push((rank, depth));
+                        }
+                        next_pruned.push(v);
+                    }
+                }
+            }
+            // Unvisited landmarks are pruned (and enter the highway);
+            // everything else receives a label entry.
+            for &u in &labelled {
+                for &v in g.neighbors(u) {
+                    edges += 1;
+                    if !std::mem::replace(&mut visited[v as usize], true) {
+                        if let Some(rank) = highway.rank(v) {
+                            cells.push((rank, depth));
+                            next_pruned.push(v);
+                        } else {
+                            labels.push((v, u16::try_from(depth).unwrap()));
+                            next_labelled.push(v);
+                        }
+                    }
+                }
+            }
+            labelled = next_labelled;
+            pruned = next_pruned;
+        }
+        (labels, cells, edges)
+    }
+
+    /// The labelling, ET and LS of one [`reference_bfs`] per landmark.
+    fn reference_build(g: &CsrGraph, landmarks: &[VertexId]) -> (HighwayCoverLabelling, u64, u64) {
+        let mut highway = Highway::new(g.num_vertices(), landmarks);
+        let mut rows: Vec<Vec<(u16, u16)>> = vec![Vec::new(); g.num_vertices()];
+        let mut edges_traversed = 0;
+        for (rank, &root) in landmarks.iter().enumerate() {
+            let (labels, cells, edges) = reference_bfs(g, &highway, root);
+            edges_traversed += edges;
+            for (v, d) in labels {
+                rows[v as usize].push((rank as u16, d));
+            }
+            for (other, d) in cells {
+                highway.record(rank as u32, other, d);
+            }
+        }
+        highway.close();
+        let (mut offsets, mut ranks, mut dists) = (vec![0u32], Vec::new(), Vec::new());
+        for row in rows {
+            for (rank, d) in row {
+                ranks.push(rank);
+                dists.push(d);
+            }
+            offsets.push(ranks.len() as u32);
+        }
+        let labels_added = ranks.len() as u64;
+        let labels = HighwayLabels::from_parts(offsets, ranks, dists);
+        (HighwayCoverLabelling::from_parts(highway, labels), edges_traversed, labels_added)
+    }
+
+    #[test]
+    fn word_parallel_build_matches_per_landmark_reference() {
+        let er = generate::erdos_renyi(400, 330, 5);
+        assert!(connectivity::connected_components(&er).1 > 1);
+        let graphs = [
+            ("BA", generate::barabasi_albert(400, 3, 11)),
+            ("ER", er),
+            ("WS", generate::watts_strogatz(300, 6, 0.05, 3)),
+            ("tree", generate::random_tree(300, 4)),
+            ("path", generate::path(9)),
+        ];
+        for (name, g) in &graphs {
+            for r in [0usize, 1, 31, 32, 33, 64, 65, 100] {
+                let landmarks = hcl_graph::order::top_degree(g, r.min(g.num_vertices()));
+                let (expected, et, ls) = reference_build(g, &landmarks);
+                for threads in [1usize, 2, 3, 8] {
+                    let (built, stats) =
+                        HighwayCoverLabelling::build_parallel(g, &landmarks, threads).unwrap();
+                    let case = format!("{name} r {r} threads {threads}");
+                    assert_eq!(built, expected, "{case}");
+                    assert_eq!((stats.edges_traversed, stats.labels_added), (et, ls), "{case}");
+                    assert!(stats.rows_scanned <= stats.edges_traversed, "{case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn paper_example_labels_match_figure_2c() {

@@ -5,11 +5,9 @@
 //! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row
 //!   representation of an undirected, unweighted graph, plus
 //!   [`GraphBuilder`] for constructing one from an edge list.
-//! * [`WeightedGraph`] — a small weighted counterpart used by baselines that
-//!   introduce shortcut edges (IS-Label).
 //! * [`traversal`] — breadth-first search, bidirectional BFS, the
 //!   *distance-bounded* bidirectional BFS at the heart of the paper's
-//!   querying framework (Algorithm 2), and Dijkstra for weighted graphs.
+//!   querying framework (Algorithm 2).
 //!   All searches run on reusable, epoch-versioned buffers so repeated
 //!   queries allocate nothing.
 //! * [`generate`] — deterministic random-graph generators used as synthetic
@@ -35,12 +33,10 @@ pub mod overlay;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
-pub mod wgraph;
 
 pub use csr::{Adjacency, CsrGraph, CsrRows, GraphBuilder};
 pub use oracle::DistanceOracle;
 pub use traversal::{SearchEffort, SearchSpace};
-pub use wgraph::{WeightedGraph, WeightedGraphBuilder};
 
 /// Vertex identifier. Graphs are limited to `u32::MAX - 1` vertices, which
 /// keeps adjacency arrays compact (the paper's label encodings use 32-bit

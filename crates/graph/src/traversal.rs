@@ -1,6 +1,5 @@
 //! Graph searches: BFS, bidirectional BFS, distance-bounded bidirectional
-//! BFS (the online component of the paper's querying framework, Algorithm 2),
-//! and Dijkstra for weighted graphs.
+//! BFS (the online component of the paper's querying framework, Algorithm 2).
 //!
 //! Point-to-point searches run on a reusable [`SearchSpace`] whose visit
 //! marks are *epoch-versioned*: a query bumps the epoch instead of clearing
@@ -9,10 +8,7 @@
 //! query times possible on large graphs.
 
 use crate::csr::CsrGraph;
-use crate::wgraph::WeightedGraph;
 use crate::{VertexId, INF};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Computes BFS distances from `src` to every vertex (`INF` = unreachable).
 ///
@@ -459,60 +455,10 @@ impl SearchSpace {
     }
 }
 
-/// Dijkstra distances from `src` on a weighted graph (`INF` = unreachable).
-pub fn dijkstra_distances(g: &WeightedGraph, src: VertexId) -> Vec<u32> {
-    let mut dist = vec![INF; g.num_vertices()];
-    let mut heap: BinaryHeap<Reverse<(u32, VertexId)>> = BinaryHeap::new();
-    dist[src as usize] = 0;
-    heap.push(Reverse((0, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (v, w) in g.neighbors(u) {
-            let nd = d.saturating_add(w);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    dist
-}
-
-/// Early-exit point-to-point Dijkstra (the weighted online baseline,
-/// "Dijkstra \[27\]" in the paper's Figure 1).
-pub fn dijkstra_distance(g: &WeightedGraph, s: VertexId, t: VertexId) -> Option<u32> {
-    if s == t {
-        return Some(0);
-    }
-    let mut dist = vec![INF; g.num_vertices()];
-    let mut heap: BinaryHeap<Reverse<(u32, VertexId)>> = BinaryHeap::new();
-    dist[s as usize] = 0;
-    heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if u == t {
-            return Some(d);
-        }
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (v, w) in g.neighbors(u) {
-            let nd = d.saturating_add(w);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
-    use crate::wgraph::WeightedGraphBuilder;
 
     fn path_graph(n: usize) -> CsrGraph {
         generate::path(n)
@@ -766,41 +712,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(space.bibfs_distance(&g, 0, 5), Some(5));
             assert_eq!(space.bfs_distance(&g, 5, 0), Some(5));
-        }
-    }
-
-    #[test]
-    fn dijkstra_weighted_paths() {
-        let mut b = WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 1);
-        b.add_edge(1, 2, 1);
-        b.add_edge(0, 2, 5);
-        b.add_edge(2, 3, 2);
-        let g = b.build();
-        assert_eq!(dijkstra_distances(&g, 0), vec![0, 1, 2, 4]);
-        assert_eq!(dijkstra_distance(&g, 0, 3), Some(4));
-        assert_eq!(dijkstra_distance(&g, 3, 0), Some(4));
-    }
-
-    #[test]
-    fn dijkstra_unreachable() {
-        let mut b = WeightedGraphBuilder::new(3);
-        b.add_edge(0, 1, 2);
-        let g = b.build();
-        assert_eq!(dijkstra_distance(&g, 0, 2), None);
-        assert_eq!(dijkstra_distances(&g, 0)[2], INF);
-    }
-
-    #[test]
-    fn dijkstra_matches_bfs_on_unit_weights() {
-        let g = generate::erdos_renyi(50, 90, 7);
-        let mut b = WeightedGraphBuilder::new(g.num_vertices());
-        for (u, v) in g.edges() {
-            b.add_edge(u, v, 1);
-        }
-        let wg = b.build();
-        for s in [0u32, 13, 49] {
-            assert_eq!(dijkstra_distances(&wg, s), bfs_distances(&g, s));
         }
     }
 }

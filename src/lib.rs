@@ -45,8 +45,8 @@ pub use hcl_workloads as workloads;
 /// The types most applications need.
 pub mod prelude {
     pub use hcl_baselines::{
-        BfsOracle, BiBfsOracle, DijkstraOracle, FdConfig, FdIndex, FdOracle, IslConfig, IslIndex,
-        IslOracle, PllConfig, PllIndex,
+        BfsOracle, BiBfsOracle, FdConfig, FdIndex, FdOracle, IslConfig, IslIndex, IslOracle,
+        PllConfig, PllIndex,
     };
     pub use hcl_core::landmarks::LandmarkStrategy;
     pub use hcl_core::{
