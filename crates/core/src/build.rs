@@ -24,8 +24,8 @@
 //! §4.2). Per vertex it keeps four masks: `seen`, the next level's
 //! labelled and pruned arrivals, and the bits that labelled the vertex. A
 //! frontier vertex reads its adjacency row once for all the bits it
-//! expands, so the builder scans each row at most once per level instead
-//! of once per landmark. A bit whose labelled frontier empties stops
+//! expands, so a group scans each row at most once per level instead of
+//! once per landmark. A bit whose labelled frontier empties stops
 //! expanding, exactly as its own BFS would. The output is the labelling
 //! the per-landmark BFSs produce, entry for entry; the tests hold the
 //! per-landmark BFS as the reference.
@@ -262,6 +262,9 @@ impl GroupBfs {
             // records a highway cell; elsewhere the rest label the vertex.
             self.frontier.clear();
             alive = 0;
+            // In vertex order, the next level's row reads and the label
+            // placement walk memory nearly in order: this halved the build
+            // of a 1M-vertex BA graph against discovery order.
             self.touched.sort_unstable();
             for &v in &self.touched {
                 let next = std::mem::take(&mut self.next[v as usize]);
