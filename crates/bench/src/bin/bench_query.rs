@@ -342,7 +342,8 @@ fn main() {
              \"bfs_ns_per_query\": {bfs_ns_per_query:.0}, \
              \"reload_mmap_ms\": {:.3}, \"reload_speedup\": {reload_speedup:.1}, \
              \"update_publish_ms\": {update_publish_ms:.4}, \
-             \"update_speedup\": {update_speedup:.1}, \
+             \"update_add_ms\": {update_add_ms:.3}, \"update_del_ms\": {update_del_ms:.3}, \
+             \"rebuild_ms\": {rebuild_ms:.1}, \"update_speedup\": {update_speedup:.1}, \
              \"patched_query_ratio\": {patched_query_ratio:.3}}}\n",
             reload_mmap_secs * 1e3,
         );

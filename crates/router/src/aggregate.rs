@@ -6,6 +6,7 @@
 
 use hcl_core::{PartitionMap, ShardRoute};
 use hcl_graph::{VertexId, INF};
+use hcl_server::metrics::{stat_class, StatClass};
 
 /// One shard's slice of a client `BATCH`: the pairs it must answer and,
 /// for each, the position in the client's response the answer feeds
@@ -147,46 +148,9 @@ pub fn update_verdict(results: &[UpdateOutcome]) -> Result<(u64, u64), String> {
     Err(format!("update incomplete: {}", parts.join("; ")))
 }
 
-/// How one `STATS` key combines across shards.
-///
-/// Summing everything numeric — the old behaviour — is wrong for two
-/// whole classes of keys: configuration echoes (`max_connections=1024`
-/// across 4 shards is still 1024, not 4096) and high-water readings
-/// (`load_us` of the fleet is its slowest loader, not the sum of all
-/// loads). Each key declares its class in [`stat_class`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StatClass {
-    /// Additive counters and sizes: total across the fleet.
-    Sum,
-    /// Generation floors: the value every shard has reached (`epoch`).
-    Min,
-    /// High-water readings: the fleet's worst case (`load_us`).
-    Max,
-    /// Per-process configuration echoes: identical everywhere by
-    /// deployment construction, so report the first (also the fallback
-    /// for non-numeric values).
-    First,
-}
-
-/// The aggregation class of one `STATS` key.
-pub fn stat_class(key: &str) -> StatClass {
-    match key {
-        "epoch" => StatClass::Min,
-        "load_us" | "index_bytes" | "plain_index_bytes" => StatClass::Max,
-        // `sparse_relabelled` is a format flag, not a quantity: every
-        // shard reports the same 1, and a fleet-wide sum would read as a
-        // shard count.
-        "max_connections" | "idle_timeout_ms" | "sparse_relabelled" => StatClass::First,
-        // Counters, cache totals, `sparse_bytes`/`store_bytes` (each
-        // shard holds a distinct slice, so fleet totals add), and
-        // anything future shards report that we don't know: Sum keeps
-        // the old behaviour.
-        _ => StatClass::Sum,
-    }
-}
-
 /// Merges shard `STATS` bodies (`key=value` pairs) into one body, each
-/// key combined by its [`StatClass`]. Key order follows the first body,
+/// key combined by its [`StatClass`] ([`stat_class`] looks it up in the
+/// server's declarations). Key order follows the first body,
 /// with stragglers appended; non-numeric values are passed through from
 /// the first shard reporting them.
 pub fn merge_stats_bodies(bodies: &[String]) -> String {
@@ -332,14 +296,19 @@ mod tests {
     fn stats_merge_combines_each_key_by_its_class() {
         let cases: &[(&str, &str, &str, &str)] = &[
             // (key, shard A value, shard B value, merged)
-            ("queries", "10", "7", "17"),          // Sum: fleet total
-            ("cache_hits", "5", "0", "5"),         // Sum
-            ("sparse_bytes", "100", "200", "300"), // Sum: distinct slices
-            ("epoch", "2", "3", "2"),              // Min: generation floor
-            ("load_us", "900", "1500", "1500"),    // Max: slowest loader
-            ("index_bytes", "64", "80", "80"),     // Max: replicated label bytes
+            ("queries", "10", "7", "17"),            // Sum: fleet total
+            ("cache_hits", "5", "0", "5"),           // Sum
+            ("sparse_bytes", "100", "200", "300"),   // Sum: distinct slices
+            ("epoch", "2", "3", "2"),                // Min: generation floor
+            ("load_us", "900", "1500", "1500"),      // Max: slowest loader
+            ("index_bytes", "64", "80", "80"),       // Max: replicated label bytes
+            ("plain_index_bytes", "90", "70", "90"), // Max
             ("max_connections", "1024", "1024", "1024"), // First: config echo
             ("idle_timeout_ms", "600000", "600000", "600000"), // First
+            ("drain_grace_ms", "5000", "5000", "5000"), // First
+            ("sparse_relabelled", "1", "1", "1"),    // First: format flag
+            ("merge_ns", "40", "2", "42"),           // Sum
+            ("not_declared", "1", "2", "3"),         // Sum: the fallback
         ];
         for (key, a, b, want) in cases {
             let merged = merge_stats_bodies(&[format!("{key}={a}"), format!("{key}={b}")]);

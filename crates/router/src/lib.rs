@@ -25,9 +25,9 @@
 //! * `BATCH` — split into at most one sub-batch per shard (cross-shard
 //!   pairs appear in both owners' sub-batches), scattered, and re-merged
 //!   into input order.
-//! * `STATS` — fanned out to every shard; numeric counters are summed
-//!   (`epoch` is reported as the minimum) and the router prepends its own
-//!   `router_*` counters plus `shards=N`.
+//! * `STATS` — fanned out to every shard; numeric keys are merged by the
+//!   class each declares ([`hcl_server::metrics::stat_class`]) and the
+//!   router prepends its own `router_*` counters plus `shards=N`.
 //! * `EPOCH` — fanned out; answered only when every shard agrees.
 //! * `RELOAD dir` — fanned out as `RELOAD dir/shardI.hclg dir/index.hcl`,
 //!   or as the single-path `RELOAD dir/shardI.hclx` when the directory
@@ -58,4 +58,4 @@ mod reactor;
 pub mod router;
 mod upstream;
 
-pub use router::{Router, RouterConfig, RouterHandle, RouterMetrics};
+pub use router::{Router, RouterConfig, RouterHandle, RouterMetrics, RouterMetricsSnapshot};

@@ -963,8 +963,6 @@ impl Core {
     /// Builds the single-line JSON body of a router `METRICS` response:
     /// the router's own counters plus per-replica connection state.
     fn metrics_json(&self) -> String {
-        use std::sync::atomic::Ordering;
-        let m = &self.shared.metrics;
         let mut upstreams = String::new();
         for (shard, group) in self.groups.iter().enumerate() {
             for (replica, ups) in group.replicas.iter().enumerate() {
@@ -987,32 +985,9 @@ impl Core {
             }
         }
         format!(
-            "{{\"role\":\"router\",\"shards\":{},\"connections\":{},\
-             \"active_connections\":{},\"rejected_connections\":{},\
-             \"timed_out_connections\":{},\"queries\":{},\"scatter_queries\":{},\
-             \"batch_requests\":{},\"errors\":{},\"reloads\":{},\"updates\":{},\
-             \"failovers\":{},\"retries\":{},\"degraded\":{},\"probes\":{},\
-             \"probe_failures\":{},\"parked_dropped\":{},\"reactor_passes\":{},\
-             \"client_socket_writes\":{},\"upstreams\":[{upstreams}]}}",
+            "{{\"role\":\"router\",\"shards\":{},{},\"upstreams\":[{upstreams}]}}",
             self.shared.partition.num_shards(),
-            m.connections.load(Ordering::Relaxed),
-            m.active_connections.load(Ordering::Relaxed),
-            m.rejected_connections.load(Ordering::Relaxed),
-            m.timed_out_connections.load(Ordering::Relaxed),
-            m.queries.load(Ordering::Relaxed),
-            m.scatter_queries.load(Ordering::Relaxed),
-            m.batch_requests.load(Ordering::Relaxed),
-            m.errors.load(Ordering::Relaxed),
-            m.reloads.load(Ordering::Relaxed),
-            m.updates.load(Ordering::Relaxed),
-            m.failovers.load(Ordering::Relaxed),
-            m.retries.load(Ordering::Relaxed),
-            m.degraded.load(Ordering::Relaxed),
-            m.probes.load(Ordering::Relaxed),
-            m.probe_failures.load(Ordering::Relaxed),
-            m.parked_dropped.load(Ordering::Relaxed),
-            m.reactor_passes.load(Ordering::Relaxed),
-            m.client_socket_writes.load(Ordering::Relaxed),
+            protocol::json_members(&self.shared.metrics.snapshot().pairs()),
         )
     }
 }
@@ -1054,7 +1029,11 @@ impl DriverHooks for Core {
             Frame::Query(s, t) => self.route_query(epoll, conn, id, s, t),
             Frame::Batch(pairs) => self.route_batch(epoll, conn, id, pairs),
             Frame::Stats => {
-                let prefix = self.shared.metrics.stats_prefix(self.shared.partition.num_shards());
+                let mut prefix = String::new();
+                for (key, value) in self.shared.metrics.snapshot().pairs() {
+                    prefix.push_str(&format!("router_{key}={value} "));
+                }
+                prefix.push_str(&format!("shards={}", self.shared.partition.num_shards()));
                 self.fan_out_simple(
                     epoll,
                     conn,

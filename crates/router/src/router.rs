@@ -7,7 +7,7 @@ use crate::reactor;
 use hcl_core::PartitionMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -66,90 +66,56 @@ impl Default for RouterConfig {
     }
 }
 
-/// The router's own lock-free counters, reported as `router_*` keys in
-/// aggregated `STATS` responses and in full under `METRICS`.
-#[derive(Debug, Default)]
-pub struct RouterMetrics {
-    /// Client connections accepted over the router's lifetime.
-    pub connections: AtomicU64,
-    /// Client connections currently open.
-    pub active_connections: AtomicU64,
-    /// Client connections refused at `max_connections`.
-    pub rejected_connections: AtomicU64,
-    /// Client connections reaped by the idle timer or the completion
-    /// deadline.
-    pub timed_out_connections: AtomicU64,
-    /// `QUERY` requests routed.
-    pub queries: AtomicU64,
-    /// `QUERY` requests that needed two shards (cross-shard pairs).
-    pub scatter_queries: AtomicU64,
-    /// `BATCH` requests routed.
-    pub batch_requests: AtomicU64,
-    /// Requests answered with an `ERR` line (including shard failures).
-    pub errors: AtomicU64,
-    /// `RELOAD` fan-outs confirmed by every replica.
-    pub reloads: AtomicU64,
-    /// `UPDATE` fan-outs confirmed by every replica of every owning
-    /// shard (all-or-nothing, like reloads).
-    pub updates: AtomicU64,
-    /// Replica connections torn down after a failure (each surrenders
-    /// its in-flight requests for re-dispatch).
-    pub failovers: AtomicU64,
-    /// Requests re-dispatched to a sibling replica after a failure.
-    pub retries: AtomicU64,
-    /// Requests answered from a foreign shard's labels (`DIST~` /
-    /// `DISTS~`) because their home shard had no healthy replica.
-    pub degraded: AtomicU64,
-    /// Health probes sent.
-    pub probes: AtomicU64,
-    /// Health probes that timed out (each fails its replica over).
-    pub probe_failures: AtomicU64,
-    /// Requests refused `ERR busy` because their replica group's parked
-    /// queue was full (every replica reconnecting and `max_parked`
-    /// already waiting).
-    pub parked_dropped: AtomicU64,
-    /// Reactor loop iterations (one per `epoll_wait` return).
-    pub reactor_passes: AtomicU64,
-    /// `write` syscalls on client sockets: one per connection per pass
-    /// however many responses the pass resolved (`queries /
-    /// client_socket_writes` = replies per write).
-    pub client_socket_writes: AtomicU64,
-}
-
-impl RouterMetrics {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        Self::add(counter, 1);
-    }
-
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn drop_one(counter: &AtomicU64) {
-        counter.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The `router_* … shards=N` prefix of an aggregated `STATS` body.
-    pub(crate) fn stats_prefix(&self, shards: u32) -> String {
-        format!(
-            "router_connections={} router_active_connections={} \
-             router_rejected_connections={} router_queries={} router_scatter_queries={} \
-             router_batch_requests={} router_errors={} router_reloads={} \
-             router_updates={} router_failovers={} router_degraded={} \
-             router_parked_dropped={} shards={shards}",
-            self.connections.load(Ordering::Relaxed),
-            self.active_connections.load(Ordering::Relaxed),
-            self.rejected_connections.load(Ordering::Relaxed),
-            self.queries.load(Ordering::Relaxed),
-            self.scatter_queries.load(Ordering::Relaxed),
-            self.batch_requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.reloads.load(Ordering::Relaxed),
-            self.updates.load(Ordering::Relaxed),
-            self.failovers.load(Ordering::Relaxed),
-            self.degraded.load(Ordering::Relaxed),
-            self.parked_dropped.load(Ordering::Relaxed),
-        )
+hcl_server::counters! {
+    /// The router's own lock-free counters, reported as `router_<name>`
+    /// keys in aggregated `STATS` responses and as `<name>` under
+    /// `METRICS`. A router merges no other router's body, so every class
+    /// is `Sum`.
+    pub struct RouterMetrics => RouterMetricsSnapshot {
+        /// Client connections accepted over the router's lifetime.
+        connections: Sum,
+        /// Client connections currently open.
+        active_connections: Sum,
+        /// Client connections refused at `max_connections`.
+        rejected_connections: Sum,
+        /// Client connections reaped by the idle timer or the completion
+        /// deadline.
+        timed_out_connections: Sum,
+        /// `QUERY` requests routed.
+        queries: Sum,
+        /// `QUERY` requests that needed two shards (cross-shard pairs).
+        scatter_queries: Sum,
+        /// `BATCH` requests routed.
+        batch_requests: Sum,
+        /// Requests answered with an `ERR` line (including shard failures).
+        errors: Sum,
+        /// `RELOAD` fan-outs confirmed by every replica.
+        reloads: Sum,
+        /// `UPDATE` fan-outs confirmed by every replica of every owning
+        /// shard (all-or-nothing, like reloads).
+        updates: Sum,
+        /// Replica connections torn down after a failure (each surrenders
+        /// its in-flight requests for re-dispatch).
+        failovers: Sum,
+        /// Requests re-dispatched to a sibling replica after a failure.
+        retries: Sum,
+        /// Requests answered from a foreign shard's labels (`DIST~` /
+        /// `DISTS~`) because their home shard had no healthy replica.
+        degraded: Sum,
+        /// Health probes sent.
+        probes: Sum,
+        /// Health probes that timed out (each fails its replica over).
+        probe_failures: Sum,
+        /// Requests refused `ERR busy` because their replica group's parked
+        /// queue was full (every replica reconnecting and `max_parked`
+        /// already waiting).
+        parked_dropped: Sum,
+        /// Reactor loop iterations (one per `epoll_wait` return).
+        reactor_passes: Sum,
+        /// `write` syscalls on client sockets: one per connection per pass
+        /// however many responses the pass resolved (`queries /
+        /// client_socket_writes` = replies per write).
+        client_socket_writes: Sum,
     }
 }
 

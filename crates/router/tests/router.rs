@@ -7,7 +7,7 @@
 use hcl_core::partition::{self, PartitionMap};
 use hcl_core::{HighwayCoverLabelling, HlOracle};
 use hcl_graph::{CsrGraph, VertexId};
-use hcl_router::{Router, RouterConfig};
+use hcl_router::{Router, RouterConfig, RouterMetricsSnapshot};
 use hcl_server::{Client, QueryService, Server, ServerConfig, ServerHandle};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,6 +221,23 @@ fn stats_epoch_and_errors_through_the_router() {
 
     // Router metrics track the failures.
     assert_eq!(deployment.router.metrics().errors.load(Ordering::Relaxed), 2);
+
+    // Every router counter reaches both verbs with one value: both
+    // requests go in one write, so one reactor pass renders both.
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(deployment.router.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"STATS\nMETRICS\n").unwrap();
+    let (mut stats, mut json) = (String::new(), String::new());
+    reader.read_line(&mut stats).unwrap();
+    reader.read_line(&mut json).unwrap();
+    for &(key, _) in RouterMetricsSnapshot::KEYS {
+        let routed = stats
+            .split_ascii_whitespace()
+            .find_map(|kv| kv.strip_prefix(&format!("router_{key}=")))
+            .unwrap_or_else(|| panic!("missing router_{key} in {stats}"));
+        assert_eq!(routed.parse::<u64>().unwrap(), metric(&json, key), "{key}: {stats} / {json}");
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! | [`server`] | std-only TCP server: single-threaded epoll reactor, nonblocking sockets, graceful eventfd-signalled shutdown |
 //! | [`transport`] | the reusable event-loop building blocks: [`transport::Conn`] state machine, [`transport::sys`] epoll/eventfd bindings |
 //! | [`client`] | a blocking client for the protocol |
-//! | [`metrics`] | lock-free serving counters and snapshots |
+//! | [`metrics`] | lock-free serving counters, each declared once with its aggregation class ([`counters!`]) |
 //!
 //! Internally the server is an event loop (`reactor`) over the reusable
 //! [`transport`] layer — per-connection state machines

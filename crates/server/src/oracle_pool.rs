@@ -632,7 +632,7 @@ mod tests {
         }
         let snap = service.metrics_snapshot();
         assert_eq!(snap.queries, 5);
-        assert_eq!(snap.total_distances(), 5);
+        assert_eq!(snap.batch_queries, 0);
     }
 
     #[test]

@@ -32,9 +32,6 @@
 //! never assumes a blocking `read_line` and it bounds memory against
 //! oversized-line attacks ([`MAX_LINE_BYTES`]).
 
-use crate::cache::CacheStats;
-use crate::metrics::MetricsSnapshot;
-use crate::oracle_pool::IndexSizes;
 use hcl_graph::VertexId;
 
 /// Largest `k` a `BATCH` request may declare; guards the server against
@@ -579,85 +576,24 @@ pub fn format_metrics_response(json: &str) -> String {
     format!("METRICS {json}")
 }
 
-/// Renders the `STATS` response: one line of `key=value` pairs.
-/// `sizes` describes the index generation currently serving (labelling
-/// bytes plus the sparsified-view CSR the query path traverses;
-/// `store_bytes`/`plain_index_bytes` describe the packed on-disk format —
-/// 0 / the projected plain size when serving from memory). `load_us` is
-/// the wall-clock microseconds of the last disk reload.
-/// `max_connections`/`idle_timeout_ms` echo the serving configuration.
-/// All values are unsigned integers so router aggregation can combine
-/// them per key (counters sum; epochs min; gauges and config values keep
-/// a max or first value — see `hcl-router`'s aggregation classes).
-pub fn format_stats_response(
-    metrics: &MetricsSnapshot,
-    cache: &CacheStats,
-    epoch: u64,
-    sizes: &IndexSizes,
-    load_us: u64,
-    max_connections: u64,
-    idle_timeout_ms: u64,
-) -> String {
-    format!(
-        "STATS queries={} batch_requests={} batch_queries={} reactor_passes={} \
-         socket_writes={} wake_signals={} executor_jobs={} inline_hits={} connections={} \
-         active_connections={} rejected_connections={} timed_out_connections={} errors={} \
-         shed_requests={} deadline_expired={} \
-         epoch={} reloads={} updates_applied={} update_affected_vertices={} \
-         update_publish_ns={} update_revalidate_ns={} overlay_rows={} overlay_folds={} \
-         revalidations_skipped={} revalidations_dropped={} retag_kept={} \
-         search_ns={} searched_queries={} search_edges_scanned={} search_vertices_settled={} \
-         index_bytes={} sparse_bytes={} sparse_edges={} \
-         sparse_relabelled=1 rank_lane_bytes={} dist_lane_bytes={} store_bytes={} \
-         plain_index_bytes={} load_us={} max_connections={} idle_timeout_ms={} cache_hits={} \
-         cache_misses={} cache_stale={} cache_evictions={} cache_entries={} cache_capacity={}",
-        metrics.queries,
-        metrics.batch_requests,
-        metrics.batch_queries,
-        metrics.reactor_passes,
-        metrics.socket_writes,
-        metrics.wake_signals,
-        metrics.executor_jobs,
-        metrics.inline_hits,
-        metrics.connections,
-        metrics.active_connections,
-        metrics.rejected_connections,
-        metrics.timed_out_connections,
-        metrics.errors,
-        metrics.shed_requests,
-        metrics.deadline_expired,
-        epoch,
-        metrics.reloads,
-        metrics.updates_applied,
-        metrics.update_affected_vertices,
-        metrics.update_publish_ns,
-        metrics.update_revalidate_ns,
-        metrics.overlay_rows,
-        metrics.overlay_folds,
-        metrics.revalidations_skipped,
-        metrics.revalidations_dropped,
-        metrics.retag_kept,
-        metrics.search_ns,
-        metrics.searched_queries,
-        metrics.search_edges_scanned,
-        metrics.search_vertices_settled,
-        sizes.index_bytes,
-        sizes.sparse_bytes,
-        sizes.sparse_edges,
-        sizes.rank_lane_bytes,
-        sizes.dist_lane_bytes,
-        sizes.store_bytes,
-        sizes.plain_index_bytes,
-        load_us,
-        max_connections,
-        idle_timeout_ms,
-        cache.hits,
-        cache.misses,
-        cache.stale,
-        cache.evictions,
-        cache.entries,
-        cache.capacity,
-    )
+/// Renders `(key, value)` pairs as the comma-separated members of a
+/// `METRICS` JSON object: `"key":value,…`.
+pub fn json_members(pairs: &[(&str, u64)]) -> String {
+    let members: Vec<String> =
+        pairs.iter().map(|(key, value)| format!("\"{key}\":{value}")).collect();
+    members.join(",")
+}
+
+/// Renders the `STATS` response: one line of `key=value` pairs, rendered
+/// from the same list as the process's `METRICS` object. All values are
+/// unsigned integers so router aggregation can combine them per key (see
+/// [`stat_class`](crate::metrics::stat_class)).
+pub fn format_stats_response(pairs: &[(&str, u64)]) -> String {
+    let mut out = String::from("STATS");
+    for (key, value) in pairs {
+        out.push_str(&format!(" {key}={value}"));
+    }
+    out
 }
 
 /// Renders a successful `RELOAD` response: `RELOADED <epoch>`.
@@ -1058,65 +994,60 @@ mod tests {
         assert_eq!(corrupt, 1, "exactly one corrupt frame for the whole flood");
     }
 
+    /// Every declared key reaches both verbs of a live server with one
+    /// value, and `STATS` carries nothing else but unsigned integers.
     #[test]
     fn stats_line_is_parseable_key_values() {
-        let sizes = IndexSizes {
-            index_bytes: 1024,
-            sparse_bytes: 2048,
-            sparse_edges: 96,
-            store_bytes: 4096,
-            plain_index_bytes: 1500,
-            rank_lane_bytes: 192,
-            dist_lane_bytes: 192,
+        use crate::metrics::{MetricsSnapshot, ServeReadings};
+        use crate::{QueryService, Server, ServerConfig};
+        use std::io::{BufRead, BufReader, Write};
+
+        let (g, labelling) = hcl_core::testing::ba_fixture(200, 4, 9, 6);
+        let service = std::sync::Arc::new(QueryService::from_parts(g, labelling, 64));
+        let handle = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut read_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
         };
-        let line = format_stats_response(
-            &MetricsSnapshot::default(),
-            &CacheStats::default(),
-            4,
-            &sizes,
-            777,
-            1024,
-            600_000,
-        );
-        let body = line.strip_prefix("STATS ").unwrap();
-        for kv in body.split_ascii_whitespace() {
-            let (k, v) = kv.split_once('=').expect("key=value");
-            assert!(!k.is_empty());
-            let _: u64 = v.parse().expect("numeric value");
+        stream.write_all(b"QUERY 1 2\nQUERY 1 2\nBATCH 2\n3 4\n5 6\nNOPE\n").unwrap();
+        for _ in 0..4 {
+            read_line();
         }
-        assert!(body.contains("epoch=4"));
-        assert!(body.contains("reloads=0"));
-        assert!(body.contains("updates_applied=0"));
-        assert!(body.contains("update_affected_vertices=0"));
-        for key in [
-            "update_publish_ns",
-            "update_revalidate_ns",
-            "overlay_rows",
-            "overlay_folds",
-            "revalidations_skipped",
-            "revalidations_dropped",
-            "retag_kept",
-        ] {
-            assert!(body.contains(&format!(" {key}=0 ")), "{key} missing from {body}");
+        // One write, so one reactor pass renders both from the same counts.
+        stream.write_all(b"STATS\nMETRICS\n").unwrap();
+        let stats = read_line();
+        let metrics = read_line();
+        handle.shutdown();
+
+        let stats: Vec<(String, u64)> = stats
+            .strip_prefix("STATS ")
+            .unwrap()
+            .split_ascii_whitespace()
+            .map(|kv| {
+                let (k, v) = kv.split_once('=').expect("key=value");
+                (k.to_string(), v.parse().expect("numeric value"))
+            })
+            .collect();
+        let json = parse_metrics_response(&metrics).unwrap();
+        let members: Vec<(&str, &str)> = json[1..json.len() - 1]
+            .split(',')
+            .map(|member| member.split_once(':').expect("\"key\":value"))
+            .collect();
+        let declared: Vec<&str> =
+            MetricsSnapshot::KEYS.iter().chain(ServeReadings::KEYS).map(|&(key, _)| key).collect();
+        assert_eq!(stats.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), declared);
+        assert_eq!(members.len(), 1 + declared.len(), "`role` plus the declared keys: {json}");
+        for (key, value) in &stats {
+            let quoted = format!("\"{key}\"");
+            let found = members.iter().find(|(k, _)| *k == quoted).map(|&(_, v)| v);
+            assert_eq!(found, Some(value.to_string().as_str()), "{key}: {json}");
         }
-        assert!(body.contains("search_ns=0"));
-        assert!(body.contains("search_edges_scanned=0"));
-        assert!(body.contains("search_vertices_settled=0"));
-        assert!(body.contains("index_bytes=1024"));
-        assert!(body.contains("sparse_bytes=2048"));
-        assert!(body.contains("sparse_edges=96"));
-        assert!(body.contains("sparse_relabelled=1"));
-        assert!(body.contains("rank_lane_bytes=192"));
-        assert!(body.contains("dist_lane_bytes=192"));
-        assert!(body.contains("store_bytes=4096"));
-        assert!(body.contains("plain_index_bytes=1500"));
-        assert!(body.contains("load_us=777"));
-        assert!(body.contains("max_connections=1024"));
-        assert!(body.contains("idle_timeout_ms=600000"));
-        assert!(body.contains("cache_stale=0"));
-        assert!(body.contains("rejected_connections=0"));
-        assert!(body.contains("timed_out_connections=0"));
-        assert!(body.contains("shed_requests=0"));
-        assert!(body.contains("deadline_expired=0"));
+        let value = |key: &str| stats.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!((value("queries"), value("batch_queries"), value("errors")), (2, 2, 1));
+        assert_eq!(value("sparse_relabelled"), 1);
+        assert_eq!(value("max_connections"), ServerConfig::default().max_connections as u64);
     }
 }

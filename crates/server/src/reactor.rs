@@ -54,7 +54,7 @@
 //! self-connect wakeup: shutdown, like every other cross-thread signal, is
 //! one eventfd write.
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{ServeMetrics, ServeReadings};
 use crate::oracle_pool::{PendingRevalidation, QueryError, QueryService};
 use crate::protocol::{self, Frame};
 use crate::server::{Pushed, Shared, UpdateJob};
@@ -297,70 +297,37 @@ impl ServerHooks {
         }
     }
 
-    /// Builds the single-line JSON body of a `METRICS` response.
-    fn metrics_json(&self) -> String {
+    /// Every key this process reports, in order: the counters, then the
+    /// readings. `STATS` and `METRICS` both render this one list.
+    fn report(&self) -> Vec<(&'static str, u64)> {
         let service = &self.shared.service;
-        let m = service.metrics_snapshot();
-        let cache = service.cache_stats();
+        let config = &self.shared.config;
         let sizes = service.index_sizes();
-        format!(
-            "{{\"role\":\"server\",\"epoch\":{},\"queries\":{},\"batch_requests\":{},\
-             \"batch_queries\":{},\"reactor_passes\":{},\"socket_writes\":{},\
-             \"wake_signals\":{},\"executor_jobs\":{},\"inline_hits\":{},\
-             \"connections\":{},\"active_connections\":{},\
-             \"rejected_connections\":{},\"timed_out_connections\":{},\"errors\":{},\
-             \"shed_requests\":{},\"deadline_expired\":{},\
-             \"reloads\":{},\"updates_applied\":{},\"update_affected_vertices\":{},\
-             \"update_publish_ns\":{},\"update_revalidate_ns\":{},\"overlay_rows\":{},\
-             \"overlay_folds\":{},\"revalidations_skipped\":{},\
-             \"revalidations_dropped\":{},\"retag_kept\":{},\
-             \"merge_ns\":{},\"search_ns\":{},\"searched_queries\":{},\
-             \"search_edges_scanned\":{},\"search_vertices_settled\":{},\
-             \"load_us\":{},\"index_bytes\":{},\"sparse_bytes\":{},\
-             \"store_bytes\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\
-             \"max_connections\":{},\"idle_timeout_ms\":{},\"drain_grace_ms\":{}}}",
-            service.epoch(),
-            m.queries,
-            m.batch_requests,
-            m.batch_queries,
-            m.reactor_passes,
-            m.socket_writes,
-            m.wake_signals,
-            m.executor_jobs,
-            m.inline_hits,
-            m.connections,
-            m.active_connections,
-            m.rejected_connections,
-            m.timed_out_connections,
-            m.errors,
-            m.shed_requests,
-            m.deadline_expired,
-            m.reloads,
-            m.updates_applied,
-            m.update_affected_vertices,
-            m.update_publish_ns,
-            m.update_revalidate_ns,
-            m.overlay_rows,
-            m.overlay_folds,
-            m.revalidations_skipped,
-            m.revalidations_dropped,
-            m.retag_kept,
-            m.merge_ns,
-            m.search_ns,
-            m.searched_queries,
-            m.search_edges_scanned,
-            m.search_vertices_settled,
-            service.last_load_micros(),
-            sizes.index_bytes,
-            sizes.sparse_bytes,
-            sizes.store_bytes,
-            cache.hits,
-            cache.misses,
-            cache.entries,
-            self.shared.config.max_connections,
-            self.shared.config.idle_timeout.as_millis(),
-            self.shared.config.drain_grace.as_millis(),
-        )
+        let cache = service.cache_stats();
+        let readings = ServeReadings {
+            epoch: service.epoch(),
+            load_us: service.last_load_micros(),
+            index_bytes: sizes.index_bytes as u64,
+            sparse_bytes: sizes.sparse_bytes as u64,
+            sparse_edges: sizes.sparse_edges as u64,
+            sparse_relabelled: 1,
+            rank_lane_bytes: sizes.rank_lane_bytes as u64,
+            dist_lane_bytes: sizes.dist_lane_bytes as u64,
+            store_bytes: sizes.store_bytes as u64,
+            plain_index_bytes: sizes.plain_index_bytes as u64,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_stale: cache.stale,
+            cache_evictions: cache.evictions,
+            cache_entries: cache.entries as u64,
+            cache_capacity: cache.capacity as u64,
+            max_connections: config.max_connections as u64,
+            idle_timeout_ms: config.idle_timeout.as_millis() as u64,
+            drain_grace_ms: config.drain_grace.as_millis() as u64,
+        };
+        let mut report = service.metrics_snapshot().pairs();
+        report.extend(readings.pairs());
+        report
     }
 }
 
@@ -385,22 +352,11 @@ impl DriverHooks for ServerHooks {
             Frame::Epoch => {
                 conn.push_ready(protocol::format_epoch_response(shared.service.epoch()));
             }
-            Frame::Stats => {
-                let snapshot = shared.service.metrics_snapshot();
-                let cache = shared.service.cache_stats();
-                let sizes = shared.service.index_sizes();
-                conn.push_ready(protocol::format_stats_response(
-                    &snapshot,
-                    &cache,
-                    shared.service.epoch(),
-                    &sizes,
-                    shared.service.last_load_micros(),
-                    shared.config.max_connections as u64,
-                    shared.config.idle_timeout.as_millis() as u64,
-                ));
-            }
+            Frame::Stats => conn.push_ready(protocol::format_stats_response(&self.report())),
             Frame::Metrics => {
-                conn.push_ready(protocol::format_metrics_response(&self.metrics_json()));
+                let json =
+                    format!("{{\"role\":\"server\",{}}}", protocol::json_members(&self.report()));
+                conn.push_ready(protocol::format_metrics_response(&json));
             }
             Frame::Batch(pairs) => {
                 let seq = conn.push_waiting();

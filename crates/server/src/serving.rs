@@ -44,7 +44,7 @@ impl ServingIndex {
         }
     }
 
-    /// Exact distance using a caller-held context (worker-loop path).
+    /// Exact distance using a caller-held context.
     #[inline]
     pub fn distance_with(&self, ctx: &mut QueryContext, s: VertexId, t: VertexId) -> Option<u32> {
         match self {

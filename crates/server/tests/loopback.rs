@@ -134,10 +134,11 @@ fn stats_errors_and_graceful_shutdown_over_the_wire() {
 
 /// Search effort is a count, not a timing: the same seeded pair set
 /// reports exactly the same `search_edges_scanned` /
-/// `search_vertices_settled` on every run, in `METRICS` and in `STATS`.
+/// `search_vertices_settled` on every run, in `METRICS` and in `STATS`,
+/// whether the pairs arrive as single `QUERY`s or as one `BATCH`.
 #[test]
 fn search_effort_counters_repeat_exactly() {
-    let run = || -> (u64, u64, u64) {
+    let run = |as_batch: bool| -> (u64, u64, u64) {
         let (g, labelling) = hcl_core::testing::ba_fixture(N, 5, 77, 16);
         // No cache: every query (single and batched) reaches the index.
         let service = Arc::new(QueryService::from_parts(g, labelling, 0));
@@ -145,10 +146,13 @@ fn search_effort_counters_repeat_exactly() {
             Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.local_addr()).unwrap();
         let pairs: Vec<(u32, u32)> = (0..300).map(|i| pair_for(1, i)).collect();
-        for &(s, t) in &pairs[..100] {
-            client.query(s, t).unwrap();
+        if as_batch {
+            client.batch(&pairs).unwrap();
+        } else {
+            for &(s, t) in &pairs {
+                client.query(s, t).unwrap();
+            }
         }
-        client.batch(&pairs[100..]).unwrap();
 
         // Read the counts off STATS, then require METRICS to agree.
         let stats = client.stats().unwrap();
@@ -168,10 +172,11 @@ fn search_effort_counters_repeat_exactly() {
         handle.shutdown();
         effort
     };
-    let first = run();
+    let first = run(false);
     assert!(first.0 > 0, "the pair set must exercise the bounded search");
     assert!(first.1 > 0 && first.2 >= 2 * first.0, "every search marks its two endpoints");
-    assert_eq!(run(), first);
+    assert_eq!(run(false), first);
+    assert_eq!(run(true), first, "a BATCH member's miss counts like a QUERY's");
 }
 
 #[test]
