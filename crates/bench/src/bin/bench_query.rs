@@ -13,8 +13,8 @@
 //!   upper bound is already the exact distance (the paper's Figure 9
 //!   coverage metric; these queries never run a search);
 //! * **queries/sec, packed** — the same sequential workload answered by a
-//!   [`hcl_store::PackedOracle`] decoding delta-varint labels straight out
-//!   of the mmapped `.hclx` container (no deserialisation);
+//!   [`hcl_store::PackedOracle`] merging the label lanes straight out of
+//!   the mmapped `.hclx` container (no deserialisation, no decode);
 //! * **merge-vs-search phase split** — per-query nanoseconds spent in the
 //!   Lemma 5.1 label merge vs the bounded bidirectional search, from one
 //!   instrumented pass (`distance_with_timed`), plus per-entry label byte
@@ -40,7 +40,9 @@
 //! stdout only. `--history` **appends** the headline fields as one JSON
 //! line to the append-only trajectory (`BENCH_history.jsonl`; one line per
 //! side of each PR's A/B) — that file is never rewritten, so a slide
-//! across PRs stays visible. Every record carries its provenance —
+//! across PRs stays visible. The line carries the three index sizes
+//! (`index_bytes`, `packed_index_bytes`, `store_bytes`) beside the
+//! timings: they are exact for the fixed seed, so a size change shows. Every record carries its provenance —
 //! `git_rev` (`-dirty` when the tree has uncommitted changes), `nproc`,
 //! and `mode` — so numbers from different machines or configurations are
 //! never compared blindly.
@@ -344,8 +346,11 @@ fn main() {
              \"update_publish_ms\": {update_publish_ms:.4}, \
              \"update_add_ms\": {update_add_ms:.3}, \"update_del_ms\": {update_del_ms:.3}, \
              \"rebuild_ms\": {rebuild_ms:.1}, \"update_speedup\": {update_speedup:.1}, \
-             \"patched_query_ratio\": {patched_query_ratio:.3}}}\n",
+             \"patched_query_ratio\": {patched_query_ratio:.3}, \
+             \"index_bytes\": {}, \"packed_index_bytes\": {packed_index_bytes}, \
+             \"store_bytes\": {store_bytes}}}\n",
             reload_mmap_secs * 1e3,
+            labelling.index_bytes(),
         );
         // Append-only: the trajectory is never truncated or rewritten.
         std::fs::OpenOptions::new()

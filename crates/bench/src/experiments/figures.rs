@@ -243,7 +243,7 @@ pub fn run_fig8() {
         for &k in &ks {
             let landmarks = default_landmarks(g, k);
             let (labelling, _) = HighwayCoverLabelling::build_parallel(g, &landmarks, 0).unwrap();
-            let bytes = labelling.labels().encoded_bytes(LabelEncoding::Wide32).unwrap()
+            let bytes = labelling.labels().encoded_bytes(LabelEncoding::Wide32)
                 + labelling.highway().matrix_bytes();
             row.push(format!("{:.2}", bytes as f64 / (1024.0 * 1024.0)));
         }

@@ -92,8 +92,9 @@ Graph files ending in .txt/.el are parsed as whitespace edge lists;
 anything else uses the binary container.
 
 pack rewrites a graph + plain index into one self-contained .hclx file
-(docs/FORMAT.md): delta-varint labels, highway matrix and the sparsified
-query CSR, checksummed per section. build --format packed does the same
+(docs/FORMAT.md): label rank and distance lanes (one byte each per
+entry), highway matrix and the sparsified query CSR, checksummed per
+section. build --format packed does the same
 in one step. serve given a single .hclx maps it read-only and answers
 queries straight out of the page cache — no deserialisation — and RELOAD
 with a .hclx path swaps generations by remapping.
@@ -224,7 +225,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         "plain" => {
             hcl_core::io::save_labelling(&labelling, &out)
                 .map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote {out} ({} bytes)", labelling.index_bytes());
+            let bytes = std::fs::metadata(&out).map_err(|e| format!("stat {out}: {e}"))?.len();
+            println!("wrote {out} ({bytes} bytes)");
         }
         "packed" => save_packed_index(&g, &labelling, &out)?,
         other => return Err(format!("unknown format {other:?} (plain or packed)")),

@@ -36,7 +36,7 @@
 //! by bit.
 
 use crate::highway::Highway;
-use crate::labels::HighwayLabels;
+use crate::labels::{HighwayLabels, MAX_LANDMARKS};
 use crate::BuildError;
 use hcl_graph::{CsrGraph, VertexId};
 use std::ops::Range;
@@ -107,7 +107,7 @@ impl HighwayCoverLabelling {
 }
 
 pub(crate) fn validate_landmarks(g: &CsrGraph, landmarks: &[VertexId]) -> Result<(), BuildError> {
-    if landmarks.len() > u16::MAX as usize {
+    if landmarks.len() > MAX_LANDMARKS {
         return Err(BuildError::TooManyLandmarks { requested: landmarks.len() });
     }
     let n = g.num_vertices();
@@ -153,7 +153,7 @@ pub(crate) struct GroupLabels {
     records: Vec<(VertexId, u32)>,
     /// `(depth, end)` per level that produced records: that level's
     /// records are `records[previous end..end]`.
-    levels: Vec<(u16, usize)>,
+    levels: Vec<(u8, usize)>,
     /// Highway cells `(rank, rank, distance)` the group discovered.
     pub(crate) highway_cells: Vec<(u32, u32, u32)>,
     pub(crate) edges_traversed: u64,
@@ -280,7 +280,7 @@ impl GroupBfs {
                     None => (next.labelled & !next.pruned, next.pruned),
                 };
                 if labelled != 0 {
-                    if depth > u32::from(u16::MAX) {
+                    if depth > u32::from(u8::MAX) {
                         return Err(BuildError::DistanceOverflow {
                             landmark: roots[labelled.trailing_zeros() as usize],
                             vertex: v,
@@ -296,7 +296,7 @@ impl GroupBfs {
             }
             self.touched.clear();
             if out.levels.last().map_or(0, |&(_, end)| end) < out.records.len() {
-                out.levels.push((depth as u16, out.records.len()));
+                out.levels.push((depth as u8, out.records.len()));
             }
         }
         Ok(out)
@@ -330,8 +330,8 @@ pub(crate) fn assemble_labels(n: usize, groups: &[GroupLabels]) -> HighwayLabels
         offsets[i] += offsets[i - 1];
     }
     let total = offsets[n] as usize;
-    let mut ranks = vec![0u16; total];
-    let mut dists = vec![0u16; total];
+    let mut ranks = vec![0u8; total];
+    let mut dists = vec![0u8; total];
     // `base[v]`: the slot of `v`'s first entry from the current group.
     let mut base: Vec<u32> = offsets[..n].to_vec();
     for group in groups {
@@ -342,7 +342,7 @@ pub(crate) fn assemble_labels(n: usize, groups: &[GroupLabels]) -> HighwayLabels
                 for bit in bits(labelled) {
                     let below = all & ((1u32 << bit) - 1);
                     let slot = (base[v as usize] + below.count_ones()) as usize;
-                    ranks[slot] = (group.first + bit) as u16;
+                    ranks[slot] = (group.first + bit) as u8;
                     dists[slot] = depth;
                 }
             }
@@ -363,7 +363,7 @@ mod tests {
 
     /// One pruned BFS: its label entries `(vertex, dist)`, highway cells
     /// `(other rank, dist)` and neighbour examinations (ET).
-    type ReferenceRun = (Vec<(VertexId, u16)>, Vec<(u32, u32)>, u64);
+    type ReferenceRun = (Vec<(VertexId, u8)>, Vec<(u32, u32)>, u64);
 
     /// Algorithm 1 as written: one pruned BFS from `root`, the reference
     /// the word-parallel kernel must reproduce.
@@ -399,7 +399,7 @@ mod tests {
                             cells.push((rank, depth));
                             next_pruned.push(v);
                         } else {
-                            labels.push((v, u16::try_from(depth).unwrap()));
+                            labels.push((v, u8::try_from(depth).unwrap()));
                             next_labelled.push(v);
                         }
                     }
@@ -414,13 +414,13 @@ mod tests {
     /// The labelling, ET and LS of one [`reference_bfs`] per landmark.
     fn reference_build(g: &CsrGraph, landmarks: &[VertexId]) -> (HighwayCoverLabelling, u64, u64) {
         let mut highway = Highway::new(g.num_vertices(), landmarks);
-        let mut rows: Vec<Vec<(u16, u16)>> = vec![Vec::new(); g.num_vertices()];
+        let mut rows: Vec<Vec<(u8, u8)>> = vec![Vec::new(); g.num_vertices()];
         let mut edges_traversed = 0;
         for (rank, &root) in landmarks.iter().enumerate() {
             let (labels, cells, edges) = reference_bfs(g, &highway, root);
             edges_traversed += edges;
             for (v, d) in labels {
-                rows[v as usize].push((rank as u16, d));
+                rows[v as usize].push((rank as u8, d));
             }
             for (other, d) in cells {
                 highway.record(rank as u32, other, d);
@@ -479,10 +479,10 @@ mod tests {
 
         // Exact per-vertex entries from Figure 2(c).
         for (vertex, landmark, dist) in fixture::paper_expected_labels() {
-            let rank = hcl.highway().rank(landmark).unwrap() as u16;
+            let rank = hcl.highway().rank(landmark).unwrap() as u8;
             let label = hcl.labels().label(vertex);
             assert!(
-                label.iter().any(|e| e.landmark == rank && e.dist == dist as u16),
+                label.iter().any(|e| e.landmark == rank && e.dist == dist as u8),
                 "expected ({landmark},{dist}) in label of {vertex}, got {label:?}"
             );
         }
@@ -514,7 +514,7 @@ mod tests {
             let truth = traversal::bfs_distances(&g, r);
             for v in g.vertices() {
                 for e in hcl.labels().label(v) {
-                    if e.landmark == rank as u16 {
+                    if e.landmark == rank as u8 {
                         assert_eq!(e.dist as u32, truth[v as usize], "entry ({r},{v})");
                     }
                 }
@@ -547,7 +547,7 @@ mod tests {
                                 && dist[r as usize][w as usize] + dist[w as usize][v as usize]
                                     == d_rv
                         });
-                    let present = hcl.labels().label(v).iter().any(|e| e.landmark == rank as u16);
+                    let present = hcl.labels().label(v).iter().any(|e| e.landmark == rank as u8);
                     assert_eq!(present, expected, "landmark {r} vertex {v} seed {seed}");
                 }
             }
@@ -565,13 +565,13 @@ mod tests {
         // Same entries per vertex (ranks differ with the order, so compare
         // resolved landmark vertices).
         for v in g.vertices() {
-            let mut ea: Vec<(VertexId, u16)> = a
+            let mut ea: Vec<(VertexId, u8)> = a
                 .labels()
                 .label(v)
                 .iter()
                 .map(|e| (a.highway().landmark(e.landmark as u32), e.dist))
                 .collect();
-            let mut eb: Vec<(VertexId, u16)> = b
+            let mut eb: Vec<(VertexId, u8)> = b
                 .labels()
                 .label(v)
                 .iter()
@@ -643,12 +643,31 @@ mod tests {
 
     #[test]
     fn distance_overflow_reported() {
-        // A path longer than u16::MAX with a landmark at one end.
-        let g = generate::path(70_000);
-        assert!(matches!(
-            HighwayCoverLabelling::build(&g, &[0]),
-            Err(BuildError::DistanceOverflow { .. })
-        ));
+        // A path longer than u8::MAX with a landmark at one end: vertex 256
+        // is the first one out of range.
+        let g = generate::path(300);
+        assert_eq!(
+            HighwayCoverLabelling::build(&g, &[0]).err(),
+            Some(BuildError::DistanceOverflow { landmark: 0, vertex: 256, distance: 256 })
+        );
+        let (hcl, _) = HighwayCoverLabelling::build(&generate::path(256), &[0]).unwrap();
+        assert_eq!(hcl.labels().label(255).to_vec()[0].dist, 255, "255 is in range");
+    }
+
+    #[test]
+    fn landmark_count_is_capped_at_one_byte_of_rank() {
+        let g = generate::path(300);
+        let all: Vec<VertexId> = (0..=MAX_LANDMARKS as VertexId).collect();
+        assert_eq!(
+            HighwayCoverLabelling::build(&g, &all).err(),
+            Some(BuildError::TooManyLandmarks { requested: 257 })
+        );
+        // Exactly MAX_LANDMARKS: the last rank, 255, labels the tail.
+        let (hcl, _) = HighwayCoverLabelling::build(&g, &all[..MAX_LANDMARKS]).unwrap();
+        assert_eq!(hcl.num_landmarks(), 256);
+        let tail = hcl.labels().label(299).to_vec();
+        assert_eq!(tail, vec![crate::LabelEntry { landmark: 255, dist: 44 }]);
+        hcl.labels().validate(hcl.highway()).unwrap();
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! A labelling is the product of minutes of preprocessing on large graphs;
 //! saving it lets a query service start instantly. The format is a simple
 //! little-endian container: magic, vertex count, landmark list, the highway
-//! distance matrix, label offsets, and packed `(rank, dist)` entries.
+//! distance matrix, label offsets, and packed `(rank, dist)` entries, each
+//! a `u16` pair on disk although both values fit a byte in memory.
+//!
+//! The reader accepts exactly what the packed `.hclx` reader accepts: at
+//! most [`MAX_LANDMARKS`] distinct landmarks, a symmetric highway matrix
+//! with a zero diagonal, and labels strictly sorted by rank, ranks below
+//! `|R|`, distances within a byte, and empty on landmarks.
 
 use crate::build::HighwayCoverLabelling;
 use crate::highway::Highway;
-use crate::labels::HighwayLabels;
+use crate::labels::{HighwayLabels, MAX_LANDMARKS};
 use hcl_graph::GraphError;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -38,8 +44,8 @@ pub fn write_labelling<W: Write>(l: &HighwayCoverLabelling, writer: W) -> Result
     }
     for v in 0..l.labels().num_vertices() as u32 {
         for e in l.labels().label(v) {
-            w.write_all(&e.landmark.to_le_bytes())?;
-            w.write_all(&e.dist.to_le_bytes())?;
+            w.write_all(&u16::from(e.landmark).to_le_bytes())?;
+            w.write_all(&u16::from(e.dist).to_le_bytes())?;
         }
     }
     w.flush()?;
@@ -60,52 +66,72 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, Graph
     }
     let n = n as usize;
     let num_landmarks = read_u64(&mut r)? as usize;
-    if num_landmarks > u16::MAX as usize + 1 {
+    if num_landmarks > MAX_LANDMARKS {
         return Err(GraphError::Format(format!("implausible landmark count {num_landmarks}")));
     }
-    let mut landmarks = Vec::with_capacity(num_landmarks.min(1 << 16));
+    let mut landmarks = Vec::with_capacity(num_landmarks);
     for _ in 0..num_landmarks {
-        landmarks.push(read_u32(&mut r)?);
-    }
-    if landmarks.iter().any(|&v| v as usize >= n) {
-        return Err(GraphError::Format("landmark out of range".to_string()));
+        let v = read_u32(&mut r)?;
+        if v as usize >= n {
+            return Err(GraphError::Format("landmark out of range".to_string()));
+        }
+        if landmarks.contains(&v) {
+            return Err(GraphError::Format(format!("duplicate landmark {v}")));
+        }
+        landmarks.push(v);
     }
     // Buffer the matrix before building the (O(n) + O(r²)) highway, so a
     // corrupted header fails on a short read instead of a huge allocation.
-    let mut matrix = Vec::with_capacity((num_landmarks * num_landmarks).min(1 << 20));
-    for _ in 0..num_landmarks * num_landmarks {
-        matrix.push(read_u32(&mut r)?);
+    let mut matrix = Vec::with_capacity(num_landmarks * num_landmarks);
+    for a in 0..num_landmarks {
+        for b in 0..num_landmarks {
+            let d = read_u32(&mut r)?;
+            if (a == b && d != 0) || (b < a && d != matrix[b * num_landmarks + a]) {
+                return Err(GraphError::Format(format!("highway matrix bad at ({a}, {b})")));
+            }
+            matrix.push(d);
+        }
     }
     // Capped reservations: corrupted counts must fail on read, not alloc.
     let mut offsets = Vec::with_capacity((n + 1).min(1 << 20));
     for _ in 0..=n {
-        offsets.push(read_u32(&mut r)?);
+        let at = read_u32(&mut r)?;
+        if offsets.last().map_or(at != 0, |&prev| at < prev) {
+            return Err(GraphError::Format("non-monotone label offsets".to_string()));
+        }
+        offsets.push(at);
     }
-    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(GraphError::Format("non-monotone label offsets".to_string()));
+    let mut highway = Highway::new(n, &landmarks);
+    for a in 0..num_landmarks {
+        for b in 0..a {
+            let d = matrix[a * num_landmarks + b];
+            if d != hcl_graph::INF {
+                highway.record(a as u32, b as u32, d);
+            }
+        }
     }
     let total = *offsets.last().unwrap() as usize;
     let mut ranks = Vec::with_capacity(total.min(1 << 20));
     let mut dists = Vec::with_capacity(total.min(1 << 20));
-    for _ in 0..total {
-        let landmark = read_u16(&mut r)?;
-        let dist = read_u16(&mut r)?;
-        if landmark as usize >= num_landmarks {
-            return Err(GraphError::Format("label entry rank out of range".to_string()));
+    for (v, row) in offsets.windows(2).enumerate() {
+        if row[0] != row[1] && highway.is_landmark(v as u32) {
+            return Err(GraphError::Format(format!("landmark {v} has a non-empty label")));
         }
-        ranks.push(landmark);
-        dists.push(dist);
-    }
-    if offsets.len() != n + 1 {
-        return Err(GraphError::Format("offset table length mismatch".to_string()));
-    }
-    let mut highway = Highway::new(n, &landmarks);
-    for a in 0..num_landmarks as u32 {
-        for b in 0..num_landmarks as u32 {
-            let d = matrix[(a as usize) * num_landmarks + b as usize];
-            if a != b && d != hcl_graph::INF {
-                highway.record(a, b, d);
+        let mut prev = None;
+        for _ in row[0]..row[1] {
+            let (rank, dist) = (read_u16(&mut r)?, read_u16(&mut r)?);
+            let (Ok(rank), Ok(dist)) = (u8::try_from(rank), u8::try_from(dist)) else {
+                return Err(GraphError::Format(format!("label entry of {v} exceeds a byte")));
+            };
+            if rank as usize >= num_landmarks {
+                return Err(GraphError::Format("label entry rank out of range".to_string()));
             }
+            if prev.is_some_and(|p| p >= rank) {
+                return Err(GraphError::Format(format!("label of {v} not strictly sorted")));
+            }
+            prev = Some(rank);
+            ranks.push(rank);
+            dists.push(dist);
         }
     }
     Ok(HighwayCoverLabelling::from_parts(highway, HighwayLabels::from_parts(offsets, ranks, dists)))
@@ -179,6 +205,56 @@ mod tests {
         write_labelling(&l, &mut buf).unwrap();
         buf.truncate(buf.len() - 2);
         assert!(read_labelling(Cursor::new(buf)).is_err());
+    }
+
+    /// An `HCLIDX01` image from raw parts: `rows` holds each vertex's
+    /// `(rank, dist)` entries as written, valid or not.
+    fn image(n: u64, landmarks: &[u32], matrix: &[u32], rows: &[&[(u16, u16)]]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend(n.to_le_bytes());
+        buf.extend((landmarks.len() as u64).to_le_bytes());
+        landmarks.iter().chain(matrix).for_each(|x| buf.extend(x.to_le_bytes()));
+        let mut at = 0u32;
+        buf.extend(at.to_le_bytes());
+        for row in rows {
+            at += row.len() as u32;
+            buf.extend(at.to_le_bytes());
+        }
+        for &(rank, dist) in rows.iter().copied().flatten() {
+            buf.extend(rank.to_le_bytes());
+            buf.extend(dist.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn rejects_what_the_packed_reader_rejects() {
+        // Path 0 - 1 - 2 - 3 with landmarks 0 and 3.
+        let matrix = [0, 3, 3, 0];
+        let good: [&[(u16, u16)]; 4] = [&[], &[(0, 1), (1, 2)], &[(0, 2), (1, 1)], &[]];
+        let l = read_labelling(Cursor::new(image(4, &[0, 3], &matrix, &good))).unwrap();
+        let g = generate::path(4);
+        assert_eq!(l, HighwayCoverLabelling::build(&g, &[0, 3]).unwrap().0);
+
+        let unsorted: [&[(u16, u16)]; 4] = [&[], &[(1, 2), (0, 1)], &[(0, 2), (1, 1)], &[]];
+        let on_landmark: [&[(u16, u16)]; 4] =
+            [&[(1, 3)], &[(0, 1), (1, 2)], &[(0, 2), (1, 1)], &[]];
+        let wide: [&[(u16, u16)]; 4] = [&[], &[(0, 256), (1, 2)], &[(0, 2), (1, 1)], &[]];
+        for (what, bytes) in [
+            ("labels not strictly sorted", image(4, &[0, 3], &matrix, &unsorted)),
+            ("label on a landmark", image(4, &[0, 3], &matrix, &on_landmark)),
+            ("duplicate landmark", image(4, &[3, 3], &matrix, &good)),
+            ("asymmetric highway", image(4, &[0, 3], &[0, 3, 4, 0], &good)),
+            ("nonzero highway diagonal", image(4, &[0, 3], &[1, 3, 3, 0], &good)),
+            ("distance beyond a byte", image(4, &[0, 3], &matrix, &wide)),
+        ] {
+            assert!(
+                matches!(read_labelling(Cursor::new(bytes)), Err(GraphError::Format(_))),
+                "{what} accepted"
+            );
+        }
+        let too_many = image(4, &[0; MAX_LANDMARKS + 1], &[], &good);
+        assert!(matches!(read_labelling(Cursor::new(too_many)), Err(GraphError::Format(_))));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! The distance label store.
 //!
 //! Labels live in a flat CSR-like layout: one offset array indexed by
-//! vertex, plus two contiguous **lanes** — one `u16` lane of landmark ranks
-//! and one `u16` lane of distances (structure-of-arrays). Per-vertex label
-//! slices are sorted by rank so queries can merge two labels with a single
-//! linear pass, and the split lanes let the Lemma 5.1 merge loops run over
-//! dense same-type data the compiler can autovectorize.
+//! vertex, plus two contiguous **lanes** — one `u8` lane of landmark ranks
+//! and one `u8` lane of distances (structure-of-arrays). This is the
+//! paper's "HL(8)" encoding (§5.2, Table 3): at most [`MAX_LANDMARKS`]
+//! landmarks and label distances of at most 255, which complex networks,
+//! with their small diameters, never approach (PLL stores its distances
+//! in 8 bits for the same reason). Per-vertex label slices are sorted by
+//! rank so queries can merge two labels with a single linear pass, and
+//! the split lanes let the Lemma 5.1 merge loops run over dense same-type
+//! data the compiler can autovectorize. A packed `.hclx` file stores the
+//! same two lanes byte for byte.
 //!
 //! [`LabelEntry`] remains the logical unit — [`HighwayLabels::label`]
 //! returns a [`LabelRef`] that yields entries by value — but nothing in the
@@ -25,13 +30,17 @@
 //! sizes included — answers for the logical store.
 //!
 //! §5.2 of the paper compares a 32-bit-vertex/8-bit-distance encoding ("HL")
-//! with an 8-bit/8-bit one ("HL(8)"); [`HighwayLabels::encoded_bytes`]
+//! with the 8-bit/8-bit one ("HL(8)"); [`HighwayLabels::encoded_bytes`]
 //! reports the size of the labelling under either scheme for Table 3.
 
 use crate::highway::Highway;
 use hcl_graph::overlay::RowOverlay;
 use hcl_graph::VertexId;
 use std::sync::Arc;
+
+/// The most landmarks an index may have: a rank is one byte. The builder,
+/// the plain `.hcl` reader and the packed `.hclx` reader all enforce it.
+pub const MAX_LANDMARKS: usize = u8::MAX as usize + 1;
 
 /// One distance entry `(r, δL(r, v))` in a vertex's label.
 ///
@@ -40,9 +49,9 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LabelEntry {
     /// Rank of the landmark in the highway.
-    pub landmark: u16,
+    pub landmark: u8,
     /// Exact distance from the landmark to the labelled vertex.
-    pub dist: u16,
+    pub dist: u8,
 }
 
 /// Borrowed view of one vertex's label: parallel rank and dist lanes of
@@ -54,9 +63,9 @@ pub struct LabelEntry {
 #[derive(Clone, Copy)]
 pub struct LabelRef<'a> {
     /// Landmark ranks, strictly increasing.
-    pub ranks: &'a [u16],
+    pub ranks: &'a [u8],
     /// Distances, parallel to `ranks`.
-    pub dists: &'a [u16],
+    pub dists: &'a [u8],
 }
 
 impl<'a> LabelRef<'a> {
@@ -96,8 +105,8 @@ impl<'a> LabelRef<'a> {
 impl<'a> IntoIterator for LabelRef<'a> {
     type Item = LabelEntry;
     type IntoIter = std::iter::Map<
-        std::iter::Zip<std::slice::Iter<'a, u16>, std::slice::Iter<'a, u16>>,
-        fn((&'a u16, &'a u16)) -> LabelEntry,
+        std::iter::Zip<std::slice::Iter<'a, u8>, std::slice::Iter<'a, u8>>,
+        fn((&'a u8, &'a u8)) -> LabelEntry,
     >;
 
     fn into_iter(self) -> Self::IntoIter {
@@ -122,11 +131,11 @@ pub struct HighwayLabels {
     /// the last fold (`Arc<Vec<_>>`: sharing a built `Vec` must not copy
     /// it).
     offsets: Arc<Vec<u32>>,
-    ranks: Arc<Vec<u16>>,
-    dists: Arc<Vec<u16>>,
+    ranks: Arc<Vec<u8>>,
+    dists: Arc<Vec<u8>>,
     /// Replaced rows: the rank lane followed by the dist lane, so a row of
-    /// `k` entries is `2k` words and splits in the middle.
-    overlay: RowOverlay<Arc<[u16]>>,
+    /// `k` entries is `2k` bytes and splits in the middle.
+    overlay: RowOverlay<Arc<[u8]>>,
     /// Entries of the logical store.
     total_entries: usize,
 }
@@ -137,8 +146,8 @@ pub enum LabelEncoding {
     /// 32-bit landmark id + 8-bit distance per entry ("HL" in Table 3; the
     /// encoding FD and PLL use, kept for fair comparison).
     Wide32,
-    /// 8-bit landmark id + 8-bit distance per entry ("HL(8)"); valid only
-    /// when there are at most 256 landmarks and all distances fit in 8 bits.
+    /// 8-bit landmark id + 8-bit distance per entry ("HL(8)"): the layout
+    /// the store itself uses.
     Compact8,
 }
 
@@ -150,7 +159,7 @@ impl HighwayLabels {
     /// affected sets typical of one edge edit on a complex network.
     pub const OVERLAY_MAX_ROWS: usize = 1024;
 
-    pub(crate) fn from_parts(offsets: Vec<u32>, ranks: Vec<u16>, dists: Vec<u16>) -> Self {
+    pub(crate) fn from_parts(offsets: Vec<u32>, ranks: Vec<u8>, dists: Vec<u8>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap() as usize, ranks.len());
         debug_assert_eq!(ranks.len(), dists.len());
@@ -180,11 +189,11 @@ impl HighwayLabels {
     /// the overlay would outgrow [`OVERLAY_MAX_ROWS`](Self::OVERLAY_MAX_ROWS).
     /// Each replacement row must be sorted strictly by rank, as
     /// `(rank, dist)` pairs.
-    pub(crate) fn with_rows(&self, rows: &[(VertexId, Vec<(u16, u16)>)]) -> HighwayLabels {
+    pub(crate) fn with_rows(&self, rows: &[(VertexId, Vec<(u8, u8)>)]) -> HighwayLabels {
         let mut next = self.clone();
         for (v, row) in rows {
             let replaced = next.label_lanes(*v).0.len();
-            let lanes: Arc<[u16]> =
+            let lanes: Arc<[u8]> =
                 row.iter().map(|&(r, _)| r).chain(row.iter().map(|&(_, d)| d)).collect();
             next.overlay.insert(*v, lanes);
             next.total_entries = next.total_entries + row.len() - replaced;
@@ -239,9 +248,9 @@ impl HighwayLabels {
 
     /// The raw rank and dist lanes of `v`'s label (parallel slices, sorted
     /// strictly by rank). This is the merge's entry point: the two lanes are
-    /// contiguous `u16` runs the autovectorizer can stream.
+    /// contiguous byte runs the autovectorizer can stream.
     #[inline]
-    pub fn label_lanes(&self, v: VertexId) -> (&[u16], &[u16]) {
+    pub fn label_lanes(&self, v: VertexId) -> (&[u8], &[u8]) {
         if let Some(row) = self.overlay.get(v) {
             return row.split_at(row.len() / 2);
         }
@@ -281,36 +290,24 @@ impl HighwayLabels {
 
     /// Bytes in the rank lane alone (observability: STATS counters).
     pub fn rank_lane_bytes(&self) -> usize {
-        self.total_entries * std::mem::size_of::<u16>()
+        self.total_entries * std::mem::size_of::<u8>()
     }
 
     /// Bytes in the dist lane alone (observability: STATS counters).
     pub fn dist_lane_bytes(&self) -> usize {
-        self.total_entries * std::mem::size_of::<u16>()
+        self.total_entries * std::mem::size_of::<u8>()
     }
 
     /// Size in bytes of this labelling under the given Table 3 encoding
     /// (entries only, plus one offset per vertex as in the C++ baselines'
-    /// per-vertex arrays). Returns `None` if the labelling does not fit the
-    /// encoding (e.g. >256 landmarks or a distance >255 under
-    /// [`LabelEncoding::Compact8`]).
-    pub fn encoded_bytes(&self, encoding: LabelEncoding) -> Option<usize> {
-        let wide = |lane: fn(LabelEntry) -> u16| self.iter().any(|(_, e)| lane(e) > u8::MAX as u16);
+    /// per-vertex arrays). Every store fits both: its ranks and distances
+    /// are bytes.
+    pub fn encoded_bytes(&self, encoding: LabelEncoding) -> usize {
         let per_entry = match encoding {
-            LabelEncoding::Wide32 => {
-                if wide(|e| e.dist) {
-                    return None;
-                }
-                5
-            }
-            LabelEncoding::Compact8 => {
-                if wide(|e| e.landmark) || wide(|e| e.dist) {
-                    return None;
-                }
-                2
-            }
+            LabelEncoding::Wide32 => 5,
+            LabelEncoding::Compact8 => 2,
         };
-        Some(self.total_entries * per_entry + self.offsets.len() * std::mem::size_of::<u32>())
+        self.total_entries * per_entry + self.offsets.len() * std::mem::size_of::<u32>()
     }
 
     /// Iterates `(vertex, entry)` over all labels (test / debug helper).
@@ -323,7 +320,7 @@ impl HighwayLabels {
     /// are valid for `highway`, and empty labels on landmarks. Used by tests
     /// and debug assertions.
     pub fn validate(&self, highway: &Highway) -> Result<(), String> {
-        let r = highway.num_landmarks() as u16;
+        let r = highway.num_landmarks();
         for v in 0..self.num_vertices() as VertexId {
             let (ranks, _) = self.label_lanes(v);
             if highway.is_landmark(v) && !ranks.is_empty() {
@@ -335,7 +332,7 @@ impl HighwayLabels {
                 }
             }
             for &rank in ranks {
-                if rank >= r {
+                if rank as usize >= r {
                     return Err(format!("label of {v} references rank {rank} >= |R|"));
                 }
             }
@@ -390,24 +387,18 @@ mod tests {
         let (ranks, dists) = l.label_lanes(0);
         assert_eq!(ranks, &[0, 2]);
         assert_eq!(dists, &[1, 3]);
-        assert_eq!(l.rank_lane_bytes(), 6);
-        assert_eq!(l.dist_lane_bytes(), 6);
+        assert_eq!(l.rank_lane_bytes(), 3);
+        assert_eq!(l.dist_lane_bytes(), 3);
     }
 
     #[test]
     fn encoded_sizes() {
         let l = sample();
         // Wide32: 3 entries * 5 bytes + 4 offsets * 4 bytes.
-        assert_eq!(l.encoded_bytes(LabelEncoding::Wide32), Some(31));
-        // Compact8: 3 entries * 2 bytes + 16.
-        assert_eq!(l.encoded_bytes(LabelEncoding::Compact8), Some(22));
-    }
-
-    #[test]
-    fn encoded_rejects_overflow() {
-        let l = HighwayLabels::from_parts(vec![0, 1], vec![300], vec![300]);
-        assert_eq!(l.encoded_bytes(LabelEncoding::Compact8), None);
-        assert_eq!(l.encoded_bytes(LabelEncoding::Wide32), None);
+        assert_eq!(l.encoded_bytes(LabelEncoding::Wide32), 31);
+        // Compact8: 3 entries * 2 bytes + 16, which is `memory_bytes`.
+        assert_eq!(l.encoded_bytes(LabelEncoding::Compact8), 22);
+        assert_eq!(l.memory_bytes(), 22);
     }
 
     #[test]
@@ -424,8 +415,8 @@ mod tests {
             assert_eq!(p.label(2).to_vec(), l.label(2).to_vec());
             assert_eq!(p.total_entries(), 4);
             assert_eq!(p.max_label_size(), 2);
-            assert_eq!(p.memory_bytes(), 4 * 4 + 4 * 4);
-            assert_eq!(p.encoded_bytes(LabelEncoding::Compact8), Some(4 * 2 + 16));
+            assert_eq!(p.memory_bytes(), 4 * 4 + 4 * 2);
+            assert_eq!(p.encoded_bytes(LabelEncoding::Compact8), 4 * 2 + 16);
         }
         assert_eq!(p.overlay_rows(), 2);
         assert_eq!(p.folded().overlay_rows(), 0);
@@ -446,24 +437,23 @@ mod tests {
         // The empty patch shares everything and equals its parent.
         assert_eq!(l.with_rows(&[]), l);
         assert!(Arc::ptr_eq(&l.folded().ranks, &l.ranks), "folding a flat store copies nothing");
-        // An overflowing label disqualifies the narrow encodings.
-        assert_eq!(p.with_rows(&[(2, vec![(0, 300)])]).encoded_bytes(LabelEncoding::Wide32), None);
     }
 
     #[test]
     fn the_patch_that_crosses_the_overlay_bound_folds() {
         let n = HighwayLabels::OVERLAY_MAX_ROWS + 5;
+        let dist = |v: VertexId| (v % 255) as u8 + 1;
         let mut l = HighwayLabels::from_parts(vec![0; n + 1], Vec::new(), Vec::new());
         for v in 0..n as VertexId {
             let before = l.overlay_rows();
-            l = l.with_rows(&[(v, vec![(0, v as u16 + 1)])]);
+            l = l.with_rows(&[(v, vec![(0, dist(v))])]);
             assert!(l.overlay_rows() <= HighwayLabels::OVERLAY_MAX_ROWS);
             assert!(l.overlay_rows() > before || l.overlay_rows() == 0);
         }
         assert_eq!(l.overlay_rows(), 4, "folded once, at row OVERLAY_MAX_ROWS + 1");
         assert_eq!(l.total_entries(), n);
         for v in 0..n as VertexId {
-            assert_eq!(l.label(v).to_vec(), vec![LabelEntry { landmark: 0, dist: v as u16 + 1 }]);
+            assert_eq!(l.label(v).to_vec(), vec![LabelEntry { landmark: 0, dist: dist(v) }]);
         }
     }
 

@@ -63,7 +63,7 @@ pub mod update;
 pub use build::{BuildStats, HighwayCoverLabelling};
 pub use epoch::{EpochCell, OracleEpoch};
 pub use highway::Highway;
-pub use labels::{HighwayLabels, LabelEntry};
+pub use labels::{HighwayLabels, LabelEntry, MAX_LANDMARKS};
 pub use partition::{PartitionMap, PartitionStrategy, ShardRoute};
 pub use query::{HlOracle, QueryContext};
 pub use shared::{ContextPool, MemoryIndex, Oracle, PooledContext, SharedOracle};
@@ -78,12 +78,13 @@ pub enum BuildError {
     LandmarkOutOfRange { landmark: u32, n: usize },
     /// The same vertex appears twice in the landmark list.
     DuplicateLandmark { landmark: u32 },
-    /// More than `u16::MAX` landmarks were requested (the label encoding
-    /// stores landmark ranks in 16 bits; the paper never uses more than 50).
+    /// More than [`MAX_LANDMARKS`] landmarks were requested (the label
+    /// encoding stores landmark ranks in 8 bits; the paper never uses more
+    /// than 50).
     TooManyLandmarks { requested: usize },
-    /// A label distance exceeded `u16::MAX` (cannot happen on the
+    /// A label distance exceeded `u8::MAX` (cannot happen on the
     /// small-diameter complex networks the method targets, but possible on
-    /// adversarial inputs such as million-vertex paths).
+    /// adversarial inputs such as long paths).
     DistanceOverflow { landmark: u32, vertex: u32, distance: u32 },
 }
 
@@ -97,11 +98,11 @@ impl std::fmt::Display for BuildError {
                 write!(f, "duplicate landmark {landmark}")
             }
             BuildError::TooManyLandmarks { requested } => {
-                write!(f, "{requested} landmarks requested, at most 65535 supported")
+                write!(f, "{requested} landmarks requested, at most {MAX_LANDMARKS} supported")
             }
             BuildError::DistanceOverflow { landmark, vertex, distance } => write!(
                 f,
-                "distance {distance} from landmark {landmark} to vertex {vertex} exceeds the 16-bit label range"
+                "distance {distance} from landmark {landmark} to vertex {vertex} exceeds the 8-bit label range"
             ),
         }
     }

@@ -153,8 +153,8 @@ mod tests {
 
     #[test]
     fn parallel_propagates_errors() {
-        let g = generate::path(70_000);
-        let err = HighwayCoverLabelling::build_parallel(&g, &[0, 69_999], 2);
+        let g = generate::path(300);
+        let err = HighwayCoverLabelling::build_parallel(&g, &[0, 299], 2);
         assert!(matches!(err, Err(BuildError::DistanceOverflow { .. })));
     }
 

@@ -29,36 +29,16 @@ use std::sync::Arc;
 
 /// Algorithm 2 plus lane scratch for the Lemma 5.1 label merge.
 ///
-/// The merge in [`crate::storage`] works on structure-of-arrays label
-/// lanes: `dec_*` are decode targets for backends that don't store lanes
-/// natively (the packed `IndexView` expands its varint streams here; the
-/// in-memory labelling leaves them untouched and lends its own slices),
-/// and `only_*` hold the label-exclusive remainders that feed the
-/// cross-term min-reduction.
+/// The merge in [`crate::storage`] reads both labels as lanes borrowed
+/// from the index; the `only_*` lanes hold the label-exclusive remainders
+/// that feed the cross-term min-reduction.
 #[derive(Clone, Debug)]
 pub struct QueryContext {
     space: SearchSpace,
-    dec_s_ranks: Vec<u16>,
-    dec_s_dists: Vec<u16>,
-    dec_t_ranks: Vec<u16>,
-    dec_t_dists: Vec<u16>,
-    only_s_ranks: Vec<u16>,
-    only_s_dists: Vec<u16>,
-    only_t_ranks: Vec<u16>,
-    only_t_dists: Vec<u16>,
-}
-
-/// All of a [`QueryContext`]'s merge lanes, mutably borrowed at once so the
-/// generic merge can hold decode lanes and remainder lanes simultaneously.
-pub(crate) struct LaneScratch<'a> {
-    pub dec_s_ranks: &'a mut Vec<u16>,
-    pub dec_s_dists: &'a mut Vec<u16>,
-    pub dec_t_ranks: &'a mut Vec<u16>,
-    pub dec_t_dists: &'a mut Vec<u16>,
-    pub only_s_ranks: &'a mut Vec<u16>,
-    pub only_s_dists: &'a mut Vec<u16>,
-    pub only_t_ranks: &'a mut Vec<u16>,
-    pub only_t_dists: &'a mut Vec<u16>,
+    pub(crate) only_s_ranks: Vec<u8>,
+    pub(crate) only_s_dists: Vec<u8>,
+    pub(crate) only_t_ranks: Vec<u8>,
+    pub(crate) only_t_dists: Vec<u8>,
 }
 
 impl QueryContext {
@@ -66,29 +46,10 @@ impl QueryContext {
     pub fn new(n: usize) -> Self {
         QueryContext {
             space: SearchSpace::new(n),
-            dec_s_ranks: Vec::new(),
-            dec_s_dists: Vec::new(),
-            dec_t_ranks: Vec::new(),
-            dec_t_dists: Vec::new(),
             only_s_ranks: Vec::new(),
             only_s_dists: Vec::new(),
             only_t_ranks: Vec::new(),
             only_t_dists: Vec::new(),
-        }
-    }
-
-    /// The label-merge lane scratch for the generic Lemma 5.1 merge in
-    /// [`crate::storage`].
-    pub(crate) fn lanes(&mut self) -> LaneScratch<'_> {
-        LaneScratch {
-            dec_s_ranks: &mut self.dec_s_ranks,
-            dec_s_dists: &mut self.dec_s_dists,
-            dec_t_ranks: &mut self.dec_t_ranks,
-            dec_t_dists: &mut self.dec_t_dists,
-            only_s_ranks: &mut self.only_s_ranks,
-            only_s_dists: &mut self.only_s_dists,
-            only_t_ranks: &mut self.only_t_ranks,
-            only_t_dists: &mut self.only_t_dists,
         }
     }
 

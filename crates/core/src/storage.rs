@@ -15,16 +15,16 @@
 //!
 //! # Data layout of the hot path
 //!
-//! The merge runs over **label lanes**: two parallel `&[u16]` slices (ranks
+//! The merge runs over **label lanes**: two parallel `&[u8]` slices (ranks
 //! and distances) per endpoint, obtained through
-//! [`LabelStorage::label_into`]. The in-memory labelling returns its stored
-//! lanes by reference with zero copying; the packed `IndexView` decodes its
-//! delta-varint streams into per-[`QueryContext`] scratch lanes, after
-//! which both backends monomorphise the *same* branch-light merge loops —
-//! a sorted two-pointer intersection for the common-landmark direct sums,
-//! then a dense min-reduction over the highway rows for the s-only/t-only
-//! cross terms, with saturating adds standing in for `INF` branches so the
-//! compiler can autovectorize.
+//! [`LabelStorage::label_lanes`]. Both backends hold their labels in this
+//! one layout — the in-memory labelling in its arrays, the packed
+//! `IndexView` in the mapped bytes — so each lends its own slices with no
+//! decode and no copy, and both monomorphise the *same* branch-light merge
+//! loops: a sorted two-pointer intersection for the common-landmark direct
+//! sums, then a dense min-reduction over the highway rows for the
+//! s-only/t-only cross terms, with saturating adds standing in for `INF`
+//! branches so the compiler can autovectorize.
 //!
 //! The bounded search runs in the sparse view's **degree-ordered id
 //! space**: [`SparseNeighbors::view_of`] translates the two endpoints once
@@ -43,11 +43,11 @@
 //! nothing.
 //!
 //! Because both backends run the same monomorphised code, packed-vs-memory
-//! equivalence reduces to the storage traits returning the same sequences —
+//! equivalence reduces to the storage traits returning the same slices —
 //! which is exactly what `hcl-store`'s round-trip property tests check.
 
 use crate::build::HighwayCoverLabelling;
-use crate::query::{LaneScratch, QueryContext};
+use crate::query::QueryContext;
 use hcl_graph::{Adjacency, VertexId, INF};
 
 /// Read access to one generation of a highway cover index: labels, highway
@@ -58,12 +58,6 @@ use hcl_graph::{Adjacency, VertexId, INF};
 /// empty labels on landmarks, and a symmetric highway matrix with a zero
 /// diagonal (`INF` = disconnected).
 pub trait LabelStorage {
-    /// Iterator over one vertex's label as `(landmark rank, distance)`
-    /// pairs in strictly increasing rank order.
-    type LabelIter<'a>: Iterator<Item = (u32, u32)>
-    where
-        Self: 'a;
-
     /// Number of vertices the index covers.
     fn num_vertices(&self) -> usize;
 
@@ -85,30 +79,9 @@ pub trait LabelStorage {
     /// The highway matrix row of `rank` (length `num_landmarks()`).
     fn highway_row(&self, rank: u32) -> &[u32];
 
-    /// The label of `v` in rank order.
-    fn label(&self, v: VertexId) -> Self::LabelIter<'_>;
-
-    /// The label of `v` as parallel rank/dist lanes, using `ranks`/`dists`
-    /// as decode scratch when the backend does not store lanes natively.
-    ///
-    /// The in-memory labelling overrides this to return its stored lanes
-    /// by reference (the scratch is untouched); the packed backend decodes
-    /// its varint stream into the scratch. Either way the merge sees two
-    /// contiguous `u16` runs.
-    fn label_into<'a>(
-        &'a self,
-        v: VertexId,
-        ranks: &'a mut Vec<u16>,
-        dists: &'a mut Vec<u16>,
-    ) -> (&'a [u16], &'a [u16]) {
-        ranks.clear();
-        dists.clear();
-        for (r, d) in self.label(v) {
-            ranks.push(r as u16);
-            dists.push(d as u16);
-        }
-        (ranks, dists)
-    }
+    /// The label of `v` as parallel rank and distance lanes of equal
+    /// length, in strictly increasing rank order.
+    fn label_lanes(&self, v: VertexId) -> (&[u8], &[u8]);
 }
 
 /// Adjacency access to the sparsified graph `G[V∖R]` of the same index
@@ -200,18 +173,9 @@ pub fn upper_bound_on<S: LabelStorage + ?Sized>(
         (Some(a), None) => bound_from_landmark_on(index, a, t),
         (None, Some(b)) => bound_from_landmark_on(index, b, s),
         (None, None) => {
-            let LaneScratch {
-                dec_s_ranks,
-                dec_s_dists,
-                dec_t_ranks,
-                dec_t_dists,
-                only_s_ranks,
-                only_s_dists,
-                only_t_ranks,
-                only_t_dists,
-            } = ctx.lanes();
-            let (s_ranks, s_dists) = index.label_into(s, dec_s_ranks, dec_s_dists);
-            let (t_ranks, t_dists) = index.label_into(t, dec_t_ranks, dec_t_dists);
+            let QueryContext { only_s_ranks, only_s_dists, only_t_ranks, only_t_dists, .. } = ctx;
+            let (s_ranks, s_dists) = index.label_lanes(s);
+            let (t_ranks, t_dists) = index.label_lanes(t);
 
             only_s_ranks.clear();
             only_s_dists.clear();
@@ -254,7 +218,7 @@ pub fn upper_bound_on<S: LabelStorage + ?Sized>(
 
             if !only_s_ranks.is_empty() && !only_t_ranks.is_empty() {
                 // The cheapest possible t-side partner bounds every row.
-                let mut min_dt = u16::MAX;
+                let mut min_dt = u8::MAX;
                 for &d in only_t_dists.iter() {
                     min_dt = min_dt.min(d);
                 }
@@ -293,13 +257,14 @@ pub fn bound_from_landmark_on<S: LabelStorage + ?Sized>(index: &S, rank: u32, v:
         return index.highway_distance(rank, vr);
     }
     let row = index.highway_row(rank);
+    let (ranks, dists) = index.label_lanes(v);
     let mut best = INF;
-    for (rj, d) in index.label(v) {
+    for (&rj, &d) in ranks.iter().zip(dists) {
         let via = row[rj as usize];
         if via == INF {
             continue;
         }
-        let cand = via + d;
+        let cand = via + d as u32;
         if cand < best {
             best = cand;
         }
@@ -393,34 +358,7 @@ pub fn distance_on_timed<L: LabelStorage + ?Sized, S: SparseNeighbors + ?Sized>(
     (if d == INF { None } else { Some(d) }, phases)
 }
 
-/// Label iterator over the in-memory store: a lock-step walk of the rank
-/// and dist lanes mapping to `(rank, dist)` pairs. Kept as a named type
-/// (not a closure `Map`) so the generic merge monomorphises to the same
-/// code the hand-written slice merge compiled to.
-pub struct MemLabelIter<'a> {
-    ranks: std::slice::Iter<'a, u16>,
-    dists: std::slice::Iter<'a, u16>,
-}
-
-impl Iterator for MemLabelIter<'_> {
-    type Item = (u32, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, u32)> {
-        let r = self.ranks.next()?;
-        let d = self.dists.next()?;
-        Some((*r as u32, *d as u32))
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ranks.size_hint()
-    }
-}
-
 impl LabelStorage for HighwayCoverLabelling {
-    type LabelIter<'a> = MemLabelIter<'a>;
-
     #[inline]
     fn num_vertices(&self) -> usize {
         self.labels().num_vertices()
@@ -452,18 +390,7 @@ impl LabelStorage for HighwayCoverLabelling {
     }
 
     #[inline]
-    fn label(&self, v: VertexId) -> MemLabelIter<'_> {
-        let (ranks, dists) = self.labels().label_lanes(v);
-        MemLabelIter { ranks: ranks.iter(), dists: dists.iter() }
-    }
-
-    #[inline]
-    fn label_into<'a>(
-        &'a self,
-        v: VertexId,
-        _ranks: &'a mut Vec<u16>,
-        _dists: &'a mut Vec<u16>,
-    ) -> (&'a [u16], &'a [u16]) {
+    fn label_lanes(&self, v: VertexId) -> (&[u8], &[u8]) {
         self.labels().label_lanes(v)
     }
 }
@@ -522,50 +449,6 @@ mod tests {
             let expect = (truth != INF).then_some(truth);
             assert_eq!(distance_on(&hcl, &rows, &mut ctx, r, t), expect, "{r}->{t}");
             assert_eq!(distance_on(&hcl, &rows, &mut ctx, t, r), expect, "{t}->{r}");
-        }
-    }
-
-    #[test]
-    fn default_label_into_decodes_through_the_iterator() {
-        // Exercise the trait's default (scratch-decoding) path against the
-        // overridden zero-copy one: both must produce identical lanes.
-        struct IterOnly<'a>(&'a HighwayCoverLabelling);
-        impl LabelStorage for IterOnly<'_> {
-            type LabelIter<'b>
-                = MemLabelIter<'b>
-            where
-                Self: 'b;
-            fn num_vertices(&self) -> usize {
-                self.0.num_vertices()
-            }
-            fn num_landmarks(&self) -> usize {
-                LabelStorage::num_landmarks(self.0)
-            }
-            fn rank(&self, v: VertexId) -> Option<u32> {
-                self.0.rank(v)
-            }
-            fn highway_distance(&self, a: u32, b: u32) -> u32 {
-                self.0.highway_distance(a, b)
-            }
-            fn highway_row(&self, rank: u32) -> &[u32] {
-                self.0.highway_row(rank)
-            }
-            fn label(&self, v: VertexId) -> MemLabelIter<'_> {
-                self.0.label(v)
-            }
-        }
-
-        let (g, hcl) = build(150, 8, 7);
-        let wrapped = IterOnly(&hcl);
-        let mut ctx = QueryContext::new(g.num_vertices());
-        for s in g.vertices().step_by(3) {
-            for t in g.vertices().step_by(5) {
-                assert_eq!(
-                    upper_bound_on(&wrapped, &mut ctx, s, t),
-                    hcl.upper_bound(s, t),
-                    "{s}->{t}"
-                );
-            }
         }
     }
 

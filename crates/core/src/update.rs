@@ -123,7 +123,7 @@ pub enum UpdateError {
     EdgeExists(VertexId, VertexId),
     /// `DEL` of an edge that does not exist.
     EdgeMissing(VertexId, VertexId),
-    /// A new label distance exceeded the 16-bit lane range (possible only
+    /// A new label distance exceeded the 8-bit lane range (possible only
     /// on path-like adversarial graphs, same bound as at build time).
     DistanceOverflow { vertex: VertexId, distance: u32 },
 }
@@ -139,7 +139,7 @@ impl std::fmt::Display for UpdateError {
             UpdateError::EdgeMissing(u, v) => write!(f, "edge {{{u}, {v}}} does not exist"),
             UpdateError::DistanceOverflow { vertex, distance } => write!(
                 f,
-                "updated distance {distance} to vertex {vertex} exceeds the 16-bit label range"
+                "updated distance {distance} to vertex {vertex} exceeds the 8-bit label range"
             ),
         }
     }
@@ -154,7 +154,7 @@ impl std::error::Error for UpdateError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LabelPatch {
     edit: EdgeEdit,
-    rows: Vec<(VertexId, Vec<(u16, u16)>)>,
+    rows: Vec<(VertexId, Vec<(u8, u8)>)>,
     highway_cells: Vec<(u32, u32, u32)>,
 }
 
@@ -167,7 +167,7 @@ impl LabelPatch {
     /// The label rows that differ from the base, by ascending vertex id:
     /// each the vertex's whole new label as `(rank, dist)` pairs in
     /// ascending rank order.
-    pub fn rows(&self) -> &[(VertexId, Vec<(u16, u16)>)] {
+    pub fn rows(&self) -> &[(VertexId, Vec<(u8, u8)>)] {
         &self.rows
     }
 
@@ -325,15 +325,15 @@ pub fn apply_edit(
     let old_labels = labelling.labels();
     let mut dvec = vec![INF; num_landmarks];
     let mut row_buf: Vec<(u32, u32)> = Vec::new();
-    let mut rows: Vec<(VertexId, Vec<(u16, u16)>)> = Vec::new();
+    let mut rows: Vec<(VertexId, Vec<(u8, u8)>)> = Vec::new();
     for x in candidates {
         debug_assert!(!new_highway.is_landmark(x), "touched landmark without highway change");
         new_label_row(labelling, &affected, &new_highway, x, &mut dvec, &mut row_buf);
         let mut row = Vec::with_capacity(row_buf.len());
         for &(rank, d) in &row_buf {
-            let d16 = u16::try_from(d)
+            let d8 = u8::try_from(d)
                 .map_err(|_| UpdateError::DistanceOverflow { vertex: x, distance: d })?;
-            row.push((rank as u16, d16));
+            row.push((rank as u8, d8));
         }
         if !old_labels.label(x).iter().map(|e| (e.landmark, e.dist)).eq(row.iter().copied()) {
             rows.push((x, row));
@@ -812,6 +812,20 @@ mod tests {
             apply_edit(&g, &hcl, &sparse, EdgeEdit::Delete(0, 3)),
             Err(UpdateError::EdgeMissing(0, 3))
         ));
+    }
+
+    #[test]
+    fn distance_overflow_is_a_no_op_error() {
+        // cycle(300) with landmark 0 labels every vertex within 150.
+        // Deleting {0, 1} would put vertex 1 at 299, past the 8-bit lane.
+        let g = generate::cycle(300);
+        let (hcl, sparse) = build_all(&g, &[0]);
+        let before = (g.clone(), hcl.clone(), sparse.clone());
+        assert_eq!(
+            apply_edit(&g, &hcl, &sparse, EdgeEdit::Delete(0, 1)).err(),
+            Some(UpdateError::DistanceOverflow { vertex: 1, distance: 299 })
+        );
+        assert_eq!((g, hcl, sparse), before, "the inputs are unchanged");
     }
 
     #[test]

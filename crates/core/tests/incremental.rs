@@ -464,11 +464,16 @@ fn a_long_script_stays_equivalent_across_folds() {
 /// The label overlay folds too. On a long cycle every chord shortens the
 /// way to each landmark for a good share of the vertices (and removing it
 /// lengthens it again), so a few dozen edits replace more label rows than
-/// the overlay holds.
+/// the overlay holds. A pendant vertex on every `n / k`-th cycle vertex
+/// makes those the landmarks: spread out, they keep every label distance
+/// well inside a byte while edges come and go.
 #[test]
 fn label_overlay_folds_and_stays_equivalent() {
-    let n = hcl_core::HighwayLabels::OVERLAY_MAX_ROWS + 300;
-    let seen = run_fold_script(generate::cycle(n), 3, 0x1ABE1, 40, "cycle");
+    let (n, k) = (hcl_core::HighwayLabels::OVERLAY_MAX_ROWS + 300, 16);
+    let mut edges: Vec<(VertexId, VertexId)> =
+        (0..n).map(|i| (i as VertexId, ((i + 1) % n) as VertexId)).collect();
+    edges.extend((0..k).map(|i| ((i * n / k) as VertexId, (n + i) as VertexId)));
+    let seen = run_fold_script(CsrGraph::from_edges(n + k, &edges), k, 0x1ABE1, 40, "cycle");
     assert!(seen.label_folds >= 1, "{seen:?}");
 }
 

@@ -140,11 +140,10 @@ pub struct IndexSizes {
     /// Bytes the same index occupies in the plain `HCLIDX01` serialisation
     /// — the baseline for the packed compression ratio.
     pub plain_index_bytes: usize,
-    /// Bytes of the contiguous label rank lane (`u16` per entry). For a
-    /// packed generation this is the lane footprint the delta-varint
-    /// streams decode into at query time.
+    /// Bytes of the contiguous label rank lane (one byte per entry), in
+    /// memory or in the mapped file.
     pub rank_lane_bytes: usize,
-    /// Bytes of the contiguous label distance lane (`u16` per entry).
+    /// Bytes of the contiguous label distance lane (one byte per entry).
     pub dist_lane_bytes: usize,
 }
 

@@ -111,17 +111,14 @@ impl ServingIndex {
             }
             ServingIndex::Packed(o) => {
                 let view = o.view();
-                // The packed labels stay delta-varint on disk; the lanes
-                // are what each entry decodes into (one u16 per lane).
-                let lane = view.total_label_entries() as usize * std::mem::size_of::<u16>();
                 IndexSizes {
                     index_bytes: view.packed_index_bytes(),
                     sparse_bytes: view.sparse_bytes(),
                     sparse_edges: view.sparse_edges(),
                     store_bytes: view.store_bytes(),
                     plain_index_bytes: view.plain_index_bytes(),
-                    rank_lane_bytes: lane,
-                    dist_lane_bytes: lane,
+                    rank_lane_bytes: view.rank_lane_bytes(),
+                    dist_lane_bytes: view.dist_lane_bytes(),
                 }
             }
         }

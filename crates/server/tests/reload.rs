@@ -325,14 +325,16 @@ fn pipelined_reloads_are_serialised_not_fanned_out() {
 }
 
 /// `RELOAD index.hclx` swaps the serving backend *kind*: a memory-backed
-/// generation is replaced by a packed generation served straight off the
-/// mapping, answers match BFS ground truth, STATS reports the store, and
-/// a later plain reload swaps back. Both directions ride the same epoch
-/// machinery.
+/// generation is replaced by a packed generation of the same index served
+/// straight off the mapping, STATS reports the store and the same label
+/// lanes on both sides, answers match BFS ground truth, and a later plain
+/// reload swaps back to another graph. Both directions ride the same
+/// epoch machinery.
 #[test]
 fn reload_to_packed_index_swaps_by_remapping() {
-    let (graph_a, labelling_a) = build(9);
+    let (graph_a, _) = build(9);
     let (graph_b, labelling_b) = build(10);
+    let truth_a = truth_map(&graph_a, all_pairs());
     let truth_b = truth_map(&graph_b, all_pairs());
 
     let packed_path = temp_path("packed.hclx");
@@ -341,18 +343,12 @@ fn reload_to_packed_index_swaps_by_remapping() {
     let graph_a_path = temp_path("packed-back.hclg");
     hcl_graph::io::save_binary(&graph_a, &graph_a_path).unwrap();
 
-    let service = Arc::new(QueryService::from_parts(graph_a, labelling_a, 64));
+    let service = Arc::new(QueryService::from_parts(graph_b, Arc::clone(&labelling_b), 64));
     let config = ServerConfig { reload_landmarks: 12, ..Default::default() };
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    assert_eq!(client.reload(packed_path.to_str().unwrap(), None).unwrap(), 1);
-    assert!(service.snapshot().index().as_packed().is_some(), "generation must be packed");
-    for &(s, t) in all_pairs().iter().take(40) {
-        assert_eq!(client.query(s, t).unwrap(), truth_b[&(s, t)], "d({s}, {t})");
-    }
-    let stats = client.stats().unwrap();
-    let field = |key: &str| -> u64 {
+    let field = |stats: &str, key: &str| -> u64 {
         stats
             .split_ascii_whitespace()
             .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
@@ -360,10 +356,23 @@ fn reload_to_packed_index_swaps_by_remapping() {
             .parse()
             .unwrap()
     };
+    let lanes = |stats: &str| (field(stats, "rank_lane_bytes"), field(stats, "dist_lane_bytes"));
+    let in_memory = client.stats().unwrap();
+    assert_eq!(field(&in_memory, "store_bytes"), 0);
+    let entries = labelling_b.labels().total_entries() as u64;
+    assert_eq!(lanes(&in_memory), (entries, entries), "one byte per entry and lane");
+
+    assert_eq!(client.reload(packed_path.to_str().unwrap(), None).unwrap(), 1);
+    assert!(service.snapshot().index().as_packed().is_some(), "generation must be packed");
+    for &(s, t) in all_pairs().iter().take(40) {
+        assert_eq!(client.query(s, t).unwrap(), truth_b[&(s, t)], "d({s}, {t})");
+    }
+    let packed = client.stats().unwrap();
     let expected_store = std::fs::metadata(&packed_path).unwrap().len();
-    assert_eq!(field("store_bytes"), expected_store);
-    assert!(field("plain_index_bytes") > 0);
-    assert!(field("load_us") > 0, "packed reload must record its load time");
+    assert_eq!(field(&packed, "store_bytes"), expected_store);
+    assert!(field(&packed, "plain_index_bytes") > 0);
+    assert!(field(&packed, "load_us") > 0, "packed reload must record its load time");
+    assert_eq!(lanes(&packed), lanes(&in_memory), "the mapped lanes are the memory lanes");
 
     // A packed index is self-contained; a second path is a usage error
     // that must not disturb the serving generation.
@@ -376,6 +385,9 @@ fn reload_to_packed_index_swaps_by_remapping() {
     // And back to a memory-backed generation from a plain graph file.
     assert_eq!(client.reload(graph_a_path.to_str().unwrap(), None).unwrap(), 2);
     assert!(service.snapshot().index().as_memory().is_some(), "generation must be in-memory");
+    for &(s, t) in all_pairs().iter().take(40) {
+        assert_eq!(client.query(s, t).unwrap(), truth_a[&(s, t)], "d({s}, {t})");
+    }
 
     handle.shutdown();
     let _ = std::fs::remove_file(&packed_path);

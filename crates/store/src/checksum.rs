@@ -1,51 +1,5 @@
-//! LEB128 variable-length integers and the FNV-1a 64-bit checksum — the two
-//! primitive encodings of the container format (see `docs/FORMAT.md`).
-//!
-//! Label streams store landmark ranks as deltas between consecutive sorted
-//! ranks, so almost every varint in a packed index is a single byte: ranks
-//! and distances are bounded by `u16::MAX` (5 bytes worst case for the u32
-//! encoding, 3 in practice never exceeded).
-
-/// Appends `value` to `out` as LEB128 (7 data bits per byte, high bit =
-/// continuation).
-#[inline]
-pub fn encode_u32(out: &mut Vec<u8>, mut value: u32) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decodes one LEB128 u32 from `bytes` starting at `*pos`, advancing `*pos`
-/// past it. Returns `None` on truncation, a continuation running past 5
-/// bytes, or bits beyond the 32nd — never panics, so iterating a corrupt
-/// stream degrades to an early end rather than UB or abort.
-#[inline]
-pub fn decode_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let mut value: u32 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = bytes.get(*pos)?;
-        *pos += 1;
-        let low = (byte & 0x7f) as u32;
-        if shift == 28 && (byte & 0x70) != 0 {
-            return None; // bits 32+ set
-        }
-        value |= low << shift;
-        if byte & 0x80 == 0 {
-            return Some(value);
-        }
-        shift += 7;
-        if shift > 28 {
-            return None; // 6th continuation byte
-        }
-    }
-}
+//! The FNV-1a 64-bit checksum of the container format (see
+//! `docs/FORMAT.md`): every section carries one in the section table.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -114,42 +68,6 @@ pub fn section_checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips_edge_values() {
-        for v in [0u32, 1, 127, 128, 129, 16_383, 16_384, 65_535, u32::MAX - 1, u32::MAX] {
-            let mut buf = Vec::new();
-            encode_u32(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(decode_u32(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn small_values_are_one_byte() {
-        for v in 0..128u32 {
-            let mut buf = Vec::new();
-            encode_u32(&mut buf, v);
-            assert_eq!(buf.len(), 1);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation_and_overflow() {
-        // Truncated continuation.
-        let mut pos = 0;
-        assert_eq!(decode_u32(&[0x80], &mut pos), None);
-        // Six continuation bytes.
-        let mut pos = 0;
-        assert_eq!(decode_u32(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], &mut pos), None);
-        // Bits beyond the 32nd.
-        let mut pos = 0;
-        assert_eq!(decode_u32(&[0xff, 0xff, 0xff, 0xff, 0x7f], &mut pos), None);
-        // Empty input.
-        let mut pos = 0;
-        assert_eq!(decode_u32(&[], &mut pos), None);
-    }
 
     #[test]
     fn fnv_known_vectors() {

@@ -8,8 +8,8 @@
 //! |---|---|---|
 //! | `LANDMARKS` | 1 | `r × u32` landmark vertex ids in rank order |
 //! | `HIGHWAY` | 2 | `r² × u32` row-major distance matrix (`u32::MAX` = disconnected) |
-//! | `LABEL_OFFSETS` | 3 | `(n+1) × u32` byte offsets into `LABEL_DATA` |
-//! | `LABEL_DATA` | 4 | per-vertex delta-varint label streams |
+//! | `LABEL_OFFSETS` | 3 | `(n+1) × u32` entry offsets into both label lanes |
+//! | `LABEL_DATA` | 4 | `E` rank bytes, then `E` distance bytes |
 //! | `SPARSE_OFFSETS` | 5 | `(n+1) × u32` entry offsets into `SPARSE_ADJ`, indexed by view id |
 //! | `SPARSE_ADJ` | 6 | sparsified-CSR adjacency, one `u32` view id per neighbour |
 //! | `VIEW_OF` | 7 | `n × u32` permutation, original id → view id |
@@ -20,16 +20,15 @@
 //!
 //! All integers are little-endian. Every section starts 8-byte aligned and
 //! carries a lane-interleaved FNV-1a 64 checksum
-//! ([`varint::section_checksum`]) in the section table, so the `u32`
+//! ([`checksum::section_checksum`]) in the section table, so the `u32`
 //! sections can be served as `&[u32]` straight over a page-aligned mapping
-//! and corruption is caught at open time. Labels are the only encoded
-//! section: each vertex's entries are stored rank-sorted as
-//! `varint(rank₀) varint(d₀) varint(rank₁−rank₀−1) varint(d₁) …` — the
-//! strict sort makes every gap non-negative, and on real indexes nearly
-//! every varint is one byte, which is where the ≥25% size cut over the
-//! plain `u16`-pair format comes from.
+//! and corruption is caught at open time. Labels are stored in the
+//! in-memory layout ([`hcl_core::HighwayLabels`]): vertex `v`'s entries
+//! are `LABEL_OFFSETS[v]..LABEL_OFFSETS[v+1]` of the rank lane and of the
+//! distance lane, one byte each, sorted strictly by rank — two bytes per
+//! entry against the plain format's four, and served as `&[u8]` slices.
 
-use crate::varint;
+use crate::checksum;
 use crate::StoreError;
 use hcl_core::{HighwayCoverLabelling, SparseView};
 use std::io::Write;
@@ -38,21 +37,21 @@ use std::path::Path;
 /// File magic: `HCLSTOR1`.
 pub const MAGIC: &[u8; 8] = b"HCLSTOR1";
 /// Container version this crate writes and reads.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Fixed header size in bytes (magic through `total_label_entries`).
 pub const HEADER_BYTES: usize = 40;
 /// Size of one section-table entry in bytes.
 pub const SECTION_ENTRY_BYTES: usize = 32;
-/// Number of sections in a v2 file (each kind exactly once, in kind order).
+/// Number of sections in a file (each kind exactly once, in kind order).
 pub const SECTION_COUNT: usize = 7;
 
 /// Landmark vertex ids, rank order.
 pub const SECTION_LANDMARKS: u32 = 1;
 /// Row-major `r × r` highway distance matrix.
 pub const SECTION_HIGHWAY: u32 = 2;
-/// Per-vertex byte offsets into `LABEL_DATA`.
+/// Per-vertex entry offsets into the two label lanes.
 pub const SECTION_LABEL_OFFSETS: u32 = 3;
-/// Delta-varint label streams.
+/// The rank lane followed by the distance lane.
 pub const SECTION_LABEL_DATA: u32 = 4;
 /// Per-view-vertex entry offsets into `SPARSE_ADJ`.
 pub const SECTION_SPARSE_OFFSETS: u32 = 5;
@@ -92,8 +91,7 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 /// `sparse` must have been built from the same graph and landmark set as
 /// `labelling` (as [`SharedOracle`](hcl_core::SharedOracle) does at
 /// construction); the pair is what one serving generation needs. The whole
-/// image is materialised in memory — packing is an offline build step, and
-/// the image is about half the size of the in-memory index it encodes.
+/// image is materialised in memory — packing is an offline build step.
 pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Vec<u8>, StoreError> {
     let highway = labelling.highway();
     let labels = labelling.labels();
@@ -120,28 +118,20 @@ pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Ve
         }
     }
 
-    // Sections 3 + 4: label offsets + delta-varint streams.
+    // Sections 3 + 4: entry offsets, then the rank lane and the dist lane.
+    let total = u32::try_from(labels.total_entries())
+        .map_err(|_| StoreError::Invalid("label entries exceed u32".into()))?;
     let mut label_offsets = Vec::with_capacity(4 * (n + 1));
-    let mut label_data: Vec<u8> = Vec::with_capacity(2 * labels.total_entries());
+    let mut label_data = Vec::with_capacity(2 * total as usize);
+    let mut dists = Vec::with_capacity(total as usize);
     for v in 0..n as u32 {
-        let at = u32::try_from(label_data.len())
-            .map_err(|_| StoreError::Invalid("label data exceeds 4 GiB".into()))?;
-        push_u32(&mut label_offsets, at);
-        let mut prev: Option<u32> = None;
-        for e in labels.label(v) {
-            let rank = e.landmark as u32;
-            match prev {
-                // Strictly increasing ranks: gaps are >= 1, stored as gap−1.
-                Some(p) => varint::encode_u32(&mut label_data, rank - p - 1),
-                None => varint::encode_u32(&mut label_data, rank),
-            }
-            varint::encode_u32(&mut label_data, e.dist as u32);
-            prev = Some(rank);
-        }
+        push_u32(&mut label_offsets, dists.len() as u32);
+        let (row_ranks, row_dists) = labels.label_lanes(v);
+        label_data.extend_from_slice(row_ranks);
+        dists.extend_from_slice(row_dists);
     }
-    let total = u32::try_from(label_data.len())
-        .map_err(|_| StoreError::Invalid("label data exceeds 4 GiB".into()))?;
     push_u32(&mut label_offsets, total);
+    label_data.extend_from_slice(&dists);
 
     // Sections 5–7: the view exactly as `sparse` holds it — view-space
     // CSR rows in view order, then the original → view permutation.
@@ -196,7 +186,7 @@ pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Ve
         out[e + 4..e + 8].copy_from_slice(&0u32.to_le_bytes());
         out[e + 8..e + 16].copy_from_slice(&offset.to_le_bytes());
         out[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        out[e + 24..e + 32].copy_from_slice(&varint::section_checksum(payload).to_le_bytes());
+        out[e + 24..e + 32].copy_from_slice(&checksum::section_checksum(payload).to_le_bytes());
         out.extend_from_slice(payload);
     }
     Ok(out)

@@ -5,16 +5,17 @@
 //! crate makes one serving *generation* a single immutable file:
 //!
 //! * [`pack`] / [`save_packed`] serialise a labelling plus its sparsified
-//!   view into a versioned, checksummed container (`docs/FORMAT.md`) with
-//!   delta-varint label streams — roughly half the bytes of the plain
+//!   view into a versioned, checksummed container (`docs/FORMAT.md`) whose
+//!   labels are the in-memory layout itself — one rank byte and one
+//!   distance byte per entry, half the label bytes of the plain
 //!   `HCLIDX01` serialisation;
 //! * [`IndexView`] memory-maps that file and implements
 //!   [`hcl_core::LabelStorage`] + [`hcl_core::SparseNeighbors`] directly
 //!   over the mapped bytes, so the Lemma 5.1 merge and the bounded
-//!   bidirectional search run with **no deserialisation** — labels decode
-//!   lazily during the merge, the `u32` sections (the degree-ordered
-//!   search view included, stored as the packer built it) are served as
-//!   slices over the mapping, so open is map + validate;
+//!   bidirectional search run with **no deserialisation** — the label
+//!   lanes and the `u32` sections (the degree-ordered search view
+//!   included, stored as the packer built it) are served as slices over
+//!   the mapping, so open is map + validate;
 //! * [`PackedOracle`] is [`hcl_core::Oracle`] over an [`IndexView`]: the
 //!   same query front door, written once, that serves the in-memory
 //!   [`hcl_core::SharedOracle`], so the server can swap a generation by
@@ -23,9 +24,9 @@
 //! All loader failures are typed [`StoreError`]s — a truncated, bit-flipped
 //! or version-skewed file is an `Err`, never a panic.
 
+pub mod checksum;
 pub mod format;
 pub mod sys;
-pub mod varint;
 
 mod deploy;
 mod view;
@@ -33,7 +34,7 @@ mod view;
 pub use deploy::write_packed_deployment;
 pub use format::{is_packed_path, pack, plain_index_bytes, save_packed, PACKED_EXTENSION};
 pub use sys::Mmap;
-pub use view::{IndexView, PackedLabelIter};
+pub use view::IndexView;
 
 /// The distance oracle over a packed index file: [`hcl_core::Oracle`]
 /// over a validated [`IndexView`]. `PackedOracle::open(path)` maps and
@@ -50,7 +51,7 @@ pub enum StoreError {
     /// The file does not start with the `HCLSTOR1` magic.
     BadMagic,
     /// The container version is not the one this build reads — newer, or
-    /// the retired v1 (re-run `hcl pack`; a `.hclx` is derived state).
+    /// a retired v1 or v2 (re-run `hcl pack`; a `.hclx` is derived state).
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,

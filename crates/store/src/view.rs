@@ -5,25 +5,25 @@
 //! sparse adjacency, the `view_of` permutation) are handed out as `&[u32]`
 //! slices straight over the mapping — the 8-byte section alignment plus
 //! the page alignment of `mmap` make the casts sound, and little-endian
-//! layout matches every target this workspace supports. The bounded search
-//! therefore runs on the stored view itself; nothing is rebuilt or copied
-//! at open. Labels are the one encoded section: the [`PackedLabelIter`]
-//! decodes delta-varints lazily *during* the Lemma 5.1 merge
-//! (decode-on-merge), so a query never materialises a label.
+//! layout matches every target this workspace supports. The two label
+//! lanes are byte runs in the in-memory layout, handed out as `&[u8]`.
+//! The Lemma 5.1 merge and the bounded search therefore run on the stored
+//! bytes themselves; nothing is decoded, rebuilt or copied at open or per
+//! query.
 //!
 //! Opening validates the whole file — structure, per-section checksums, and
-//! a full decode of every label stream — so the query path can assume every
+//! a scan of every label row — so the query path can assume every
 //! invariant the in-memory index upholds and contains no panics, unwraps,
 //! or corruption branches. Validation is a single sequential read of the
 //! file (the checksums alone require that), which also pre-faults the page
 //! cache; it is still an order of magnitude cheaper than the allocate-and-
 //! copy deserialising load it replaces.
 
+use crate::checksum;
 use crate::format::{self, HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use crate::sys::Mmap;
-use crate::varint;
 use crate::StoreError;
-use hcl_core::{IndexGeneration, LabelStorage, SparseNeighbors};
+use hcl_core::{IndexGeneration, LabelStorage, SparseNeighbors, MAX_LANDMARKS};
 use hcl_graph::{VertexId, INF};
 use std::ops::Range;
 use std::path::Path;
@@ -69,7 +69,9 @@ pub struct IndexView {
     landmarks: Range<usize>,
     highway: Range<usize>,
     label_offsets: Range<usize>,
-    label_data: Range<usize>,
+    /// The two halves of the `LABEL_DATA` section.
+    label_ranks: Range<usize>,
+    label_dists: Range<usize>,
     sparse_offsets: Range<usize>,
     sparse_adj: Range<usize>,
     view_of: Range<usize>,
@@ -153,7 +155,7 @@ impl IndexView {
         let section_count = read_u32(bytes, 12) as usize;
         if section_count != SECTION_COUNT {
             return Err(StoreError::Corrupt(format!(
-                "v2 file must have {SECTION_COUNT} sections, found {section_count}"
+                "file must have {SECTION_COUNT} sections, found {section_count}"
             )));
         }
         let n = read_u64(bytes, 16);
@@ -163,20 +165,23 @@ impl IndexView {
         if n >= u32::MAX as u64 {
             return Err(StoreError::Corrupt(format!("implausible vertex count {n}")));
         }
-        // The label encoding stores ranks in 16 bits (same cap the builder
-        // enforces via `BuildError::TooManyLandmarks`).
-        if r > u16::MAX as u64 {
+        // Ranks are one byte (the cap the builder enforces via
+        // `BuildError::TooManyLandmarks`).
+        if r > MAX_LANDMARKS as u64 {
             return Err(StoreError::Corrupt(format!("implausible landmark count {r}")));
         }
+        if total_entries > u32::MAX as u64 {
+            return Err(StoreError::Corrupt(format!("implausible entry count {total_entries}")));
+        }
         if flags != 0 {
-            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0 in v2)")));
+            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0)")));
         }
         let table_end = HEADER_BYTES as u64 + (SECTION_COUNT * SECTION_ENTRY_BYTES) as u64;
         if file_len < table_end {
             return Err(StoreError::Truncated { needed: table_end, actual: file_len });
         }
 
-        // Section table: every v2 kind exactly once, each section in
+        // Section table: every kind exactly once, each section in
         // bounds, aligned, and passing its checksum.
         let mut ranges: [Option<Range<usize>>; SECTION_COUNT] = Default::default();
         for i in 0..SECTION_COUNT {
@@ -208,7 +213,7 @@ impl IndexView {
                 return Err(StoreError::Truncated { needed: end, actual: file_len });
             }
             let range = offset as usize..end as usize;
-            if varint::section_checksum(&bytes[range.clone()]) != checksum {
+            if checksum::section_checksum(&bytes[range.clone()]) != checksum {
                 return Err(StoreError::Corrupt(format!("section {kind} checksum mismatch")));
             }
             *slot = Some(range);
@@ -229,6 +234,7 @@ impl IndexView {
         expect("landmarks", &landmarks, 4 * r)?;
         expect("highway", &highway, 4 * r * r)?;
         expect("label offsets", &label_offsets, 4 * (n + 1))?;
+        expect("label data", &label_data, 2 * total_entries)?;
         expect("sparse offsets", &sparse_offsets, 4 * (n + 1))?;
         expect("view_of", &view_of, 4 * n)?;
         if sparse_adj.len() % 4 != 0 {
@@ -243,7 +249,8 @@ impl IndexView {
             landmarks,
             highway,
             label_offsets,
-            label_data,
+            label_ranks: label_data.start..label_data.start + total_entries as usize,
+            label_dists: label_data.start + total_entries as usize..label_data.end,
             sparse_offsets,
             sparse_adj,
             view_of,
@@ -253,8 +260,8 @@ impl IndexView {
     }
 
     /// Content validation beyond structure: landmark ids, highway matrix
-    /// invariants, offset monotonicity, a full decode of every label
-    /// stream, the sparsified view's CSR, and the `view_of` permutation.
+    /// invariants, offset monotonicity, every label row's ranks, the
+    /// sparsified view's CSR, and the `view_of` permutation.
     /// On success the rank index is built and the view is ready to serve.
     fn validate_contents(mut self) -> Result<IndexView, StoreError> {
         let n = self.n as u32;
@@ -293,63 +300,38 @@ impl IndexView {
             }
         }
 
-        // Labels: monotone byte offsets ending at the data length, then a
-        // full decode — strictly increasing ranks < r, 16-bit distances,
-        // streams consumed exactly, totals matching the header, and empty
-        // streams on landmarks.
+        // Labels: monotone entry offsets ending at the header's entry count
+        // (the section is two lanes of that many bytes), ranks strictly
+        // increasing and `< r` in every row, and empty rows on landmarks.
+        // Distances are bytes, so every value is valid.
         let offsets = self.u32_slice(&self.label_offsets);
-        let data = &self.backing.bytes()[self.label_data.clone()];
-        if offsets[0] != 0 || offsets[self.n] as usize != data.len() {
-            return Err(StoreError::Corrupt("label offsets do not span the data section".into()));
+        let ranks = &self.backing.bytes()[self.label_ranks.clone()];
+        if offsets[0] != 0 || offsets[self.n] as u64 != self.total_entries {
+            return Err(StoreError::Corrupt(format!(
+                "label offsets do not span the {} entries the header claims",
+                self.total_entries
+            )));
         }
-        let mut decoded: u64 = 0;
         for v in 0..self.n {
-            let stream =
-                data.get(offsets[v] as usize..offsets[v + 1] as usize).ok_or_else(|| {
-                    StoreError::Corrupt(format!("label offsets not monotone at vertex {v}"))
-                })?;
-            let mut pos = 0usize;
-            let mut prev: Option<u32> = None;
-            while pos < stream.len() {
-                let delta = varint::decode_u32(stream, &mut pos)
-                    .ok_or_else(|| StoreError::Corrupt(format!("bad rank varint at vertex {v}")))?;
-                let rank = match prev {
-                    Some(p) => p
-                        .checked_add(1)
-                        .and_then(|x| x.checked_add(delta))
-                        .filter(|&x| x < r)
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(format!("label rank overflow at vertex {v}"))
-                        })?,
-                    None => delta,
-                };
-                if rank >= r {
-                    return Err(StoreError::Corrupt(format!(
-                        "label rank {rank} >= |R| = {r} at vertex {v}"
-                    )));
-                }
-                let dist = varint::decode_u32(stream, &mut pos).ok_or_else(|| {
-                    StoreError::Corrupt(format!("bad distance varint at vertex {v}"))
-                })?;
-                if dist > u16::MAX as u32 {
-                    return Err(StoreError::Corrupt(format!(
-                        "label distance {dist} exceeds 16 bits at vertex {v}"
-                    )));
-                }
-                prev = Some(rank);
-                decoded += 1;
+            let row = ranks.get(offsets[v] as usize..offsets[v + 1] as usize).ok_or_else(|| {
+                StoreError::Corrupt(format!("label offsets not monotone at vertex {v}"))
+            })?;
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(StoreError::Corrupt(format!(
+                    "label ranks of {v} not strictly increasing"
+                )));
+            }
+            // Strictly increasing, so the last rank is the row's largest.
+            if let Some(&rank) = row.last().filter(|&&rank| u32::from(rank) >= r) {
+                return Err(StoreError::Corrupt(format!(
+                    "label rank {rank} >= |R| = {r} at vertex {v}"
+                )));
             }
         }
         for &v in self.landmarks() {
             if offsets[v as usize] != offsets[v as usize + 1] {
                 return Err(StoreError::Corrupt(format!("landmark {v} has a non-empty label")));
             }
-        }
-        if decoded != self.total_entries {
-            return Err(StoreError::Corrupt(format!(
-                "decoded {decoded} label entries, header claims {}",
-                self.total_entries
-            )));
         }
 
         // Sparsified view: monotone offsets spanning the adjacency section
@@ -438,15 +420,28 @@ impl IndexView {
     /// offsets + label data) — the payload comparable to the plain
     /// `HCLIDX01` serialisation, which does not carry the sparsified CSR.
     pub fn packed_index_bytes(&self) -> usize {
-        self.landmarks.len() + self.highway.len() + self.label_offsets.len() + self.label_data.len()
+        self.landmarks.len()
+            + self.highway.len()
+            + self.label_offsets.len()
+            + self.label_data_bytes()
     }
 
-    /// Bytes of the delta-varint label streams alone (the `LABEL_DATA`
-    /// section) — divided by [`total_label_entries`](Self::total_label_entries)
-    /// this is the on-disk bytes-per-entry figure the committed benchmark
+    /// Bytes of the two label lanes together (the `LABEL_DATA` section) —
+    /// divided by [`total_label_entries`](Self::total_label_entries) this
+    /// is the on-disk bytes-per-entry figure the committed benchmark
     /// reports.
     pub fn label_data_bytes(&self) -> usize {
-        self.label_data.len()
+        self.rank_lane_bytes() + self.dist_lane_bytes()
+    }
+
+    /// Bytes of the mapped rank lane (one per entry).
+    pub fn rank_lane_bytes(&self) -> usize {
+        self.label_ranks.len()
+    }
+
+    /// Bytes of the mapped distance lane (one per entry).
+    pub fn dist_lane_bytes(&self) -> usize {
+        self.label_dists.len()
     }
 
     /// Bytes the same index occupies in the plain `HCLIDX01` format.
@@ -466,38 +461,7 @@ impl IndexView {
     }
 }
 
-/// Lazy decoder over one vertex's delta-varint label stream; yields
-/// `(rank, dist)` in strictly increasing rank order. Open-time validation
-/// guarantees well-formed streams, so the `None`-on-malformed branches in
-/// here are unreachable defence, not a correctness dependency.
-pub struct PackedLabelIter<'a> {
-    stream: &'a [u8],
-    pos: usize,
-    prev: Option<u32>,
-}
-
-impl Iterator for PackedLabelIter<'_> {
-    type Item = (u32, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, u32)> {
-        if self.pos >= self.stream.len() {
-            return None;
-        }
-        let delta = varint::decode_u32(self.stream, &mut self.pos)?;
-        let rank = match self.prev {
-            Some(p) => p + 1 + delta,
-            None => delta,
-        };
-        let dist = varint::decode_u32(self.stream, &mut self.pos)?;
-        self.prev = Some(rank);
-        Some((rank, dist))
-    }
-}
-
 impl LabelStorage for IndexView {
-    type LabelIter<'a> = PackedLabelIter<'a>;
-
     #[inline]
     fn num_vertices(&self) -> usize {
         self.n
@@ -528,15 +492,12 @@ impl LabelStorage for IndexView {
     }
 
     #[inline]
-    fn label(&self, v: VertexId) -> PackedLabelIter<'_> {
+    fn label_lanes(&self, v: VertexId) -> (&[u8], &[u8]) {
         let offsets = self.u32_slice(&self.label_offsets);
-        let v = v as usize;
-        let data = &self.backing.bytes()[self.label_data.clone()];
-        PackedLabelIter {
-            stream: &data[offsets[v] as usize..offsets[v + 1] as usize],
-            pos: 0,
-            prev: None,
-        }
+        let (lo, hi) = (offsets[v as usize] as usize, offsets[v as usize + 1] as usize);
+        let bytes = self.backing.bytes();
+        let (ranks, dists) = (self.label_ranks.start, self.label_dists.start);
+        (&bytes[ranks + lo..ranks + hi], &bytes[dists + lo..dists + hi])
     }
 }
 

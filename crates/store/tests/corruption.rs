@@ -12,11 +12,11 @@
 
 use hcl_core::{HighwayCoverLabelling, LabelStorage, SparseNeighbors, SparseView};
 use hcl_graph::{generate, VertexId};
+use hcl_store::checksum::section_checksum;
 use hcl_store::format::{
     HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES, SECTION_LABEL_DATA, SECTION_LABEL_OFFSETS,
     SECTION_LANDMARKS, SECTION_SPARSE_ADJ, SECTION_SPARSE_OFFSETS, SECTION_VIEW_OF,
 };
-use hcl_store::varint::section_checksum;
 use hcl_store::{pack, IndexView, PackedOracle, StoreError};
 use std::ops::Range;
 
@@ -39,13 +39,7 @@ fn content_identical(view: &IndexView, hcl: &HighwayCoverLabelling, sparse: &Spa
     }
     (0..view.num_landmarks() as u32).all(|r| view.highway_row(r) == hcl.highway().row(r))
         && (0..view.num_vertices() as VertexId).all(|v| {
-            view.label(v).collect::<Vec<_>>()
-                == hcl
-                    .labels()
-                    .label(v)
-                    .iter()
-                    .map(|e| (e.landmark as u32, e.dist as u32))
-                    .collect::<Vec<_>>()
+            view.label_lanes(v) == hcl.labels().label_lanes(v)
                 && view.sparse_neighbors(v) == sparse.graph().neighbors(v)
                 && view.view_of(v) == sparse.view_of(v)
         })
@@ -172,14 +166,25 @@ fn resealed_label_damage_is_rejected_as_corrupt() {
     let offset = |v: usize| get(&image, SECTION_LABEL_OFFSETS, v);
     let data = section(&image, SECTION_LABEL_DATA);
 
-    // A stream's first byte is its first rank, stored absolutely.
+    // The rank lane comes first: entry `i`'s rank is byte `i` of the data.
     let labelled = (0..n).find(|&v| offset(v) != offset(v + 1)).unwrap();
     let mut rank = image.clone();
     rank[data.start + offset(labelled) as usize] = hcl.num_landmarks() as u8;
     assert_content_rejected(rank, "label rank >= r");
 
-    // Hand the preceding vertex's stream to a landmark: every stream
-    // still decodes and the entry total still matches the header.
+    // Raw lanes can hold what the old gap encoding could not: a row whose
+    // ranks repeat or step back.
+    let wide = (0..n).find(|&v| offset(v + 1) - offset(v) >= 2).unwrap();
+    let at = data.start + offset(wide) as usize;
+    let mut swapped = image.clone();
+    swapped.swap(at, at + 1);
+    assert_content_rejected(swapped, "ranks not strictly increasing within a row");
+    let mut repeated = image.clone();
+    repeated[at + 1] = repeated[at];
+    assert_content_rejected(repeated, "repeated rank within a row");
+
+    // Hand the preceding vertex's row to a landmark: every row is still
+    // sorted and the entry total still matches the header.
     let landmark = (hcl.highway().landmarks().iter().map(|&l| l as usize))
         .find(|&l| l > 0 && offset(l - 1) != offset(l))
         .expect("fixture has a landmark preceded by a labelled vertex");
@@ -252,11 +257,17 @@ fn header_level_damage_reports_typed_errors() {
         Err(StoreError::UnsupportedVersion { found: 99 })
     ));
 
-    // v1 stored the sparse CSR in original id space with no VIEW_OF; it is
-    // a different format, not a damaged v2.
-    let mut v1 = image.clone();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert!(matches!(IndexView::from_bytes(&v1), Err(StoreError::UnsupportedVersion { found: 1 })));
+    // v1 stored the sparse CSR in original id space with no VIEW_OF, and
+    // v2 stored labels as delta-varint streams; both are retired formats,
+    // not damaged v3 files.
+    for old in [1u32, 2] {
+        let mut retired = image.clone();
+        retired[8..12].copy_from_slice(&old.to_le_bytes());
+        assert!(matches!(
+            IndexView::from_bytes(&retired),
+            Err(StoreError::UnsupportedVersion { found }) if found == old
+        ));
+    }
 
     assert!(matches!(IndexView::from_bytes(&image[..16]), Err(StoreError::Truncated { .. })));
     assert!(matches!(IndexView::from_bytes(&[]), Err(StoreError::Truncated { .. })));

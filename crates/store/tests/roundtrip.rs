@@ -41,10 +41,7 @@ fn assert_view_matches(
     }
     for v in 0..n as VertexId {
         assert_eq!(view.rank(v), hcl.highway().rank(v), "{tag}: rank({v})");
-        let packed: Vec<(u32, u32)> = view.label(v).collect();
-        let original: Vec<(u32, u32)> =
-            hcl.labels().label(v).iter().map(|e| (e.landmark as u32, e.dist as u32)).collect();
-        assert_eq!(packed, original, "{tag}: label({v})");
+        assert_eq!(view.label_lanes(v), hcl.labels().label_lanes(v), "{tag}: label({v})");
         // The stored view is the packer's view: same permutation, same rows.
         assert_eq!(view.view_of(v), sparse.view_of(v), "{tag}: view_of({v})");
         assert_eq!(view.sparse_neighbors(v), sparse.graph().neighbors(v), "{tag}: sparse({v})");

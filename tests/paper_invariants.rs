@@ -75,7 +75,7 @@ proptest! {
                     .labels()
                     .label(v)
                     .iter()
-                    .find(|e| e.landmark == rank as u16);
+                    .find(|e| e.landmark == rank as u8);
                 prop_assert_eq!(entry.is_some(), must_have, "landmark {} vertex {}", r, v);
                 if let Some(e) = entry {
                     prop_assert_eq!(e.dist as u32, d_rv);
@@ -97,9 +97,9 @@ proptest! {
         let (b, _) = HighwayCoverLabelling::build(&g, &reversed).unwrap();
         // Entries are identical after resolving ranks to vertices.
         for v in g.vertices() {
-            let mut ea: Vec<(u32, u16)> = a.labels().label(v).iter()
+            let mut ea: Vec<(u32, u8)> = a.labels().label(v).iter()
                 .map(|e| (a.highway().landmark(e.landmark as u32), e.dist)).collect();
-            let mut eb: Vec<(u32, u16)> = b.labels().label(v).iter()
+            let mut eb: Vec<(u32, u8)> = b.labels().label(v).iter()
                 .map(|e| (b.highway().landmark(e.landmark as u32), e.dist)).collect();
             ea.sort_unstable();
             eb.sort_unstable();
