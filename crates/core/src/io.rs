@@ -8,8 +8,9 @@
 //!
 //! The reader accepts exactly what the packed `.hclx` reader accepts: at
 //! most [`MAX_LANDMARKS`] distinct landmarks, a symmetric highway matrix
-//! with a zero diagonal, and labels strictly sorted by rank, ranks below
-//! `|R|`, distances within a byte, and empty on landmarks.
+//! with a zero diagonal and finite distances below `n`, and labels strictly
+//! sorted by rank, ranks below `|R|`, distances within a byte, and empty on
+//! landmarks.
 
 use crate::build::HighwayCoverLabelling;
 use crate::highway::Highway;
@@ -86,7 +87,8 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, Graph
     for a in 0..num_landmarks {
         for b in 0..num_landmarks {
             let d = read_u32(&mut r)?;
-            if (a == b && d != 0) || (b < a && d != matrix[b * num_landmarks + a]) {
+            let implausible = d != hcl_graph::INF && d as usize >= n.max(1);
+            if implausible || (a == b && d != 0) || (b < a && d != matrix[b * num_landmarks + a]) {
                 return Err(GraphError::Format(format!("highway matrix bad at ({a}, {b})")));
             }
             matrix.push(d);
@@ -246,6 +248,7 @@ mod tests {
             ("duplicate landmark", image(4, &[3, 3], &matrix, &good)),
             ("asymmetric highway", image(4, &[0, 3], &[0, 3, 4, 0], &good)),
             ("nonzero highway diagonal", image(4, &[0, 3], &[1, 3, 3, 0], &good)),
+            ("highway distance >= n", image(4, &[0, 3], &[0, 4, 4, 0], &good)),
             ("distance beyond a byte", image(4, &[0, 3], &matrix, &wide)),
         ] {
             assert!(
