@@ -4,7 +4,10 @@
 //! saving it lets a query service start instantly. The format is a simple
 //! little-endian container: magic, vertex count, landmark list, the highway
 //! distance matrix, label offsets, and packed `(rank, dist)` entries, each
-//! a `u16` pair on disk although both values fit a byte in memory.
+//! a `u16` pair on disk although both values fit a byte in memory. Each
+//! section is one bulk read decoded from its bytes; a count in the header
+//! sizes nothing before the bytes it counts have arrived, so a truncated
+//! or lying file fails as a short read.
 //!
 //! The reader accepts exactly what the packed `.hclx` reader accepts: at
 //! most [`MAX_LANDMARKS`] distinct landmarks, a symmetric highway matrix
@@ -15,8 +18,9 @@
 use crate::build::HighwayCoverLabelling;
 use crate::highway::Highway;
 use crate::labels::{HighwayLabels, MAX_LANDMARKS};
+use hcl_graph::io::read_section;
 use hcl_graph::GraphError;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"HCLIDX01";
@@ -53,9 +57,12 @@ pub fn write_labelling<W: Write>(l: &HighwayCoverLabelling, writer: W) -> Result
     Ok(())
 }
 
-/// Deserialises a labelling written by [`write_labelling`].
-pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, GraphError> {
-    let mut r = BufReader::new(reader);
+/// Deserialises a labelling written by [`write_labelling`]. Each section
+/// (landmarks, highway matrix, label offsets, label entries) is one bulk
+/// read ([`hcl_graph::io::read_section`]) decoded from its bytes, so no
+/// allocation is sized by a header count before the bytes it counts have
+/// arrived.
+pub fn read_labelling<R: Read>(mut r: R) -> Result<HighwayCoverLabelling, GraphError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -71,8 +78,7 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, Graph
         return Err(GraphError::Format(format!("implausible landmark count {num_landmarks}")));
     }
     let mut landmarks = Vec::with_capacity(num_landmarks);
-    for _ in 0..num_landmarks {
-        let v = read_u32(&mut r)?;
+    for v in u32s(&read_section(&mut r, 4 * num_landmarks as u64)?) {
         if v as usize >= n {
             return Err(GraphError::Format("landmark out of range".to_string()));
         }
@@ -81,27 +87,18 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, Graph
         }
         landmarks.push(v);
     }
-    // Buffer the matrix before building the (O(n) + O(r²)) highway, so a
-    // corrupted header fails on a short read instead of a huge allocation.
-    let mut matrix = Vec::with_capacity(num_landmarks * num_landmarks);
-    for a in 0..num_landmarks {
-        for b in 0..num_landmarks {
-            let d = read_u32(&mut r)?;
-            let implausible = d != hcl_graph::INF && d as usize >= n.max(1);
-            if implausible || (a == b && d != 0) || (b < a && d != matrix[b * num_landmarks + a]) {
-                return Err(GraphError::Format(format!("highway matrix bad at ({a}, {b})")));
-            }
-            matrix.push(d);
+    let matrix: Vec<u32> =
+        u32s(&read_section(&mut r, 4 * (num_landmarks * num_landmarks) as u64)?).collect();
+    for (i, &d) in matrix.iter().enumerate() {
+        let (a, b) = (i / num_landmarks, i % num_landmarks);
+        let implausible = d != hcl_graph::INF && d as usize >= n.max(1);
+        if implausible || (a == b && d != 0) || (b < a && d != matrix[b * num_landmarks + a]) {
+            return Err(GraphError::Format(format!("highway matrix bad at ({a}, {b})")));
         }
     }
-    // Capped reservations: corrupted counts must fail on read, not alloc.
-    let mut offsets = Vec::with_capacity((n + 1).min(1 << 20));
-    for _ in 0..=n {
-        let at = read_u32(&mut r)?;
-        if offsets.last().map_or(at != 0, |&prev| at < prev) {
-            return Err(GraphError::Format("non-monotone label offsets".to_string()));
-        }
-        offsets.push(at);
+    let offsets: Vec<u32> = u32s(&read_section(&mut r, 4 * (n as u64 + 1))?).collect();
+    if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
+        return Err(GraphError::Format("non-monotone label offsets".to_string()));
     }
     let mut highway = Highway::new(n, &landmarks);
     for a in 0..num_landmarks {
@@ -113,15 +110,15 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<HighwayCoverLabelling, Graph
         }
     }
     let total = *offsets.last().unwrap() as usize;
-    let mut ranks = Vec::with_capacity(total.min(1 << 20));
-    let mut dists = Vec::with_capacity(total.min(1 << 20));
+    let entries = read_section(&mut r, 4 * total as u64)?;
+    let (mut ranks, mut dists) = (Vec::with_capacity(total), Vec::with_capacity(total));
     for (v, row) in offsets.windows(2).enumerate() {
         if row[0] != row[1] && highway.is_landmark(v as u32) {
             return Err(GraphError::Format(format!("landmark {v} has a non-empty label")));
         }
         let mut prev = None;
-        for _ in row[0]..row[1] {
-            let (rank, dist) = (read_u16(&mut r)?, read_u16(&mut r)?);
+        for e in entries[4 * row[0] as usize..4 * row[1] as usize].chunks_exact(4) {
+            let (rank, dist) = (u16::from_le_bytes([e[0], e[1]]), u16::from_le_bytes([e[2], e[3]]));
             let (Ok(rank), Ok(dist)) = (u8::try_from(rank), u8::try_from(dist)) else {
                 return Err(GraphError::Format(format!("label entry of {v} exceeds a byte")));
             };
@@ -158,16 +155,9 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, GraphError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u16<R: Read>(r: &mut R) -> Result<u16, GraphError> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
+/// The little-endian `u32`s of a section.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
 #[cfg(test)]
@@ -258,6 +248,39 @@ mod tests {
         }
         let too_many = image(4, &[0; MAX_LANDMARKS + 1], &[], &good);
         assert!(matches!(read_labelling(Cursor::new(too_many)), Err(GraphError::Format(_))));
+    }
+
+    #[test]
+    fn cut_anywhere_is_a_typed_error() {
+        // Path 0 - 1 - 2 - 3 with landmarks 0 and 3: every section is
+        // non-empty, so every proper prefix is short.
+        let rows: [&[(u16, u16)]; 4] = [&[], &[(0, 1), (1, 2)], &[(0, 2), (1, 1)], &[]];
+        let buf = image(4, &[0, 3], &[0, 3, 3, 0], &rows);
+        for cut in 0..buf.len() {
+            let got = read_labelling(Cursor::new(&buf[..cut]));
+            assert!(
+                matches!(got, Err(GraphError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {got:?}"
+            );
+        }
+        assert!(read_labelling(Cursor::new(&buf)).is_ok());
+    }
+
+    #[test]
+    fn counts_beyond_the_body_fail_as_short_reads() {
+        let rows: [&[(u16, u16)]; 4] = [&[], &[(0, 1), (1, 2)], &[(0, 2), (1, 1)], &[]];
+        let good = image(4, &[0, 3], &[0, 3, 3, 0], &rows);
+        // A vertex count of 2^32 - 2 claims 16 GiB of offsets.
+        let mut huge_n = good.clone();
+        huge_n[8..16].copy_from_slice(&(u32::MAX as u64 - 1).to_le_bytes());
+        // The last offset claims 2^32 - 1 entries, 16 GiB of them.
+        let mut huge_total = good[..good.len() - 16].to_vec();
+        let last = huge_total.len() - 4;
+        huge_total[last..].copy_from_slice(&u32::MAX.to_le_bytes());
+        for bytes in [huge_n, huge_total] {
+            let got = read_labelling(Cursor::new(bytes));
+            assert!(matches!(got, Err(GraphError::Io(_))), "{got:?}");
+        }
     }
 
     #[test]

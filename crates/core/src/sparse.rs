@@ -11,9 +11,12 @@
 //! directly with no skip predicate and no rank lookups.
 //!
 //! On top of the sparsification, the view is **degree-ordered**: the
-//! materialised CSR is renumbered by decreasing degree
-//! ([`hcl_graph::subgraph::relabel_by_degree`]), so the high-degree
-//! vertices that dominate BFS frontiers sit in adjacent cache lines.
+//! materialised CSR is numbered by decreasing degree in `G[V∖R]`, so the
+//! high-degree vertices that dominate BFS frontiers sit in adjacent cache
+//! lines. Both happen in one pass from `G`
+//! ([`hcl_graph::subgraph::degree_ordered_without`]): sparsified degrees
+//! from the landmark rows, a counting sort, then each kept row gathered,
+//! filtered, renamed and sorted — no intermediate `G[V∖R]` in original ids.
 //! Queries still address original vertex ids — [`SparseView::view_of`]
 //! translates the two endpoints once at the query boundary, and the search
 //! then runs entirely in view space. Landmarks have degree zero in
@@ -61,16 +64,16 @@ pub struct SparseView {
 
 impl SparseView {
     /// Materialises the degree-ordered `G[V∖R]` for `graph` under
-    /// `highway`'s landmark set: one `O(n + m)` sparsification pass, then
-    /// the deterministic degree relabelling (ties broken by ascending
-    /// original id).
+    /// `highway`'s landmark set in one pass from `graph`
+    /// ([`hcl_graph::subgraph::degree_ordered_without`]: ties broken by
+    /// ascending original id).
     pub fn build(graph: &CsrGraph, highway: &Highway) -> Self {
-        let sparse = graph.without_vertices(highway.landmarks());
+        let (sparse, to_orig) =
+            hcl_graph::subgraph::degree_ordered_without(graph, highway.landmarks());
         let removed_edges = graph.num_edges() - sparse.num_edges();
-        let (relabelled, to_orig) = hcl_graph::subgraph::relabel_by_degree(&sparse);
         let to_view = hcl_graph::order::ranks(sparse.num_vertices(), &to_orig);
         SparseView {
-            graph: relabelled,
+            graph: sparse,
             to_view: Arc::new(to_view),
             to_orig: Arc::new(to_orig),
             removed_edges,

@@ -385,9 +385,9 @@ impl Adjacency for CsrGraph {
 
 /// Incremental, checked builder for [`CsrGraph`].
 ///
-/// Accumulates edges (normalised so each undirected edge is stored once),
-/// then [`build`](GraphBuilder::build) sorts, deduplicates and produces the
-/// CSR arrays in `O(m log m)`.
+/// Accumulates edges as given, then [`build`](GraphBuilder::build) fills
+/// the CSR arrays by counting sort — `O(n + m)` plus one sort per row —
+/// dropping duplicates and self-loops.
 ///
 /// # Examples
 ///
@@ -443,7 +443,7 @@ impl GraphBuilder {
             return Err(GraphError::VertexOutOfRange { vertex: v, n: self.n });
         }
         if u != v {
-            self.edges.push(if u < v { (u, v) } else { (v, u) });
+            self.edges.push((u, v));
         }
         Ok(())
     }
@@ -455,29 +455,26 @@ impl GraphBuilder {
         let need = (u.max(v) as usize) + 1;
         self.ensure_vertices(need);
         if u != v {
-            self.edges.push(if u < v { (u, v) } else { (v, u) });
+            self.edges.push((u, v));
         }
     }
 
-    /// Sorts, deduplicates and produces the final CSR graph.
-    pub fn build(mut self) -> CsrGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
+    /// Produces the final CSR graph: counts degrees, scatters each edge
+    /// into both endpoints' rows, then sorts each row and drops repeated
+    /// neighbours — a duplicate edge repeats in both its rows, so the
+    /// result stays symmetric. Rows move down only after the first
+    /// duplicate; a duplicate-free edge list is never copied.
+    pub fn build(self) -> CsrGraph {
         let n = self.n;
-        let mut degrees = vec![0usize; n];
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut adj = vec![0 as VertexId; acc];
+        let mut adj = vec![0 as VertexId; offsets[n]];
         // `cursor[v]` tracks the next free slot in v's adjacency range.
         let mut cursor: Vec<usize> = offsets[..n].to_vec();
         for &(u, v) in &self.edges {
@@ -486,10 +483,29 @@ impl GraphBuilder {
             adj[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Edges were globally sorted by (u, v), so forward entries are already
-        // in order, but reverse entries interleave; sort each range.
+        drop((cursor, self.edges));
+        // `end` is where the deduplicated rows end so far; rows start at
+        // their counted offset until a duplicate has been dropped.
+        let mut end = 0usize;
         for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            offsets[v] = end;
+            adj[lo..hi].sort_unstable();
+            if end == lo && adj[lo..hi].windows(2).all(|p| p[0] != p[1]) {
+                end = hi;
+                continue;
+            }
+            for i in lo..hi {
+                if end == offsets[v] || adj[end - 1] != adj[i] {
+                    adj[end] = adj[i];
+                    end += 1;
+                }
+            }
+        }
+        offsets[n] = end;
+        if end < adj.len() {
+            adj.truncate(end);
+            adj.shrink_to_fit();
         }
         CsrGraph::from_parts(offsets, adj)
     }

@@ -4,7 +4,11 @@
 //! (one `u v` pair per line, `#` / `%` comment lines), so graphs prepared
 //! for the original paper's pipeline load unchanged. The binary format is a
 //! minimal little-endian container (magic, version, `n`, `m`, edge pairs)
-//! designed to be trivially auditable rather than clever.
+//! designed to be trivially auditable rather than clever. Its reader takes
+//! the edge section in one bulk read ([`read_section`]: buffers grow with
+//! the bytes that arrive, never with a header's claim) and hands the
+//! decoded pairs to [`GraphBuilder`]'s counting-sort fill, so a load is
+//! `O(n + m)` plus one sort per row.
 
 use crate::csr::{CsrGraph, GraphBuilder};
 use crate::{GraphError, VertexId};
@@ -79,29 +83,30 @@ pub fn write_binary<W: Write>(g: &CsrGraph, writer: W) -> Result<(), GraphError>
     Ok(())
 }
 
-/// Reads a graph from the binary container format.
-pub fn read_binary<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut r = BufReader::new(reader);
+/// Reads a graph from the binary container format: the header, then the
+/// edge section in one bulk read ([`read_section`]), decoded from the
+/// bytes.
+pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
+    reader.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(GraphError::Format("bad magic".to_string()));
     }
-    let n = read_u64(&mut r)?;
-    let m = read_u64(&mut r)?;
+    let mut counts = [0u8; 16];
+    reader.read_exact(&mut counts)?;
+    let n = u64::from_le_bytes(counts[..8].try_into().unwrap());
+    let m = u64::from_le_bytes(counts[8..].try_into().unwrap());
     if n >= u32::MAX as u64 {
         return Err(GraphError::Format(format!("implausible vertex count {n}")));
     }
     let n = n as usize;
-    let m = m as usize;
-    // Never pre-allocate from an untrusted header: a corrupted `m` would
-    // otherwise request terabytes. The reader below fails cleanly on EOF.
-    let mut b = GraphBuilder::with_capacity(n, m.min(1 << 20));
-    for _ in 0..m {
-        let u = read_u32(&mut r)?;
-        let v = read_u32(&mut r)?;
+    let body = read_section(&mut reader, m.saturating_mul(8))?;
+    let mut b = GraphBuilder::with_capacity(n, body.len() / 8);
+    for pair in body.chunks_exact(8) {
+        let (u, v) = (le_u32(&pair[..4]), le_u32(&pair[4..]));
         b.add_edge(u, v).map_err(|e| GraphError::Format(format!("edge out of range: {e}")))?;
     }
+    drop(body);
     Ok(b.build())
 }
 
@@ -132,16 +137,22 @@ pub fn load_auto<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
     }
 }
 
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64, GraphError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
+/// Reads exactly `len` bytes in one bulk read. The buffer grows only as
+/// bytes arrive, so a header that claims more than the input holds costs
+/// at most what was read before the input ran out, and fails as a short
+/// read (`GraphError::Io`, `UnexpectedEof`).
+pub fn read_section<R: Read>(reader: &mut R, len: u64) -> Result<Vec<u8>, GraphError> {
+    let mut buf = Vec::new();
+    reader.take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(buf)
 }
 
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+#[inline]
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -209,6 +220,40 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn binary_cut_anywhere_is_a_typed_error() {
+        let g = generate::erdos_renyi(12, 20, 4);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // Section boundaries (magic, counts, first edge, last edge) and
+        // every byte between them.
+        for cut in 0..buf.len() {
+            let got = read_binary(Cursor::new(&buf[..cut]));
+            assert!(
+                matches!(got, Err(GraphError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {got:?}"
+            );
+        }
+        assert_eq!(read_binary(Cursor::new(&buf)).unwrap(), g);
+    }
+
+    #[test]
+    fn binary_edge_count_beyond_the_body_fails_without_reserving_it() {
+        // Reserving either claim would panic (2^61 edges overflow a
+        // `Vec`'s capacity) or abort (2^40 edges are 8 TiB): the reader
+        // must size its buffers by the 16 body bytes that are there.
+        for claimed in [u64::MAX >> 3, 1 << 40, 3] {
+            let mut buf = MAGIC.to_vec();
+            buf.extend(4u64.to_le_bytes());
+            buf.extend(claimed.to_le_bytes());
+            for x in [0u32, 1, 2, 3] {
+                buf.extend(x.to_le_bytes());
+            }
+            let got = read_binary(Cursor::new(buf));
+            assert!(matches!(got, Err(GraphError::Io(_))), "claimed {claimed}: {got:?}");
+        }
     }
 
     #[test]

@@ -9,10 +9,32 @@ use crate::csr::CsrGraph;
 use crate::VertexId;
 
 /// All vertices sorted by decreasing degree, ties broken by increasing id
-/// (deterministic, matching the paper's setup).
+/// (deterministic, matching the paper's setup). A counting sort: `O(n)`
+/// plus the maximum degree.
 pub fn degree_descending(g: &CsrGraph) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    let rows = g.rows();
+    let degrees: Vec<u32> = g.vertices().map(|v| rows.degree(v) as u32).collect();
+    by_count_descending(&degrees)
+}
+
+/// Vertex ids `0..counts.len()` sorted by decreasing `counts[v]`, ties by
+/// increasing id: one stable counting sort.
+pub(crate) fn by_count_descending(counts: &[u32]) -> Vec<VertexId> {
+    let max = counts.iter().copied().max().unwrap_or(0) as usize;
+    // `next[c]`: the next free slot of count `c`; the runs go high to low.
+    let mut next = vec![0usize; max + 1];
+    for &c in counts {
+        next[c as usize] += 1;
+    }
+    let mut at = 0usize;
+    for slot in next.iter_mut().rev() {
+        (*slot, at) = (at, at + *slot);
+    }
+    let mut order = vec![0 as VertexId; counts.len()];
+    for (v, &c) in counts.iter().enumerate() {
+        order[next[c as usize]] = v as VertexId;
+        next[c as usize] += 1;
+    }
     order
 }
 

@@ -1,16 +1,17 @@
 //! Induced subgraphs and vertex relabelling.
 //!
 //! The querying framework runs on the sparsified graph `G[V∖R]` (§4.1).
-//! Two materialisations are provided:
+//! Three materialisations are provided:
 //!
 //! * [`CsrGraph::without_vertices`] keeps the original vertex-id space and
-//!   simply drops every edge incident to a removed vertex — the form the
-//!   query fast path traverses, since queries address original ids;
+//!   simply drops every edge incident to a removed vertex;
+//! * [`degree_ordered_without`] drops the same edges and renumbers the
+//!   result by decreasing degree in one pass from `G` — the layout the
+//!   query fast path traverses (hubs packed together in memory);
 //! * [`induced_subgraph`] / [`remove_vertices`] compact the ids, which is
 //!   what analysis and downstream tooling usually want.
 //!
-//! [`relabel`] renumbers vertices by any permutation (e.g. degree order,
-//! which improves BFS cache locality on power-law graphs).
+//! [`relabel`] renumbers vertices by any permutation.
 
 use crate::csr::{CsrGraph, GraphBuilder};
 use crate::VertexId;
@@ -112,11 +113,58 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
     CsrGraph::from_parts(offsets, adj)
 }
 
-/// Relabels by decreasing degree — hubs get the smallest ids, packing the
-/// hot adjacency lists together in memory.
-pub fn relabel_by_degree(g: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
-    let order = crate::order::degree_descending(g);
-    (relabel(g, &order), order)
+/// `g` with every edge incident to a vertex in `removed` dropped, then
+/// renumbered by decreasing degree in that sparsified graph, ties by
+/// increasing id. Returns `(graph, order)` with `order[new] = old`: the
+/// same pair as [`relabel`] of [`CsrGraph::without_vertices`] by
+/// [`degree_descending`](crate::order::degree_descending) of it, built in
+/// one pass from `g` with no intermediate CSR. Removed vertices have
+/// degree zero, so they sit among the isolated vertices at the tail.
+///
+/// The sparsified degrees come from the removed vertices' rows alone, a
+/// counting sort orders them, and each kept row is gathered from `g` once:
+/// landmark-filtered, mapped to new ids and sorted. `O(n + m)` plus the
+/// per-row sorts.
+///
+/// # Panics
+///
+/// Panics if a removed vertex id is out of range.
+pub fn degree_ordered_without(g: &CsrGraph, removed: &[VertexId]) -> (CsrGraph, Vec<VertexId>) {
+    let n = g.num_vertices();
+    let rows = g.rows();
+    let mut degrees: Vec<u32> = g.vertices().map(|v| rows.degree(v) as u32).collect();
+    let mut is_removed = vec![false; n];
+    for &r in removed {
+        if !std::mem::replace(&mut is_removed[r as usize], true) {
+            for &w in rows.neighbors(r) {
+                degrees[w as usize] -= 1;
+            }
+        }
+    }
+    for &r in removed {
+        degrees[r as usize] = 0;
+    }
+    let order = crate::order::by_count_descending(&degrees);
+    // New ids of kept vertices; `u32::MAX` marks a removed one.
+    let mut new_id = crate::order::ranks(n, &order);
+    for &r in removed {
+        new_id[r as usize] = u32::MAX;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut adj: Vec<VertexId> =
+        Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum::<usize>());
+    for &old in &order {
+        if !is_removed[old as usize] {
+            let start = adj.len();
+            adj.extend(
+                rows.neighbors(old).iter().map(|&w| new_id[w as usize]).filter(|&w| w != u32::MAX),
+            );
+            adj[start..].sort_unstable();
+        }
+        offsets.push(adj.len());
+    }
+    (CsrGraph::from_parts(offsets, adj), order)
 }
 
 #[cfg(test)]
@@ -199,7 +247,7 @@ mod tests {
     #[test]
     fn relabel_preserves_structure() {
         let g = generate::barabasi_albert(100, 3, 9);
-        let (relabelled, order) = relabel_by_degree(&g);
+        let (relabelled, order) = degree_ordered_without(&g, &[]);
         assert_eq!(relabelled.num_edges(), g.num_edges());
         // Degrees follow the graph under the permutation.
         for (new, &old) in order.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate: CSR invariants, search
 //! equivalences, serialisation robustness.
 
-use hcl_graph::subgraph::relabel;
+use hcl_graph::subgraph::{degree_ordered_without, relabel};
 use hcl_graph::{
     connectivity, generate, io, traversal, CsrGraph, GraphBuilder, SearchSpace, VertexId, INF,
 };
@@ -44,6 +44,122 @@ fn relabel_via_builder(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
         b.add_edge(new_id[u as usize], new_id[v as usize]).unwrap();
     }
     b.build()
+}
+
+/// The builder the counting sort replaced: normalise every edge to
+/// `(min, max)`, sort and dedup the whole list, then fill and sort rows.
+fn rows_by_global_sort(n: usize, edges: &[(VertexId, VertexId)]) -> (usize, Vec<Vec<VertexId>>) {
+    let mut list: Vec<(VertexId, VertexId)> =
+        edges.iter().filter(|(u, v)| u != v).map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    list.sort_unstable();
+    list.dedup();
+    let mut rows = vec![Vec::new(); n];
+    for &(u, v) in &list {
+        rows[u as usize].push(v);
+        rows[v as usize].push(u);
+    }
+    rows.iter_mut().for_each(|row| row.sort_unstable());
+    (list.len(), rows)
+}
+
+fn assert_built_like_global_sort(g: &CsrGraph, n: usize, edges: &[(VertexId, VertexId)]) {
+    let (m, rows) = rows_by_global_sort(n, edges);
+    assert_eq!(g.num_vertices(), n);
+    assert_eq!(g.num_edges(), m);
+    assert_eq!(g.memory_bytes(), 8 * m + (n + 1) * std::mem::size_of::<usize>());
+    for v in g.vertices() {
+        assert_eq!(g.neighbors(v), rows[v as usize].as_slice(), "row {v}");
+    }
+}
+
+/// `degree_descending` as the comparison sort it replaced.
+fn degree_order_by_sort(g: &CsrGraph) -> Vec<VertexId> {
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    order
+}
+
+/// The one-pass degree-ordered `G[V∖R]` equals the composition it
+/// replaced — sparsify, order by the comparison sort, relabel — row for
+/// row and in its permutation.
+fn assert_one_pass_view_matches_composition(g: &CsrGraph, removed: &[VertexId], tag: &str) {
+    let sparse = g.without_vertices(removed);
+    let ref_order = degree_order_by_sort(&sparse);
+    let (view, order) = degree_ordered_without(g, removed);
+    assert_eq!(order, ref_order, "{tag}: order");
+    assert_eq!(view, relabel(&sparse, &ref_order), "{tag}: rows");
+    assert_eq!(view.num_edges(), sparse.num_edges(), "{tag}: edges");
+}
+
+#[test]
+fn builder_edge_cases_match_the_global_sort() {
+    for n in [0usize, 1] {
+        assert_built_like_global_sort(&GraphBuilder::new(n).build(), n, &[]);
+    }
+    let mut one = GraphBuilder::new(1);
+    one.add_edge(0, 0).unwrap();
+    assert_built_like_global_sort(&one.build(), 1, &[(0, 0)]);
+    // Duplicates in both orientations, self-loops, and isolated vertices
+    // after the last endpoint.
+    let edges = [(3, 1), (1, 3), (3, 1), (2, 2), (0, 4), (4, 0), (4, 0), (1, 0), (0, 1)];
+    assert_built_like_global_sort(&CsrGraph::from_edges(9, &edges), 9, &edges);
+    let mut growing = GraphBuilder::new(0);
+    for &(u, v) in &edges {
+        growing.add_edge_growing(u, v);
+    }
+    growing.add_edge_growing(6, 6);
+    assert_built_like_global_sort(&growing.build(), 7, &edges);
+}
+
+#[test]
+fn one_pass_view_matches_composition_on_every_family() {
+    let ba = generate::barabasi_albert(400, 3, 11);
+    let mut overlaid = ba.clone();
+    for (u, v) in [(399, 398), (0, 399), (5, 250), (17, 18)] {
+        overlaid = overlaid.with_edge(u, v).or_else(|| overlaid.without_edge(u, v)).unwrap();
+    }
+    overlaid = overlaid.without_edge(ba.neighbors(0)[0], 0).unwrap();
+    assert!(overlaid.overlay_rows() > 0);
+    let disconnected =
+        CsrGraph::from_edges(14, &[(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 5), (9, 10)]);
+    let families = [
+        ("barabasi_albert", ba),
+        ("erdos_renyi", generate::erdos_renyi(300, 700, 12)),
+        ("grid", generate::grid(12, 17)),
+        ("disconnected", disconnected),
+        ("overlay", overlaid),
+        ("edgeless", CsrGraph::empty(7)),
+        ("no_vertices", CsrGraph::empty(0)),
+    ];
+    for (name, g) in &families {
+        let mut sets: Vec<Vec<VertexId>> =
+            [0, 1, 4, 20].iter().map(|&k| hcl_graph::order::top_degree(g, k)).collect();
+        // Adjacent landmarks: an edge's two ends and a neighbour of one,
+        // named twice.
+        if let Some((u, v)) = g.edges().next() {
+            let w = g.neighbors(v).iter().copied().find(|&w| w != u).unwrap_or(u);
+            sets.push(vec![v, u, w, u]);
+        }
+        for removed in &sets {
+            assert_one_pass_view_matches_composition(g, removed, &format!("{name} {removed:?}"));
+        }
+    }
+}
+
+#[test]
+fn degree_order_matches_the_comparison_sort_with_ties() {
+    let families = [
+        generate::barabasi_albert(500, 4, 3),
+        generate::grid(9, 9),
+        generate::cycle(40),
+        generate::star(30),
+        CsrGraph::empty(5),
+        CsrGraph::empty(0),
+        CsrGraph::from_edges(8, &[(7, 6), (5, 6), (0, 1), (2, 3)]),
+    ];
+    for g in &families {
+        assert_eq!(hcl_graph::order::degree_descending(g), degree_order_by_sort(g));
+    }
 }
 
 #[test]
@@ -119,6 +235,46 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The counting-sort builder against the global sort: duplicates in
+    /// both orientations, self-loops, vertices past the last endpoint,
+    /// through `add_edge` and `add_edge_growing` alike.
+    #[test]
+    fn builder_matches_global_sort_reference(
+        n in 0usize..40,
+        raw in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16, 0u8..4), 0..120),
+    ) {
+        let mut edges = Vec::new();
+        for &(u, v, kind) in raw.iter().filter(|_| n > 0) {
+            // Endpoints from the lower half half the time leave trailing
+            // vertices isolated.
+            let span = if kind % 2 == 0 { n as u32 } else { (n as u32).div_ceil(2) };
+            let (u, v) = (u % span, v % span);
+            edges.push((u, v));
+            match kind {
+                0 => edges.push((v, u)),
+                1 => edges.push((u, u)),
+                _ => {}
+            }
+        }
+        let g = CsrGraph::from_edges(n, &edges);
+        assert_built_like_global_sort(&g, n, &edges);
+        let mut growing = GraphBuilder::new(0);
+        for &(u, v) in &edges {
+            growing.add_edge_growing(u, v);
+        }
+        let grown_n = edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+        assert_built_like_global_sort(&growing.build(), grown_n, &edges);
+    }
+
+    /// The one-pass degree-ordered view against the composition it
+    /// replaced, on random graphs with random removed sets.
+    #[test]
+    fn one_pass_view_matches_composition(g in arbitrary_graph(), picks in proptest::collection::vec(0u32..1 << 16, 0..6)) {
+        let removed: Vec<VertexId> = picks.iter().map(|&p| p % g.num_vertices() as u32).collect();
+        assert_one_pass_view_matches_composition(&g, &removed, "random");
+        prop_assert_eq!(hcl_graph::order::degree_descending(&g), degree_order_by_sort(&g));
     }
 
     #[test]
