@@ -92,10 +92,8 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     if &magic != MAGIC {
         return Err(GraphError::Format("bad magic".to_string()));
     }
-    let mut counts = [0u8; 16];
-    reader.read_exact(&mut counts)?;
-    let n = u64::from_le_bytes(counts[..8].try_into().unwrap());
-    let m = u64::from_le_bytes(counts[8..].try_into().unwrap());
+    let n = read_u64(&mut reader)?;
+    let m = read_u64(&mut reader)?;
     if n >= u32::MAX as u64 {
         return Err(GraphError::Format(format!("implausible vertex count {n}")));
     }
@@ -103,7 +101,8 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let body = read_section(&mut reader, m.saturating_mul(8))?;
     let mut b = GraphBuilder::with_capacity(n, body.len() / 8);
     for pair in body.chunks_exact(8) {
-        let (u, v) = (le_u32(&pair[..4]), le_u32(&pair[4..]));
+        let u = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+        let v = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
         b.add_edge(u, v).map_err(|e| GraphError::Format(format!("edge out of range: {e}")))?;
     }
     drop(body);
@@ -150,9 +149,10 @@ pub fn read_section<R: Read>(reader: &mut R, len: u64) -> Result<Vec<u8>, GraphE
     Ok(buf)
 }
 
-#[inline]
-fn le_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[..4].try_into().unwrap())
+fn read_u64<R: Read>(r: &mut R) -> Result<u64, GraphError> {
+    let mut buf = [0u8; 8];
+    r.read_exact(&mut buf)?;
+    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]
