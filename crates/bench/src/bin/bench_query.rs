@@ -28,6 +28,11 @@
 //!   `build_parallel` the update replaces (`update_speedup`), and the
 //!   `apply_edit` half alone (`update_publish_ms`: what the reply to an
 //!   `UPDATE` waits for, now that the filter runs after it);
+//! * **cache revalidation latency** — median time the server's
+//!   revalidation of one `ADD` takes: the bounded `PairFilter` (on
+//!   `G[V∖R]` for an edit that moves no landmark distance, to the radius
+//!   `D − 2` where `D` is the query sample's largest distance) plus one
+//!   keep pass over the sample's answers as the cache (`revalidate_ms`);
 //! * **patched-over-flat query ratio** — sequential queries/sec on a
 //!   generation whose graph and view carry a full overlay of replaced
 //!   rows, over the same logical index as flat arrays: the median of the
@@ -97,9 +102,12 @@ fn main() {
     let labelling = oracle.labelling();
     let mut exact = 0usize;
     let mut answered = 0usize;
+    let mut answers = Vec::with_capacity(pairs.len());
     for &(s, t) in &pairs {
         let bound = labelling.upper_bound_with(&mut ctx, s, t);
-        if let Some(d) = oracle.distance_with(&mut ctx, s, t) {
+        let d = oracle.distance_with(&mut ctx, s, t);
+        answers.push(d);
+        if let Some(d) = d {
             answered += 1;
             if bound == d {
                 exact += 1;
@@ -212,6 +220,8 @@ fn main() {
     let mut add_ms: Vec<f64> = Vec::new();
     let mut del_ms: Vec<f64> = Vec::new();
     let mut publish_ms: Vec<f64> = Vec::new();
+    let mut revalidate_ms: Vec<f64> = Vec::new();
+    let radius = answers.iter().flatten().max().map_or(0, |&d| d.saturating_sub(2));
     for &(s, t) in absent.iter().take(7) {
         let t0 = Instant::now();
         let added =
@@ -219,6 +229,12 @@ fn main() {
         publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         black_box(PairFilter::for_edit(&g, &added.graph, EdgeEdit::Add(s, t)));
         add_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let t0 = Instant::now();
+        let filter = PairFilter::bounded(&added.filter_scope(&g, oracle.sparse_view()), radius);
+        black_box(
+            pairs.iter().zip(&answers).filter(|&(&(s, t), &d)| filter.keeps(s, t, d)).count(),
+        );
+        revalidate_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         let deleted =
             apply_edit(&added.graph, &added.labelling, &added.sparse, EdgeEdit::Delete(s, t))
@@ -234,6 +250,7 @@ fn main() {
     let update_add_ms = median(&mut add_ms);
     let update_del_ms = median(&mut del_ms);
     let update_publish_ms = median(&mut publish_ms);
+    let revalidate_ms = median(&mut revalidate_ms);
 
     // Patched over flat: add and delete distinct absent edges until the
     // next edit would fold the graph's overlay. The generation then equals
@@ -306,7 +323,7 @@ fn main() {
          \"reload_deserialise_ms\": {:.2},\n  \"reload_mmap_ms\": {:.3},\n  \
          \"reload_speedup\": {:.1},\n  \
          \"update_add_ms\": {:.3},\n  \"update_del_ms\": {:.3},\n  \
-         \"update_publish_ms\": {:.4},\n  \
+         \"update_publish_ms\": {:.4},\n  \"revalidate_ms\": {:.3},\n  \
          \"rebuild_ms\": {:.1},\n  \"update_speedup\": {:.1},\n  \
          \"overlay_rows\": {},\n  \"patched_query_ratio\": {:.3}\n}}",
         mode,
@@ -339,6 +356,7 @@ fn main() {
         update_add_ms,
         update_del_ms,
         update_publish_ms,
+        revalidate_ms,
         rebuild_ms,
         update_speedup,
         overlay_rows,
@@ -361,6 +379,7 @@ fn main() {
              \"reload_speedup\": {reload_speedup:.1}, \
              \"update_publish_ms\": {update_publish_ms:.4}, \
              \"update_add_ms\": {update_add_ms:.3}, \"update_del_ms\": {update_del_ms:.3}, \
+             \"revalidate_ms\": {revalidate_ms:.3}, \
              \"rebuild_ms\": {rebuild_ms:.1}, \"update_speedup\": {update_speedup:.1}, \
              \"patched_query_ratio\": {patched_query_ratio:.3}, \
              \"index_bytes\": {}, \"packed_index_bytes\": {packed_index_bytes}, \

@@ -69,7 +69,7 @@ pub use query::{HlOracle, QueryContext};
 pub use shared::{ContextPool, MemoryIndex, Oracle, PooledContext, SharedOracle};
 pub use sparse::{SparseRows, SparseView};
 pub use storage::{IndexGeneration, LabelStorage, QueryPhases, SparseNeighbors};
-pub use update::{EdgeEdit, LabelPatch, PairFilter, UpdateError, UpdateResult};
+pub use update::{EdgeEdit, EditScope, LabelPatch, PairFilter, UpdateError, UpdateResult};
 
 /// Errors produced while constructing a highway cover labelling.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -63,11 +63,16 @@
 //! ops, far below a rebuild's per-vertex BFS share, and only rows that
 //! came out different enter the patch.
 //!
-//! [`PairFilter`] is the precise cache story: two BFS passes from the edit
+//! [`PairFilter`] is the precise cache story: two searches from the edit
 //! endpoints classify every `(s, t)` pair by whether its cached distance
-//! is still exact, so the serving layer retags surviving entries to the
-//! new epoch instead of clearing the cache (see
-//! `hcl-server`'s `ShardedCache::retag`).
+//! is provably unchanged, so the serving layer retags surviving entries to
+//! the new epoch instead of clearing the cache (see `hcl-server`'s
+//! `ShardedCache::retag`). The searches follow the querying framework
+//! (§4): when the edit moved no landmark distance they run on the
+//! generation's `G[V∖R]` view, since every path through a landmark is then
+//! as long as it was (Lemma 4.5's argument), and they stop at a radius set
+//! by the largest cached distance, reading a vertex they did not reach as
+//! a lower bound. See [`PairFilter`] for the rule.
 
 use crate::build::HighwayCoverLabelling;
 use crate::highway::Highway;
@@ -554,47 +559,158 @@ fn affected_delete(
     newd
 }
 
-/// Classifies cached `(s, t)` answers across one edge edit: **exactly**
-/// which pairs' distances are untouched, via two BFS passes from the edit
-/// endpoints.
+/// Classifies cached `(s, t)` answers across one edge edit: which pairs'
+/// distances are provably untouched, from one search out of each edit
+/// endpoint.
 ///
 /// An edit `{u, v}` changes `d(s, t)` only if some new/old shortest path
 /// runs through the edge, i.e. only if the *through-distance*
 /// `min(d(s,u) + 1 + d(v,t), d(s,v) + 1 + d(u,t))` competes with the
-/// cached value. Comparing against distances measured on the **new** graph
-/// for an insert (can the new edge beat the cache?) and the **old** graph
-/// for a delete (did the removed edge carry the cache?) makes the test
+/// cached value. It is measured on the graph **after** an insert (can the
+/// new edge beat the cache?) and **before** a delete (did the removed edge
+/// carry the cache?). Against the cached `d`:
+///
+/// * `ADD` keeps `through ≥ d`, and an unreachable entry only if `through`
+///   is `INF` (the edge joins nothing it reaches);
+/// * `DEL` keeps `through > d` (the old `through` is never below `d`, so
+///   this is "no shortest path used the edge"), and every unreachable
+///   entry.
+///
+/// With exact through-distances ([`for_edit`](Self::for_edit)) this is
 /// exact for inserts and a sound over-approximation for deletes (a pair
 /// with an equal-length alternative path is invalidated unnecessarily —
 /// never the reverse).
 ///
+/// # Searching less: `G[V∖R]` and a radius
+///
+/// [`bounded`](Self::bounded) searches only what can still move a cached
+/// answer:
+///
+/// * **Landmark-free edits.** If the edit moved no landmark distance
+///   (every affected map empty, no highway cell moved), a path through a
+///   landmark `r` is at least `d(s, r) + d(r, t) ≥ d(s, t)` on both
+///   graphs, with both terms unchanged. So an `ADD` can shorten `d(s, t)`
+///   only along a landmark-free path, and a `DEL` can lengthen it only if
+///   every shortest path was landmark-free and crossed the edge. Both
+///   through-distances are then measured in the generation's `G[V∖R]`
+///   ([`SparseView`]): the new view for an `ADD`, the old one for a
+///   `DEL`. Any other edit searches `G`.
+/// * **A radius.** Each search stops at `radius`; a vertex it did not
+///   reach reads as the lower bound `radius + 1`, or as `INF` if that
+///   search exhausted its component. The rules above then run on a lower
+///   bound of the through-distance, and every one of them keeps a pair
+///   only when the bound proves it, so the filter is sound at **every**
+///   radius; the radius only decides how many entries are kept. A server
+///   that caches no finite distance above `D` searches to `D − 2`: a pair
+///   with a leg out of reach then reads `through ≥ D ≥ d`, so `ADD`
+///   keeps exactly what the unbounded filter keeps for finite entries.
+///
 /// Endpoint-affected-set heuristics are *not* sound here: on a star graph
 /// whose hub is the only landmark, a leaf-leaf insert changes that pair's
-/// distance from 2 to 1 while every landmark-affected set is empty.
+/// distance from 2 to 1 while every landmark-affected set is empty. The
+/// view search sees it: the leaves' path `1 – 2` is landmark-free.
 #[derive(Debug)]
 pub struct PairFilter {
-    du: Vec<u32>,
-    dv: Vec<u32>,
+    /// Distances from `u` and from `v`, by original vertex id: exact out to
+    /// the search radius, `INF` where the search did not reach.
+    legs: [Vec<u32>; 2],
+    /// What an unreached vertex reads as, per search: `INF` when the search
+    /// exhausted its component, `radius + 1` otherwise.
+    beyond: [u32; 2],
     add: bool,
+    landmark_free: bool,
+    reached: usize,
+}
+
+/// What a [`PairFilter::bounded`] searches for one applied edit: the edit
+/// and the generation its through-distances are measured on — after the
+/// edit for an `ADD`, before it for a `DEL` — as its view `G[V∖R]` when
+/// the edit moved no landmark distance, as the whole graph otherwise.
+/// Built by [`UpdateResult::filter_scope`]; holds handles, not copies.
+#[derive(Clone, Debug)]
+pub struct EditScope {
+    edit: EdgeEdit,
+    space: SearchSpace,
+}
+
+#[derive(Clone, Debug)]
+enum SearchSpace {
+    Graph(CsrGraph),
+    View(SparseView),
+}
+
+impl UpdateResult {
+    /// Whether the edit moved no landmark distance: every affected map is
+    /// empty and no highway cell moved.
+    pub fn landmark_free(&self) -> bool {
+        self.affected_vertices == 0 && !self.highway_changed
+    }
+
+    /// The [`EditScope`] of this edit, given the generation it was applied
+    /// to (the `graph` and `sparse` passed to [`apply_edit`]).
+    pub fn filter_scope(&self, old_graph: &CsrGraph, old_sparse: &SparseView) -> EditScope {
+        let edit = self.patch.edit();
+        let (graph, sparse) =
+            if edit.is_add() { (&self.graph, &self.sparse) } else { (old_graph, old_sparse) };
+        let space = if self.landmark_free() {
+            SearchSpace::View(sparse.clone())
+        } else {
+            SearchSpace::Graph(graph.clone())
+        };
+        EditScope { edit, space }
+    }
 }
 
 impl PairFilter {
-    /// Builds the filter for `edit` taking `old_graph` to `new_graph`
-    /// (two `O(n + m)` BFS passes; amortised against the cache it saves).
+    /// Builds the exact filter for `edit` taking `old_graph` to `new_graph`:
+    /// two unbounded BFS passes over `G`, `O(n + m)` each.
     pub fn for_edit(old_graph: &CsrGraph, new_graph: &CsrGraph, edit: EdgeEdit) -> PairFilter {
         let (u, v) = edit.endpoints();
         let base = if edit.is_add() { new_graph } else { old_graph };
+        let legs = [traversal::bfs_distances(base, u), traversal::bfs_distances(base, v)];
+        let reached = legs.iter().flatten().filter(|&&d| d != INF).count();
+        PairFilter { legs, beyond: [INF; 2], add: edit.is_add(), landmark_free: false, reached }
+    }
+
+    /// Builds the filter for the edit `scope` describes, each search
+    /// stopping at `radius` (see the type docs). Costs the two searches'
+    /// reach plus two `n`-entry arrays.
+    pub fn bounded(scope: &EditScope, radius: u32) -> PairFilter {
+        let (u, v) = scope.edit.endpoints();
+        let ([du, dv], landmark_free) = match &scope.space {
+            SearchSpace::Graph(graph) => {
+                ([u, v].map(|x| search_legs(graph, None, x, radius)), false)
+            }
+            SearchSpace::View(view) => {
+                ([u, v].map(|x| search_legs(view.graph(), Some(view), x, radius)), true)
+            }
+        };
         PairFilter {
-            du: traversal::bfs_distances(base, u),
-            dv: traversal::bfs_distances(base, v),
-            add: edit.is_add(),
+            reached: du.reached + dv.reached,
+            legs: [du.dist, dv.dist],
+            beyond: [du.beyond, dv.beyond],
+            add: scope.edit.is_add(),
+            landmark_free,
         }
+    }
+
+    /// Whether the searches ran on `G[V∖R]` (a landmark-free edit).
+    pub fn landmark_free(&self) -> bool {
+        self.landmark_free
+    }
+
+    /// Vertices the two searches reached, endpoints included.
+    pub fn vertices_reached(&self) -> usize {
+        self.reached
     }
 
     /// Whether the cached answer for `(s, t)` (`None` = unreachable) is
     /// still exact after the edit.
     pub fn keeps(&self, s: VertexId, t: VertexId, cached: Option<u32>) -> bool {
-        let (s, t) = (s as usize, t as usize);
+        let read = |side: usize, x: VertexId| match self.legs[side][x as usize] {
+            INF => self.beyond[side],
+            d => d,
+        };
         let leg = |a: u32, b: u32| -> u32 {
             if a == INF || b == INF {
                 INF
@@ -602,18 +718,65 @@ impl PairFilter {
                 a + 1 + b
             }
         };
-        let through = leg(self.du[s], self.dv[t]).min(leg(self.dv[s], self.du[t]));
+        // A lower bound on the through-distance, exact where both legs of
+        // the shorter orientation were reached.
+        let through = leg(read(0, s), read(1, t)).min(leg(read(1, s), read(0, t)));
         match (self.add, cached) {
             // Insert can only shorten; the cache survives unless the new
-            // edge offers a strictly better (or first-ever) route.
+            // edge may offer a strictly better (or first-ever) route.
             (true, Some(d)) => through >= d,
             (true, None) => through == INF,
-            // Delete can only lengthen; a cached distance survives iff no
-            // old shortest path crossed the edge.
-            (false, Some(d)) => through != d,
+            // Delete can only lengthen; a cached distance survives when no
+            // old shortest path can have crossed the edge.
+            (false, Some(d)) => through > d,
             (false, None) => true,
         }
     }
+}
+
+/// One endpoint's search for [`PairFilter::bounded`].
+struct Legs {
+    dist: Vec<u32>,
+    beyond: u32,
+    reached: usize,
+}
+
+/// Level-synchronous BFS over `graph` from original vertex `src`, out to
+/// `radius` levels. With `view`, `graph` is that view's `G[V∖R]` in view
+/// ids; distances come back by original id either way. Visit marks are a
+/// bitset, `n / 8` bytes, so the search's own state stays cache-resident.
+fn search_legs(graph: &CsrGraph, view: Option<&SparseView>, src: VertexId, radius: u32) -> Legs {
+    let n = graph.num_vertices();
+    let rows = graph.rows();
+    let original = |x: VertexId| view.map_or(x, |view| view.original_of(x));
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    let mut dist = vec![INF; n];
+    let start = view.map_or(src, |view| view.view_of(src));
+    seen[start as usize / 64] |= 1 << (start % 64);
+    dist[src as usize] = 0;
+    let (mut frontier, mut next) = (vec![start], Vec::new());
+    let mut reached = 1;
+    for d in 1..=radius {
+        for &x in &frontier {
+            for &y in rows.neighbors(x) {
+                let (word, bit) = (y as usize / 64, 1u64 << (y % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    dist[original(y) as usize] = d;
+                    next.push(y);
+                }
+            }
+        }
+        reached += next.len();
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+        if frontier.is_empty() {
+            return Legs { dist, beyond: INF, reached };
+        }
+    }
+    // The last level was not expanded: whatever lies past it is at least
+    // one step further out.
+    Legs { dist, beyond: radius.saturating_add(1), reached }
 }
 
 #[cfg(test)]
@@ -902,6 +1065,38 @@ mod tests {
         let filter = PairFilter::for_edit(&g, &r.graph, EdgeEdit::Add(1, 2));
         assert!(!filter.keeps(1, 2, Some(2)), "the 2->1 pair must be invalidated");
         assert!(filter.keeps(3, 4, Some(2)), "untouched pairs survive");
+        // The landmark-free search runs on G[V∖R], where the leaves' new
+        // edge is the only edge there is.
+        let scope = r.filter_scope(&g, &sparse);
+        for radius in [0, 1, INF] {
+            let bounded = PairFilter::bounded(&scope, radius);
+            assert!(bounded.landmark_free());
+            assert!(!bounded.keeps(1, 2, Some(2)), "radius {radius}: the 2->1 pair");
+            assert!(bounded.keeps(3, 4, Some(2)), "radius {radius}: untouched pairs");
+            assert!(bounded.keeps(1, 3, Some(2)), "radius {radius}: via the hub, as before");
+        }
+        assert_eq!(PairFilter::bounded(&scope, INF).vertices_reached(), 4, "1 and 2, twice");
         assert_matches_rebuild(&r, &landmarks);
+    }
+
+    #[test]
+    fn bounded_filter_reads_unreached_vertices_as_lower_bounds() {
+        // A path 0 – … – 9 with no landmarks, and the chord {2, 7}. At
+        // radius 1 the searches reach {1, 2, 3, 7} and {2, 6, 7, 8}.
+        let g = generate::path(10);
+        let (hcl, sparse) = build_all(&g, &[]);
+        let edit = EdgeEdit::Add(2, 7);
+        let r = apply_edit(&g, &hcl, &sparse, edit).unwrap();
+        let filter = PairFilter::bounded(&r.filter_scope(&g, &sparse), 1);
+        assert_eq!(filter.vertices_reached(), 8);
+        // Both legs reached: exact, through(1, 8) = 1 + 1 + 1 = 3 < 7.
+        assert!(!filter.keeps(1, 8, Some(7)));
+        // 0 is out of reach: through(0, 8) ≥ 2 + 1 + 1 = 4 — proves
+        // nothing against 8, and keeps a cached 4 (the truth is 4).
+        assert!(!filter.keeps(0, 8, Some(8)));
+        assert!(filter.keeps(0, 8, Some(4)));
+        // Unreachable entries need an exhausted search.
+        assert!(!filter.keeps(0, 9, None));
+        assert!(PairFilter::bounded(&r.filter_scope(&g, &sparse), INF).keeps(0, 9, Some(5)));
     }
 }

@@ -21,6 +21,11 @@
 //! a write. Beside the chain runs a replica: an independently loaded copy
 //! of the base that only ever sees the [`LabelPatch`]es.
 //!
+//! The bounded [`PairFilter`] — searches on `G[V∖R]` for landmark-free
+//! edits, stopped at a radius — is held to BFS truth on the graphs before
+//! and after each edit, at radii from 0 to unbounded, on every family the
+//! lemma behind it could trip over.
+//!
 //! The `HCL_PROPTEST_CASES` environment variable overrides the per-test
 //! case count (the CI `incremental-soak` job runs 10× tier-1's default).
 
@@ -528,5 +533,222 @@ proptest! {
             steps,
             &format!("n={n} k={k} family={family} seed={seed}"),
         );
+    }
+}
+
+/// What the bounded-filter checks covered, so a test can insist it was
+/// not vacuous.
+#[derive(Default, Debug)]
+struct FilterCoverage {
+    /// `(pair, radius)` classifications checked against BFS truth.
+    checks: usize,
+    /// Of those, pairs the filter kept.
+    kept: usize,
+    /// Kept pairs cached as unreachable.
+    kept_unreachable: usize,
+    adds: usize,
+    deletes: usize,
+    landmark_free: usize,
+    landmark_moving: usize,
+}
+
+/// Holds the bounded filters of one applied edit to BFS truth. The cache
+/// holds every `(s, t)` with `s` among `sources`, at its old distance;
+/// `D` is the largest finite one. At each radius in {0, 1, 2, D − 2, D,
+/// unbounded} a kept pair must have the same distance on both graphs, and
+/// at `D − 2` an `ADD` must keep exactly the finite entries the unbounded
+/// exact filter keeps.
+fn check_bounded_filters(
+    old: (&CsrGraph, &SparseView),
+    r: &UpdateResult,
+    sources: &[VertexId],
+    seen: &mut FilterCoverage,
+    tag: &str,
+) {
+    let edit = r.patch.edit();
+    let n = old.0.num_vertices();
+    let before: Vec<Vec<u32>> =
+        sources.iter().map(|&s| traversal::bfs_distances(old.0, s)).collect();
+    let after: Vec<Vec<u32>> =
+        sources.iter().map(|&s| traversal::bfs_distances(&r.graph, s)).collect();
+    let max = before.iter().flatten().copied().filter(|&d| d != INF).max().unwrap_or(0);
+    let scope = r.filter_scope(old.0, old.1);
+    let exact = PairFilter::for_edit(old.0, &r.graph, edit);
+    seen.adds += edit.is_add() as usize;
+    seen.deletes += !edit.is_add() as usize;
+    seen.landmark_free += r.landmark_free() as usize;
+    seen.landmark_moving += !r.landmark_free() as usize;
+    for radius in [0, 1, 2, max.saturating_sub(2), max, INF] {
+        let filter = PairFilter::bounded(&scope, radius);
+        assert_eq!(filter.landmark_free(), r.landmark_free(), "{tag}");
+        assert!(filter.vertices_reached() <= 2 * n, "{tag}");
+        for (i, &s) in sources.iter().enumerate() {
+            for t in 0..n as VertexId {
+                let (was, is) = (before[i][t as usize], after[i][t as usize]);
+                let cached = (was != INF).then_some(was);
+                let keeps = filter.keeps(s, t, cached);
+                seen.checks += 1;
+                if !keeps {
+                    continue;
+                }
+                seen.kept += 1;
+                seen.kept_unreachable += cached.is_none() as usize;
+                assert_eq!(
+                    was, is,
+                    "{tag}: {edit} radius {radius} kept d({s}, {t}) = {was}, now {is}"
+                );
+            }
+            if edit.is_add() && radius == max.saturating_sub(2) {
+                for t in 0..n as VertexId {
+                    let cached = Some(before[i][t as usize]).filter(|&d| d != INF);
+                    if cached.is_some() {
+                        assert_eq!(
+                            filter.keeps(s, t, cached),
+                            exact.keeps(s, t, cached),
+                            "{tag}: {edit} at D - 2 = {radius} disagrees with the exact filter \
+                             on ({s}, {t})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Applies `steps` random edits to `g` in a chain, checking each one's
+/// bounded filters (see [`check_bounded_filters`]) with every vertex as a
+/// cached source.
+fn run_filter_script(
+    g: CsrGraph,
+    landmarks: &[VertexId],
+    seed: u64,
+    steps: usize,
+    seen: &mut FilterCoverage,
+    tag: &str,
+) {
+    let (hcl, _) = HighwayCoverLabelling::build_parallel(&g, landmarks, 1).unwrap();
+    let sparse = SparseView::build(&g, hcl.highway());
+    let sources: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    let (mut graph, mut hcl, mut sparse) = (g, hcl, sparse);
+    let mut stream = Stream(seed | 1);
+    for step in 0..steps {
+        let want_delete = stream.next().is_multiple_of(2);
+        let pin = (step % 3 == 2 && !landmarks.is_empty())
+            .then(|| landmarks[(stream.next() % landmarks.len() as u64) as usize]);
+        let Some(edit) = pick_edit(&graph, &mut stream, want_delete, pin)
+            .or_else(|| pick_edit(&graph, &mut stream, !want_delete, None))
+        else {
+            continue;
+        };
+        let r = apply_edit(&graph, &hcl, &sparse, edit).unwrap();
+        check_bounded_filters((&graph, &sparse), &r, &sources, seen, &format!("{tag} step {step}"));
+        graph = r.graph;
+        hcl = r.labelling;
+        sparse = r.sparse;
+    }
+}
+
+/// One instance of each family the bounded filter must hold on; `family`
+/// picks it, `n` and `seed` shape it. Returns the graph and its landmarks.
+fn filter_family(family: u8, n: usize, seed: u64) -> (CsrGraph, Vec<VertexId>) {
+    let g = match family {
+        0 => generate::barabasi_albert(n, 3, seed),
+        1 => generate::erdos_renyi(n, 2 * n, seed),
+        2 => generate::watts_strogatz(n, 4, 0.1, seed),
+        // Below the connectivity threshold: unreachable entries are cached.
+        3 => generate::erdos_renyi(n, n / 2, seed),
+        // The star of `PairFilter`'s docs: the hub is the only landmark, and
+        // a leaf-leaf insert moves no landmark distance.
+        _ => return (generate::star(n), vec![0]),
+    };
+    let k = 1 + (seed % 5) as usize;
+    let landmarks = hcl_graph::order::top_degree(&g, k);
+    (g, landmarks)
+}
+
+#[test]
+fn bounded_filter_is_sound_on_every_family() {
+    let mut seen = FilterCoverage::default();
+    for family in 0..5u8 {
+        for seed in 0..3u64 {
+            let (g, landmarks) = filter_family(family, 60, seed);
+            run_filter_script(g, &landmarks, seed ^ 0x5EED, 6, &mut seen, &format!("{family}"));
+        }
+    }
+    // The star's leaf-leaf insert on its own: landmark-free, and the one
+    // pair it shortens is dropped at every radius.
+    let star = generate::star(8);
+    let (hcl, _) = HighwayCoverLabelling::build(&star, &[0]).unwrap();
+    let sparse = SparseView::build(&star, hcl.highway());
+    let r = apply_edit(&star, &hcl, &sparse, EdgeEdit::Add(1, 2)).unwrap();
+    assert!(r.landmark_free());
+    check_bounded_filters((&star, &sparse), &r, &[1, 2, 3], &mut seen, "star leaf-leaf");
+    for radius in [0, 1, INF] {
+        assert!(!PairFilter::bounded(&r.filter_scope(&star, &sparse), radius).keeps(1, 2, Some(2)));
+    }
+
+    assert!(seen.adds > 0 && seen.deletes > 0, "{seen:?}");
+    assert!(seen.landmark_free > 0 && seen.landmark_moving > 0, "{seen:?}");
+    assert!(seen.kept_unreachable > 0, "{seen:?}");
+    assert!(seen.kept > seen.checks / 4, "the filter keeps something: {seen:?}");
+}
+
+/// At the serving radius `D − 2`, on a graph of serving shape, the bounded
+/// filter keeps exactly what the unbounded one keeps for `ADD`s, on `G`
+/// and on `G[V∖R]` alike.
+#[test]
+fn bounded_filter_matches_the_exact_one_on_ba_adds() {
+    let g = generate::barabasi_albert(20_000, 4, 17);
+    let landmarks = hcl_graph::order::top_degree(&g, 20);
+    let (hcl, _) = HighwayCoverLabelling::build_parallel(&g, &landmarks, 0).unwrap();
+    let sparse = SparseView::build(&g, hcl.highway());
+    let n = g.num_vertices() as u64;
+    let mut stream = Stream(0xBA20);
+    // The cache: every pair from 32 random sources, at its distance.
+    let mut cached: Vec<(VertexId, VertexId, u32)> = Vec::new();
+    for _ in 0..32 {
+        let s = (stream.next() % n) as VertexId;
+        let row = traversal::bfs_distances(&g, s);
+        cached.extend(row.into_iter().enumerate().map(|(t, d)| (s, t as VertexId, d)));
+    }
+    assert!(cached.iter().all(|&(_, _, d)| d != INF), "BA is connected");
+    let max = cached.iter().map(|&(_, _, d)| d).max().unwrap();
+    let mut landmark_free = 0;
+    for _ in 0..6 {
+        let edit = pick_edit(&g, &mut stream, false, None).unwrap();
+        let r = apply_edit(&g, &hcl, &sparse, edit).unwrap();
+        let bounded = PairFilter::bounded(&r.filter_scope(&g, &sparse), max - 2);
+        let exact = PairFilter::for_edit(&g, &r.graph, edit);
+        let kept =
+            |f: &PairFilter| cached.iter().filter(|&&(s, t, d)| f.keeps(s, t, Some(d))).count();
+        assert_eq!(kept(&bounded), kept(&exact), "{edit} at radius {}", max - 2);
+        assert_eq!(bounded.landmark_free(), r.landmark_free());
+        landmark_free += r.landmark_free() as usize;
+    }
+    assert!(landmark_free > 0, "uniform inserts on BA move no landmark distance");
+}
+
+proptest! {
+    #![proptest_config(cases(12))]
+
+    /// The bounded filter over random instances of every family (the soak
+    /// job's 240 cases).
+    #[test]
+    fn bounded_filter_never_keeps_a_changed_pair(
+        family in 0u8..5,
+        n in 12usize..90,
+        seed in 0u64..100_000,
+    ) {
+        let (g, landmarks) = filter_family(family, n, seed);
+        let mut seen = FilterCoverage::default();
+        run_filter_script(
+            g,
+            &landmarks,
+            seed ^ 0x0B0B_FEED,
+            4,
+            &mut seen,
+            &format!("family={family} n={n} seed={seed}"),
+        );
+        prop_assert!(seen.checks > 0, "{:?}", seen);
     }
 }

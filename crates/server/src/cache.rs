@@ -315,12 +315,20 @@ impl ShardedCache {
         }
     }
 
-    /// Whether any resident entry is tagged `epoch` — whether a
-    /// [`retag`](Self::retag) from that epoch has anything to carry over.
-    pub fn holds_epoch(&self, epoch: u64) -> bool {
-        self.shards.iter().any(|shard| {
-            shard.lock().expect("cache shard poisoned").slab.iter().any(|e| e.epoch == epoch)
-        })
+    /// The largest finite distance among resident entries tagged `epoch`
+    /// (0 when every such entry is cached as unreachable), or `None` when
+    /// no entry carries that tag — what a [`retag`](Self::retag) from that
+    /// epoch has to certify, in one scan.
+    pub fn max_distance(&self, epoch: u64) -> Option<u32> {
+        let mut max = None;
+        for shard in &self.shards {
+            let shard = shard.lock().expect("cache shard poisoned");
+            for entry in shard.slab.iter().filter(|e| e.epoch == epoch) {
+                let d = if entry.value == UNREACHABLE { 0 } else { entry.value };
+                max = Some(max.map_or(d, |m: u32| m.max(d)));
+            }
+        }
+        max
     }
 
     /// Precise invalidation for an incremental update: every resident entry
@@ -499,13 +507,18 @@ mod tests {
         cache.insert(5, 6, 3, None); // unreachable, certified below
         cache.insert(7, 8, 3, Some(9)); // rejected by the predicate
         cache.insert(1, 9, 2, Some(1)); // older generation: untouched
-        assert!(cache.holds_epoch(3) && cache.holds_epoch(2) && !cache.holds_epoch(4));
+        assert_eq!(
+            [2, 3, 4].map(|epoch| cache.max_distance(epoch)),
+            [Some(1), Some(9), None],
+            "the unreachable entry counts as held, not as a distance"
+        );
         let kept = cache.retag(3, 4, |s, t, value| {
             assert!(s <= t, "keys are normalised");
             !(s == 7 && t == 8) && (value != Some(9))
         });
         assert_eq!(kept, 2);
-        assert!(cache.holds_epoch(4) && cache.holds_epoch(3), "the rejected pair keeps its tag");
+        assert_eq!(cache.max_distance(4), Some(4));
+        assert_eq!(cache.max_distance(3), Some(9), "the rejected pair keeps its tag");
         // Certified pairs hit under the new epoch with their old answers.
         assert_eq!(cache.get(1, 2, 4), Some(Some(4)));
         assert_eq!(cache.get(6, 5, 4), Some(None), "unreachable carries over");
@@ -516,6 +529,15 @@ mod tests {
         // The unrelated generation was never considered.
         assert_eq!(cache.get(1, 9, 2), Some(Some(1)));
         assert_eq!(cache.get(1, 9, 4), None);
+    }
+
+    #[test]
+    fn max_distance_of_only_unreachable_entries_is_zero() {
+        let cache = small(16, 2);
+        cache.insert(1, 2, 0, None);
+        assert_eq!(cache.max_distance(0), Some(0));
+        cache.clear();
+        assert_eq!(cache.max_distance(0), None);
     }
 
     #[test]

@@ -143,7 +143,8 @@ counters! {
         /// overlay, swap: the part of an `UPDATE` its reply waits for.
         update_publish_ns: Sum,
         /// Cumulative nanoseconds spent revalidating the cache after updates
-        /// (`PairFilter` + retag) — off the reply path when serving.
+        /// (cache scan, `PairFilter` searches, retag; a skipped revalidation
+        /// spends its scan) — off the reply path when serving.
         update_revalidate_ns: Sum,
         /// Gauge: rows the serving generation holds in overlays (graph +
         /// sparse view + labels) instead of its flat base arrays.
@@ -152,8 +153,14 @@ counters! {
         /// fresh flat arrays (the `O(n + m)` edits).
         overlay_folds: Sum,
         /// Revalidations that found no cache entry under the old epoch and
-        /// skipped their two BFS passes.
+        /// skipped their two searches.
         revalidations_skipped: Sum,
+        /// Revalidations whose edit moved no landmark distance, so their
+        /// searches ran on `G[V∖R]` instead of `G`.
+        revalidations_landmark_free: Sum,
+        /// Cumulative vertices the revalidation searches reached (both
+        /// endpoints' searches, out to the radius the cache implies).
+        revalidate_vertices_reached: Sum,
         /// Revalidations discarded unrun because the queue behind the
         /// revalidation worker overflowed (their entries age out as stale
         /// misses).

@@ -23,7 +23,7 @@ use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::serving::ServingIndex;
 use hcl_core::landmarks::LandmarkStrategy;
-use hcl_core::update::{apply_edit, EdgeEdit, PairFilter, UpdateError};
+use hcl_core::update::{apply_edit, EdgeEdit, EditScope, PairFilter, UpdateError};
 use hcl_core::{EpochCell, HighwayCoverLabelling, OracleEpoch, QueryContext, SharedOracle};
 use hcl_graph::{CsrGraph, VertexId};
 use hcl_store::PackedOracle;
@@ -184,16 +184,22 @@ pub struct QueryService {
 }
 
 /// The cache half of a published update, still to run: which epoch pair
-/// to certify entries across, and the two graphs (handles — an edited graph
-/// shares its parent's arrays) the [`PairFilter`] is built from. See
+/// to certify entries across, and what the [`PairFilter`] searches (handles
+/// — an edited generation shares its parent's arrays). See
 /// [`QueryService::revalidate`].
 #[derive(Debug)]
 pub struct PendingRevalidation {
     old_epoch: u64,
     new_epoch: u64,
-    old_graph: CsrGraph,
-    new_graph: CsrGraph,
-    edit: EdgeEdit,
+    scope: EditScope,
+}
+
+impl PendingRevalidation {
+    /// The epoch the revalidation certifies entries into.
+    #[cfg(test)]
+    pub(crate) fn new_epoch(&self) -> u64 {
+        self.new_epoch
+    }
 }
 
 /// Rows a generation holds in overlays rather than in flat base arrays:
@@ -449,8 +455,7 @@ impl QueryService {
         let result = apply_edit(oracle.graph(), oracle.labelling(), oracle.sparse_view(), edit)
             .map_err(UpdateApplyError::Apply)?;
         let affected = result.affected_vertices as u64;
-        let old_graph = oracle.graph().clone();
-        let new_graph = result.graph.clone();
+        let scope = result.filter_scope(oracle.graph(), oracle.sparse_view());
         let next = oracle.next_generation(
             Arc::new(result.graph),
             Arc::new(result.labelling),
@@ -466,17 +471,20 @@ impl QueryService {
         }
         self.metrics.overlay_rows.store(rows.iter().sum::<usize>() as u64, Ordering::Relaxed);
         ServeMetrics::add(&self.metrics.update_publish_ns, started.elapsed().as_nanos() as u64);
-        let pending =
-            PendingRevalidation { old_epoch: snap.epoch(), new_epoch, old_graph, new_graph, edit };
+        let pending = PendingRevalidation { old_epoch: snap.epoch(), new_epoch, scope };
         Ok((new_epoch, affected, pending))
     }
 
     /// The cache half of an update: cached answers are *retagged*, not
-    /// dropped — a [`PairFilter`] (two BFS rows from the edit endpoints)
-    /// certifies exactly which pairs provably kept their distance across
-    /// the edit, and those move from the old epoch's tag to the new one's;
-    /// the rest age out as stale misses. With nothing cached under the old
-    /// epoch there is nothing to certify and the BFS passes are skipped.
+    /// dropped — a [`PairFilter`] (one search from each edit endpoint)
+    /// certifies which pairs provably kept their distance across the edit,
+    /// and those move from the old epoch's tag to the new one's; the rest
+    /// age out as stale misses. One cache scan finds the largest distance
+    /// cached under the old epoch, `D`; the searches run on `G[V∖R]` when
+    /// the edit moved no landmark distance, and stop at radius `D − 2`,
+    /// past which no cached answer can be decided (see [`PairFilter`]).
+    /// With nothing cached under the old epoch there is nothing to certify
+    /// and the searches are skipped.
     ///
     /// May run at any time after the publish, on any thread, in any order
     /// relative to queries, reloads and other updates: it only ever tags
@@ -485,15 +493,26 @@ impl QueryService {
     /// revalidations compose — an entry certified by each of several
     /// consecutive edits follows them all to the newest epoch.
     pub fn revalidate(&self, pending: PendingRevalidation) {
-        let PendingRevalidation { old_epoch, new_epoch, old_graph, new_graph, edit } = pending;
-        let Some(cache) = self.cache.as_ref().filter(|cache| cache.holds_epoch(old_epoch)) else {
+        let PendingRevalidation { old_epoch, new_epoch, scope } = pending;
+        let Some(cache) = self.cache.as_ref() else {
             ServeMetrics::bump(&self.metrics.revalidations_skipped);
             return;
         };
         let started = Instant::now();
-        let filter = PairFilter::for_edit(&old_graph, &new_graph, edit);
-        let kept = cache.retag(old_epoch, new_epoch, |s, t, d| filter.keeps(s, t, d));
-        ServeMetrics::add(&self.metrics.retag_kept, kept as u64);
+        if let Some(max) = cache.max_distance(old_epoch) {
+            let filter = PairFilter::bounded(&scope, max.saturating_sub(2));
+            let kept = cache.retag(old_epoch, new_epoch, |s, t, d| filter.keeps(s, t, d));
+            ServeMetrics::add(&self.metrics.retag_kept, kept as u64);
+            ServeMetrics::add(
+                &self.metrics.revalidate_vertices_reached,
+                filter.vertices_reached() as u64,
+            );
+            if filter.landmark_free() {
+                ServeMetrics::bump(&self.metrics.revalidations_landmark_free);
+            }
+        } else {
+            ServeMetrics::bump(&self.metrics.revalidations_skipped);
+        }
         ServeMetrics::add(&self.metrics.update_revalidate_ns, started.elapsed().as_nanos() as u64);
     }
 
@@ -806,7 +825,7 @@ mod tests {
 
         service.revalidate(pending);
         assert_eq!(service.metrics_snapshot().retag_kept, 1, "carried to epoch 1 — not live");
-        assert!(!service.cache().unwrap().holds_epoch(2));
+        assert_eq!(service.cache().unwrap().max_distance(2), None);
         assert!(!answers_from_cache(&service, 0, 35, 25), "the path's answer must not cross");
     }
 
@@ -821,10 +840,14 @@ mod tests {
             .take(CsrGraph::OVERLAY_MAX_ROWS)
             .collect();
 
-        // Nothing cached: the first revalidation has nothing to certify.
+        // Nothing cached: the first revalidation has nothing to certify,
+        // and its one cache scan is all it spends.
         service.apply_update(EdgeEdit::Add(absent[0].0, absent[0].1)).unwrap();
         let snap = service.metrics_snapshot();
-        assert_eq!((snap.revalidations_skipped, snap.update_revalidate_ns), (1, 0));
+        assert_eq!(snap.revalidations_skipped, 1);
+        assert!(snap.update_revalidate_ns > 0, "the scan is timed: {snap:?}");
+        assert_eq!(snap.revalidate_vertices_reached, 0);
+        let scan_ns = snap.update_revalidate_ns;
         assert!(snap.overlay_rows >= 2, "the endpoints' rows at least: {snap:?}");
         assert!(snap.update_publish_ns > 0);
 
@@ -833,7 +856,8 @@ mod tests {
         service.apply_update(EdgeEdit::Delete(absent[0].0, absent[0].1)).unwrap();
         let snap = service.metrics_snapshot();
         assert_eq!(snap.revalidations_skipped, 1);
-        assert!(snap.update_revalidate_ns > 0);
+        assert!(snap.update_revalidate_ns > scan_ns);
+        assert!(snap.revalidate_vertices_reached >= 2, "both endpoints at least: {snap:?}");
 
         // Enough distinct endpoints to overflow the graph's overlay.
         for &(a, b) in &absent[1..] {

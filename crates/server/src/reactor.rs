@@ -57,7 +57,7 @@
 use crate::metrics::{ServeMetrics, ServeReadings};
 use crate::oracle_pool::{PendingRevalidation, QueryError, QueryService};
 use crate::protocol::{self, Frame};
-use crate::server::{Pushed, Shared, UpdateJob};
+use crate::server::{Shared, UpdateJob};
 use crate::transport::conn::Conn;
 use crate::transport::driver::{
     deadline_to_timeout_ms, ClientDriver, DriverConfig, DriverHooks, TOKEN_LISTENER, TOKEN_WAKE,
@@ -79,9 +79,9 @@ const FIRST_CONN_ID: u64 = 2;
 const MAX_PENDING_UPDATES: usize = 1024;
 
 /// Drains the pending-update queue, publishing edits one at a time in
-/// arrival order. Each `UPDATED` goes out once its generation is published;
-/// the cache revalidation that follows a publish is handed to the
-/// revalidation worker, which does not hold the gate. The caller must have just acquired the busy gate
+/// arrival order. Each `UPDATED` goes out once its generation is published
+/// and its cache revalidation is queued for the revalidation worker, which
+/// does not hold the gate. The caller must have just acquired the busy gate
 /// (`reload_busy` swapped `false` → `true`); the gate is released when the
 /// queue is empty, with a lost-wakeup re-check — a producer that saw the
 /// gate busy after our last pop parks its job and spawns nobody, so the
@@ -137,24 +137,11 @@ fn drain_updates_holding_gate(shared: Arc<Shared>) {
     }
 }
 
-/// Queues the cache revalidation of a published update for the
-/// revalidation worker, starting the worker if none is running
-/// (spawn-if-idle, like the update drain). The worker holds no gate.
-fn hand_off_revalidation(shared: &Arc<Shared>, pending: PendingRevalidation) {
-    match shared.revalidations.push(pending) {
-        Pushed::Queued => {}
-        Pushed::StartWorker => {
-            let shared = Arc::clone(shared);
-            spawn_named("hcl-revalidate", move || {
-                while let Some(pending) = shared.revalidations.pop() {
-                    shared.service.revalidate(pending);
-                }
-            });
-        }
-        Pushed::Dropped(count) => {
-            ServeMetrics::add(&shared.service.metrics().revalidations_dropped, count as u64);
-        }
-    }
+/// Queues the cache revalidation of a published update for the server's
+/// revalidation worker, which holds no gate.
+fn hand_off_revalidation(shared: &Shared, pending: PendingRevalidation) {
+    let dropped = shared.revalidations.push(pending);
+    ServeMetrics::add(&shared.service.metrics().revalidations_dropped, dropped as u64);
 }
 
 /// Gate-release hook shared by everything that holds the busy gate for

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -89,7 +89,8 @@ pub(crate) struct Shared {
     /// two swaps concurrently.
     pub pending_updates: Mutex<VecDeque<UpdateJob>>,
     /// Cache revalidations of published updates, run off the reply path
-    /// and outside the busy gate by one worker, in publish order.
+    /// and outside the busy gate by the one `hcl-revalidate` worker, in
+    /// publish order.
     pub revalidations: RevalidationQueue,
 }
 
@@ -104,27 +105,17 @@ pub(crate) struct UpdateJob {
     pub seq: u64,
 }
 
-/// Most revalidations allowed to wait behind the revalidation worker. Each
-/// is two whole-graph BFS passes of lag; a cache entry that has waited out
-/// eight of them has mostly been recomputed or evicted already, so past this
-/// the chain is cheaper to abandon than to finish.
+/// Most revalidations allowed to wait behind the revalidation worker. A
+/// cache entry that has waited out eight edits has mostly been recomputed
+/// or evicted already, so past this the chain is cheaper to abandon than to
+/// finish.
 const MAX_PENDING_REVALIDATIONS: usize = 8;
 
-/// What [`RevalidationQueue::push`] did with a job.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Pushed {
-    /// Queued behind the running worker.
-    Queued,
-    /// Queued, and no worker is running: the caller must start one.
-    StartWorker,
-    /// The queue was full: this many jobs — everything queued and the new
-    /// one — were discarded unrun.
-    Dropped(usize),
-}
-
-/// The FIFO between the update drain (which publishes) and the one
+/// The FIFO between the update drain (which publishes) and the server's one
 /// revalidation worker (which certifies cache entries across each published
-/// edit, see [`QueryService::revalidate`]).
+/// edit, see [`QueryService::revalidate`]). The worker is started by
+/// [`Server::bind`], parks on the condvar while the queue is empty, and
+/// leaves once the queue is [closed](Self::close).
 ///
 /// Order matters for warmth, not for soundness: an entry follows a run of
 /// edits to the newest epoch only if each edit's revalidation finds it
@@ -136,40 +127,53 @@ pub(crate) enum Pushed {
 #[derive(Default)]
 pub(crate) struct RevalidationQueue {
     state: Mutex<RevalidationState>,
+    ready: Condvar,
 }
 
 #[derive(Default)]
 struct RevalidationState {
     jobs: VecDeque<PendingRevalidation>,
-    /// Whether a worker is between its spawn and the
-    /// [`pop`](RevalidationQueue::pop) that found nothing.
-    worker_running: bool,
+    closed: bool,
 }
 
 impl RevalidationQueue {
-    /// Queues `job` (spawn-if-idle is the caller's half: see [`Pushed`]).
-    pub fn push(&self, job: PendingRevalidation) -> Pushed {
+    /// Queues `job` and wakes the worker. Returns how many jobs were
+    /// discarded unrun: none normally; everything queued plus `job` when
+    /// the queue was full; `job` itself once the queue is closed.
+    pub fn push(&self, job: PendingRevalidation) -> usize {
         let mut state = self.state.lock().expect("revalidation queue poisoned");
+        if state.closed {
+            return 1;
+        }
         if state.jobs.len() >= MAX_PENDING_REVALIDATIONS {
             let dropped = state.jobs.len() + 1;
             state.jobs.clear();
-            return Pushed::Dropped(dropped);
+            return dropped;
         }
         state.jobs.push_back(job);
-        if std::mem::replace(&mut state.worker_running, true) {
-            Pushed::Queued
-        } else {
-            Pushed::StartWorker
+        self.ready.notify_one();
+        0
+    }
+
+    /// The worker's next job, waiting for one; `None` once the queue is
+    /// closed, even with jobs still queued — they only warm the cache.
+    pub fn next(&self) -> Option<PendingRevalidation> {
+        let mut state = self.state.lock().expect("revalidation queue poisoned");
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            state = self.ready.wait(state).expect("revalidation queue poisoned");
         }
     }
 
-    /// The worker's next job; `None` retires the worker (under the same
-    /// lock as `push`'s check, so a job is never left without one).
-    pub fn pop(&self) -> Option<PendingRevalidation> {
-        let mut state = self.state.lock().expect("revalidation queue poisoned");
-        let job = state.jobs.pop_front();
-        state.worker_running = job.is_some();
-        job
+    /// Closes the queue and wakes the worker so it can leave.
+    pub fn close(&self) {
+        self.state.lock().expect("revalidation queue poisoned").closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -219,15 +223,39 @@ impl Server {
             pending_updates: Mutex::new(VecDeque::new()),
             revalidations: RevalidationQueue::default(),
         });
-        let reactor_thread = reactor::spawn(Arc::clone(&shared), listener)?;
-        Ok(ServerHandle { shared, reactor_thread: Mutex::new(Some(reactor_thread)) })
+        let revalidator = spawn_revalidator(Arc::clone(&shared))?;
+        // From here on dropping the handle stops whatever has started.
+        let handle = ServerHandle {
+            shared,
+            reactor_thread: Mutex::new(None),
+            revalidator: Mutex::new(Some(revalidator)),
+        };
+        let reactor_thread = reactor::spawn(Arc::clone(&handle.shared), listener)?;
+        *handle.reactor_thread.lock().expect("reactor handle poisoned") = Some(reactor_thread);
+        Ok(handle)
     }
 }
 
-/// Owns the reactor thread; dropping it shuts the server down.
+/// Starts the server's one `hcl-revalidate` worker: it runs queued
+/// revalidations in publish order until the queue is closed, at nice 19 —
+/// a revalidation only warms the cache, so it yields the core to the
+/// reactor, the executor and the update drain.
+fn spawn_revalidator(shared: Arc<Shared>) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name("hcl-revalidate".to_string()).spawn(move || {
+        // Best effort: at the default priority the worker is still correct.
+        let _ = crate::transport::sys::set_thread_nice(19);
+        while let Some(pending) = shared.revalidations.next() {
+            shared.service.revalidate(pending);
+        }
+    })
+}
+
+/// Owns the reactor and revalidation threads; dropping it shuts the server
+/// down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor_thread: Mutex<Option<JoinHandle<()>>>,
+    revalidator: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -254,9 +282,15 @@ impl ServerHandle {
     }
 
     /// Blocks until the server stops (via [`shutdown`](Self::shutdown) or a
-    /// client `SHUTDOWN` request).
+    /// client `SHUTDOWN` request), then stops the revalidation worker:
+    /// revalidations still queued are dropped, one in progress finishes.
     pub fn join(&self) {
         let handle = self.reactor_thread.lock().expect("reactor handle poisoned").take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+        self.shared.revalidations.close();
+        let handle = self.revalidator.lock().expect("revalidator handle poisoned").take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
@@ -275,35 +309,81 @@ mod tests {
     use super::*;
     use hcl_core::update::EdgeEdit;
 
-    #[test]
-    fn revalidation_queue_starts_one_worker_and_drops_the_whole_chain_on_overflow() {
+    /// `count` published-update revalidations of a 200-vertex fixture, in
+    /// publish order, and the service they belong to.
+    fn pending_jobs(count: usize) -> (Arc<QueryService>, Vec<PendingRevalidation>) {
         let (g, labelling) = hcl_core::testing::ba_fixture(200, 3, 4, 6);
         let (u, v) = (198, 199);
         assert!(!g.has_edge(u, v));
-        let service = QueryService::from_parts(g, labelling, 0);
-        let mut jobs = (0..).map(|i| {
-            let edit = if i % 2 == 0 { EdgeEdit::Add(u, v) } else { EdgeEdit::Delete(u, v) };
-            service.publish_update(edit).expect("alternating ADD/DEL is always valid").2
-        });
+        let service = Arc::new(QueryService::from_parts(g, labelling, 64));
+        let jobs = (0..count)
+            .map(|i| {
+                let edit = if i % 2 == 0 { EdgeEdit::Add(u, v) } else { EdgeEdit::Delete(u, v) };
+                service.publish_update(edit).expect("alternating ADD/DEL is always valid").2
+            })
+            .collect();
+        (service, jobs)
+    }
+
+    #[test]
+    fn revalidation_queue_is_fifo_and_drops_the_whole_chain_on_overflow() {
+        let (_, jobs) = pending_jobs(2 * MAX_PENDING_REVALIDATIONS + 3);
+        let mut jobs = jobs.into_iter();
         let queue = RevalidationQueue::default();
 
-        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::StartWorker);
-        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::Queued, "one worker at a time");
-        // The worker takes the first job and is busy with it while the
-        // queue fills behind it.
-        assert!(queue.pop().is_some());
-        for _ in 1..MAX_PENDING_REVALIDATIONS {
-            assert_eq!(queue.push(jobs.next().unwrap()), Pushed::Queued);
+        for _ in 0..MAX_PENDING_REVALIDATIONS {
+            assert_eq!(queue.push(jobs.next().unwrap()), 0);
         }
         assert_eq!(
             queue.push(jobs.next().unwrap()),
-            Pushed::Dropped(MAX_PENDING_REVALIDATIONS + 1),
+            MAX_PENDING_REVALIDATIONS + 1,
             "everything queued goes with the job that did not fit"
         );
-        // The worker finds nothing and retires; the next job needs a new one.
-        assert!(queue.pop().is_none());
-        assert_eq!(queue.push(jobs.next().unwrap()), Pushed::StartWorker);
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none());
+        // The queue is empty again and takes a new chain, first in first
+        // out: the epochs come back in publish order.
+        let epochs: Vec<u64> = (0..3)
+            .map(|_| {
+                let job = jobs.next().unwrap();
+                let epoch = job.new_epoch();
+                assert_eq!(queue.push(job), 0);
+                epoch
+            })
+            .collect();
+        let popped: Vec<u64> = (0..3).map(|_| queue.next().unwrap().new_epoch()).collect();
+        assert_eq!(popped, epochs);
+
+        // Closing wakes a parked worker, drops what is queued and refuses
+        // what comes after.
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| queue.next().map(|job| job.new_epoch()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            queue.close();
+            assert_eq!(worker.join().unwrap(), None, "a parked worker leaves on close");
+        });
+        assert_eq!(queue.push(jobs.next().unwrap()), 1, "a closed queue runs nothing");
+        assert!(queue.next().is_none());
+    }
+
+    #[test]
+    fn shutdown_joins_the_revalidation_worker_even_with_jobs_queued() {
+        let (service, jobs) = pending_jobs(MAX_PENDING_REVALIDATIONS);
+        // Something cached, so every job that runs does real work.
+        service.distance(0, 150).unwrap();
+        let handle = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        {
+            // Queue the jobs under the lock, unannounced: the worker is
+            // parked (or not yet started) and finds them only when it
+            // next takes the lock.
+            let mut state = handle.shared.revalidations.state.lock().unwrap();
+            state.jobs.extend(jobs);
+        }
+        handle.shutdown();
+        assert!(handle.revalidator.lock().unwrap().is_none(), "joined");
+        assert_eq!(Arc::strong_count(&handle.shared), 1, "no server thread holds the state");
+        // An idle server stops its worker too.
+        let (service, _) = pending_jobs(0);
+        let idle = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        idle.shutdown();
+        assert_eq!(Arc::strong_count(&idle.shared), 1);
     }
 }

@@ -9,6 +9,7 @@
 //! ([`connect_nonblocking`]) and collecting its verdict once epoll
 //! reports the socket writable ([`socket_error`]). The rest of the crate
 //! never touches a raw fd except to register sockets it already owns.
+//! [`set_thread_nice`] lowers the priority of a background thread.
 
 use hcl_core::fault;
 use std::io;
@@ -42,6 +43,7 @@ const SOCK_CLOEXEC: c_int = 0o2000000;
 const SOL_SOCKET: c_int = 1;
 const SO_ERROR: c_int = 4;
 const EINPROGRESS: i32 = 115;
+const PRIO_PROCESS: c_int = 0;
 
 /// `struct sockaddr_in` (Linux layout; port and address in network byte
 /// order).
@@ -92,6 +94,7 @@ extern "C" {
         optval: *mut c_void,
         optlen: *mut c_uint,
     ) -> c_int;
+    fn setpriority(which: c_int, who: c_uint, prio: c_int) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -206,6 +209,16 @@ pub fn socket_error(fd: RawFd) -> io::Result<()> {
     } else {
         Err(io::Error::from_raw_os_error(err))
     }
+}
+
+/// Sets the calling thread's nice value to `nice` (19 = runs only when
+/// nothing else wants the core). Linux keeps the nice value per thread, and
+/// `PRIO_PROCESS` with `who = 0` names the calling thread, so the rest of
+/// the process keeps its priority.
+pub fn set_thread_nice(nice: i32) -> io::Result<()> {
+    // SAFETY: integer arguments only; the call changes a scheduling
+    // attribute of the calling thread and touches no memory.
+    cvt(unsafe { setpriority(PRIO_PROCESS, 0, nice) }).map(drop)
 }
 
 /// An owned epoll instance (level-triggered use only in this crate).

@@ -467,3 +467,60 @@ fn invalid_updates_are_rejected_cleanly() {
 
     handle.shutdown();
 }
+
+/// An edit that moves no landmark distance is revalidated on `G[V∖R]`,
+/// with searches that stop at the radius the cached distances imply:
+/// `STATS` shows which path ran and how far it searched.
+#[test]
+fn a_landmark_free_edit_is_revalidated_on_the_view_within_the_cache_radius() {
+    let (graph, labelling) = ba_fixture(N, 4, 31, 12);
+    let sparse = hcl_core::SparseView::build(&graph, labelling.highway());
+    let (u, v) = (0..N as u32)
+        .map(|i| (i, (i * 7 + N as u32 / 2) % N as u32))
+        .find(|&(a, b)| {
+            a != b
+                && !graph.has_edge(a, b)
+                && hcl_core::update::apply_edit(
+                    &graph,
+                    &labelling,
+                    &sparse,
+                    hcl_core::EdgeEdit::Add(a, b),
+                )
+                .unwrap()
+                .landmark_free()
+        })
+        .expect("a BA graph has a landmark-free insert");
+
+    let service = Arc::new(QueryService::from_parts(Arc::clone(&graph), labelling, 1 << 12));
+    let handle =
+        Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let truth = truth_map(&graph, all_pairs());
+    for &(s, t) in &all_pairs() {
+        assert_eq!(client.query(s, t).unwrap(), truth[&(s, t)]);
+    }
+    let (epoch, affected) = client.update(true, u, v).unwrap();
+    assert_eq!((epoch, affected), (1, 0));
+
+    // The revalidation runs after `UPDATED`; wait for it.
+    let stat = |client: &mut Client, key: &str| -> u64 {
+        let stats = client.stats().unwrap();
+        stats
+            .split_ascii_whitespace()
+            .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
+            .unwrap_or_else(|| panic!("{key} missing from {stats}"))
+            .parse()
+            .unwrap()
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while stat(&mut client, "revalidations_landmark_free") == 0 {
+        assert!(std::time::Instant::now() < deadline, "the revalidation never ran");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let reached = stat(&mut client, "revalidate_vertices_reached");
+    assert!(reached >= 2 && reached < N as u64, "reached {reached} of {N}");
+    assert_eq!(stat(&mut client, "revalidations_skipped"), 0);
+    assert!(stat(&mut client, "retag_kept") > 0);
+    assert!(stat(&mut client, "update_revalidate_ns") > 0);
+    handle.shutdown();
+}
