@@ -630,11 +630,11 @@ pub struct PairFilter {
 #[derive(Clone, Debug)]
 pub struct EditScope {
     edit: EdgeEdit,
-    space: SearchSpace,
+    space: Space,
 }
 
 #[derive(Clone, Debug)]
-enum SearchSpace {
+enum Space {
     Graph(CsrGraph),
     View(SparseView),
 }
@@ -653,9 +653,9 @@ impl UpdateResult {
         let (graph, sparse) =
             if edit.is_add() { (&self.graph, &self.sparse) } else { (old_graph, old_sparse) };
         let space = if self.landmark_free() {
-            SearchSpace::View(sparse.clone())
+            Space::View(sparse.clone())
         } else {
-            SearchSpace::Graph(graph.clone())
+            Space::Graph(graph.clone())
         };
         EditScope { edit, space }
     }
@@ -676,21 +676,18 @@ impl PairFilter {
     /// stopping at `radius` (see the type docs). Costs the two searches'
     /// reach plus two `n`-entry arrays.
     pub fn bounded(scope: &EditScope, radius: u32) -> PairFilter {
-        let (u, v) = scope.edit.endpoints();
-        let ([du, dv], landmark_free) = match &scope.space {
-            SearchSpace::Graph(graph) => {
-                ([u, v].map(|x| search_legs(graph, None, x, radius)), false)
-            }
-            SearchSpace::View(view) => {
-                ([u, v].map(|x| search_legs(view.graph(), Some(view), x, radius)), true)
-            }
+        let (graph, view) = match &scope.space {
+            Space::Graph(graph) => (graph, None),
+            Space::View(view) => (view.graph(), Some(view)),
         };
+        let (u, v) = scope.edit.endpoints();
+        let [du, dv] = [u, v].map(|x| search_legs(graph, view, x, radius));
         PairFilter {
             reached: du.reached + dv.reached,
             legs: [du.dist, dv.dist],
             beyond: [du.beyond, dv.beyond],
             add: scope.edit.is_add(),
-            landmark_free,
+            landmark_free: view.is_some(),
         }
     }
 
