@@ -4,12 +4,13 @@
 //!
 //! An edit is computed as a [`LabelPatch`] — the label rows and highway
 //! cells that actually moved, plus the edge edit — and a new generation is
-//! the old one with the patch laid over it: graph, labelling and sparse
-//! view are base + overlay values ([`CsrGraph`],
-//! [`HighwayLabels`](crate::labels::HighwayLabels)), so
-//! [`apply_edit`] costs `O(affected rows + deg(u) + deg(v))` and its three
-//! results share every untouched byte with their inputs. Only the edit that
-//! overflows an overlay pays an `O(n + m)` fold.
+//! the old one with the patch laid over it. Graph and sparse view are
+//! chunked ([`CsrGraph`]: an edit copies the chunk table and the
+//! endpoints' chunks), and the labels are a base + overlay value
+//! ([`HighwayLabels`](crate::labels::HighwayLabels)), so [`apply_edit`]
+//! costs `O(affected rows + n / CHUNK_VERTICES + two chunks)` and its three
+//! results share every untouched chunk and row with their inputs. Only the
+//! edit that overflows the label overlay pays an `O(n)` fold of the labels.
 //!
 //! # Why this is tractable for highway cover labels
 //!
@@ -912,13 +913,14 @@ mod tests {
     #[test]
     fn edit_script_stays_equivalent_across_steps() {
         // A short interleaved ADD/DEL script, incrementally chained the
-        // way the server chains it — every step over the overlays of the
-        // step before — beside a second copy of the index that only ever
-        // sees the patches.
+        // way the server chains it — every step sharing the chunks and
+        // label rows of the step before — beside a second copy of the
+        // index, built apart, that only ever sees the patches.
         let g = generate::erdos_renyi(60, 120, 17);
         let landmarks = hcl_graph::order::top_degree(&g, 5);
         let (hcl, sparse) = build_all(&g, &landmarks);
-        let mut replica = (g.clone().folded(), hcl.clone(), sparse.clone());
+        let apart = CsrGraph::from_edges(g.num_vertices(), &g.edges().collect::<Vec<_>>());
+        let mut replica = (apart, hcl.clone(), sparse.clone());
         let (mut graph, mut hcl, mut sparse) = (g, hcl, sparse);
         for step in 0..12u32 {
             let edit = if step % 3 == 2 {
@@ -948,7 +950,8 @@ mod tests {
             hcl = r.labelling;
             sparse = r.sparse;
         }
-        assert!(graph.overlay_rows() > 0, "the script ran over overlays, not folds");
+        assert_eq!(replica.0, graph);
+        assert_eq!(replica.0.chunks_not_shared_with(&graph), graph.num_chunks(), "built apart");
     }
 
     #[test]

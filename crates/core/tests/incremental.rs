@@ -12,13 +12,14 @@
 //! landmark-incident edges, and inserts re-join components (exercising
 //! highway-matrix changes in both directions).
 //!
-//! A generation is its parent plus an overlay of replaced rows, folded
-//! into fresh flat arrays when the overlay outgrows its bound. The
-//! across-the-fold scripts run several bounds' worth of edits through that
-//! cycle and hold every step to the rebuild, to a flat model of the graph
-//! and of the view, to BFS truth — and hold the *parent* to its own model
-//! after the child was derived, since structural sharing must never alias
-//! a write. Beside the chain runs a replica: an independently loaded copy
+//! A generation is its parent with the endpoints' adjacency chunks copied
+//! and the replaced label rows in an overlay, folded into fresh flat lanes
+//! when the overlay outgrows its bound. The long scripts run hundreds of
+//! edits down one chain and hold every step to the rebuild, to a flat
+//! model of the graph and of the view, to BFS truth, and to at most two
+//! copied chunks per graph — and hold the *parent* to its own model after
+//! the child was derived, since structural sharing must never alias a
+//! write. Beside the chain runs a replica: an independently loaded copy
 //! of the base that only ever sees the [`LabelPatch`]es.
 //!
 //! The bounded [`PairFilter`] — searches on `G[V∖R]` for landmark-free
@@ -368,8 +369,7 @@ impl Generation {
 #[derive(Default, Debug)]
 struct Coverage {
     applied: usize,
-    graph_folds: usize,
-    view_folds: usize,
+    chunks_copied: usize,
     label_folds: usize,
     highway_moves: usize,
     landmark_incident: usize,
@@ -410,14 +410,8 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
         let r = apply_edit(&current.graph, &current.labelling, &current.sparse, edit)
             .unwrap_or_else(|e| panic!("{tag}: rejected: {e}"));
 
-        let rows = |g: &Generation| {
-            (
-                g.graph.overlay_rows(),
-                g.sparse.graph().overlay_rows(),
-                g.labelling.labels().overlay_rows(),
-            )
-        };
-        let before = rows(&current);
+        let label_rows = |g: &Generation| g.labelling.labels().overlay_rows();
+        let before = (current.graph.clone(), current.sparse.clone(), label_rows(&current));
         let reached =
             |g: &Generation| g.labelling.highway().row(0).iter().filter(|&&d| d != INF).count();
         let (u, v) = edit.endpoints();
@@ -436,12 +430,17 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
         child.assert_matches_models(&mut stream, &tag);
         // The parent still answers for the old graph.
         current.assert_matches_models(&mut stream, &format!("{tag}, parent"));
-        assert_eq!(rows(&current), before, "{tag}: deriving a child must not touch the parent");
+        assert_eq!(current.graph.chunks_not_shared_with(&before.0), 0, "{tag}: parent graph");
+        assert_eq!(current.sparse, before.1, "{tag}: parent view");
+        assert_eq!(label_rows(&current), before.2, "{tag}: parent labels");
 
-        let after = rows(&child);
-        seen.graph_folds += (after.0 < before.0) as usize;
-        seen.view_folds += (after.1 < before.1) as usize;
-        seen.label_folds += (after.2 < before.2) as usize;
+        // The graph copies the endpoints' chunks, the view the same or
+        // none (a landmark-incident edit leaves it alone); nothing else.
+        let graph_chunks = child.graph.chunks_not_shared_with(&current.graph);
+        let view_chunks = child.sparse.graph().chunks_not_shared_with(current.sparse.graph());
+        assert!((1..=2).contains(&graph_chunks) && view_chunks <= 2, "{tag}: chunks copied");
+        seen.chunks_copied += graph_chunks + view_chunks;
+        seen.label_folds += (label_rows(&child) < before.2) as usize;
         if !landmarks.is_empty() {
             seen.disconnections += (reached(&child) < reached(&current)) as usize;
             seen.reconnections += (reached(&child) > reached(&current)) as usize;
@@ -451,17 +450,15 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
     seen
 }
 
-/// Three overlay bounds' worth of edits on a graph sparse enough that
-/// deletions disconnect, insertions reconnect, and the hubs sit several
-/// hops apart: every kind of edit, on both sides of several folds.
+/// A long chain of edits on a graph sparse enough that deletions
+/// disconnect, insertions reconnect, and the hubs sit several hops apart:
+/// every kind of edit, each copying only the chunks its endpoints live in.
 #[test]
 fn a_long_script_stays_equivalent_across_folds() {
-    // At least three bounds, and long enough to cut a landmark off and
-    // join it back whatever the bound is.
-    let steps = (3 * CsrGraph::OVERLAY_MAX_ROWS).max(400);
-    let seen = run_fold_script(generate::erdos_renyi(220, 260, 41), 4, 0xF01D, steps, "long");
-    assert!(seen.applied >= 3 * CsrGraph::OVERLAY_MAX_ROWS, "{seen:?}");
-    assert!(seen.graph_folds >= 2 && seen.view_folds >= 1, "{seen:?}");
+    // Long enough to cut a landmark off and join it back.
+    let seen = run_fold_script(generate::erdos_renyi(220, 260, 41), 4, 0xF01D, 400, "long");
+    assert!(seen.applied >= 192, "{seen:?}");
+    assert!(seen.chunks_copied > seen.applied, "the view was edited too: {seen:?}");
     assert!(seen.highway_moves > 0 && seen.landmark_incident > 0, "{seen:?}");
     assert!(seen.disconnections > 0 && seen.reconnections > 0, "{seen:?}");
 }
@@ -485,8 +482,8 @@ fn label_overlay_folds_and_stays_equivalent() {
 proptest! {
     #![proptest_config(cases(2))]
 
-    /// The across-the-fold script over random sparse instances (the soak
-    /// job's 240 cases): three overlay bounds of edits each.
+    /// The long script over random sparse instances (the soak job's 240
+    /// cases): 192 edits each.
     #[test]
     fn edit_scripts_stay_equivalent_across_folds(
         n in 160usize..260,
@@ -494,7 +491,7 @@ proptest! {
         k in 1usize..6,
         seed in 0u64..100_000,
     ) {
-        let steps = 3 * CsrGraph::OVERLAY_MAX_ROWS;
+        let steps = 192;
         let seen = run_fold_script(
             generate::erdos_renyi(n, n * density / 100, seed),
             k,
@@ -502,7 +499,7 @@ proptest! {
             steps,
             &format!("n={n} density={density} k={k} seed={seed}"),
         );
-        prop_assert!(seen.graph_folds >= 1, "{:?}", seen);
+        prop_assert!(seen.applied > 0 && seen.chunks_copied >= seen.applied, "{:?}", seen);
     }
 }
 

@@ -4,28 +4,36 @@
 //! appears in both endpoints' adjacency lists, each list is sorted, and
 //! self-loops / parallel edges are removed at build time. This is the
 //! representation all labelling algorithms and searches in the workspace
-//! operate on; its layout (one `usize` offset array + one flat `u32`
-//! neighbour array) is what the paper's Table 1 column `|G|` measures.
+//! operate on; what it holds (two 32-bit adjacency entries per edge, one
+//! 32-bit offset per vertex) is what the paper's Table 1 column `|G|`
+//! measures.
 //!
-//! # Base + overlay
+//! # Chunks
 //!
-//! The two arrays are immutable and shared: a `CsrGraph` is a handle, and
-//! cloning one copies no adjacency. [`with_edge`](CsrGraph::with_edge) and
-//! [`without_edge`](CsrGraph::without_edge) return a graph that keeps the
-//! parent's arrays and records the two endpoints' new rows in a
-//! [`RowOverlay`] — `O(deg(u) + deg(v))`, whatever `n` and `m` are — and
-//! every accessor answers for the *logical* graph (arrays as amended by the
-//! overlay). A graph that was never edited pays one predictable
-//! "no overlay" branch per row access — a register test in loops that
-//! fetch rows through [`CsrGraph::rows`]. The overlay is bounded
-//! ([`CsrGraph::OVERLAY_MAX_ROWS`]): the edit that would cross the bound
-//! returns a [`folded`](CsrGraph::folded) graph — fresh flat arrays, empty
-//! overlay — so the cost of the rewrite is spread over the edits between
-//! two folds.
+//! The vertices are cut into runs of [`CsrGraph::CHUNK_VERTICES`], and each
+//! run is one shared allocation: its chunk-local offsets followed by its
+//! rows. The graph is a table of handles on those chunks, and a row is
+//! found with a shift and a mask through the table. Cloning a graph copies
+//! no adjacency. [`with_edge`](CsrGraph::with_edge) and
+//! [`without_edge`](CsrGraph::without_edge) copy the table and the chunks
+//! that hold the two endpoints, and share every other chunk with the
+//! parent: an edit costs `n / CHUNK_VERTICES` handles plus at most two
+//! chunks, however many edits came before it, and there is nothing to fold.
 
-use crate::overlay::{RowFilter, RowOverlay};
 use crate::{GraphError, VertexId};
 use std::sync::Arc;
+
+/// One chunk of `k` rows: `k + 1` offsets into the chunk itself (so the
+/// first is `k + 1`), then the rows back to back. The layout is canonical —
+/// two chunks holding the same rows hold the same words — which is what
+/// lets equality compare words.
+type Chunk = Arc<[u32]>;
+
+/// `log2` of [`CsrGraph::CHUNK_VERTICES`].
+const CHUNK_SHIFT: u32 = 10;
+
+/// A vertex's row index within its chunk.
+const CHUNK_MASK: VertexId = (1 << CHUNK_SHIFT) - 1;
 
 /// An immutable undirected graph in compressed sparse row form.
 ///
@@ -46,30 +54,24 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
-    /// `offsets[v]..offsets[v + 1]` indexes `adj` for vertex `v`; length
-    /// `n + 1`. Shared with every graph edited from this one since the
-    /// last fold. (`Arc<Vec<_>>`, not `Arc<[_]>`: taking a built `Vec`
-    /// under shared ownership must not copy it.)
-    offsets: Arc<Vec<usize>>,
-    /// Flattened, per-vertex-sorted adjacency of the base.
-    adj: Arc<Vec<VertexId>>,
-    /// Rows that differ from the base (sorted, like base rows).
-    overlay: RowOverlay<Arc<[VertexId]>>,
-    /// Undirected edges of the logical graph.
+    /// `chunks[v >> CHUNK_SHIFT]` holds the row of `v`, at local index
+    /// `v & CHUNK_MASK`; every chunk but the last holds `CHUNK_VERTICES`
+    /// rows. Each chunk is shared with every graph edited from this one
+    /// that did not edit a row in it.
+    chunks: Arc<[Chunk]>,
+    /// Number of vertices `n`.
+    n: usize,
+    /// Undirected edges.
     num_edges: usize,
 }
 
 impl CsrGraph {
-    /// Most rows the overlay holds; the edit that would exceed it folds.
-    /// 64 rows put at least 32 edits between two `O(n + m)` folds. What
-    /// sets the figure is the search: a graph carrying an overlay pays a
-    /// filter test per row fetched (3–4% of the in-cache query rate), and
-    /// every replaced row it touches is a mispredicted "not replaced"
-    /// branch and a row outside the flat array. On a 20k-vertex graph a
-    /// full overlay costs 4–5% at 64 rows and 6% at 128 (`bench_query`'s
-    /// `patched_query_ratio`); on larger graphs the replaced share
-    /// shrinks in proportion.
-    pub const OVERLAY_MAX_ROWS: usize = 64;
+    /// Vertices per chunk. An edit clones the table, `n / CHUNK_VERTICES`
+    /// handles, and copies the endpoints' chunks, each about
+    /// `CHUNK_VERTICES` times the average degree in words; the figure
+    /// balances the two. On BA 1M with m 8 a chunk averages 64 KB, and the
+    /// hub chunk is about 2 MB.
+    pub const CHUNK_VERTICES: usize = 1 << CHUNK_SHIFT;
 
     /// Builds a graph with `n` vertices from an edge list. Self-loops and
     /// duplicate edges (in either direction) are dropped.
@@ -88,13 +90,13 @@ impl CsrGraph {
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        CsrGraph::from_parts(vec![0; n + 1], Vec::new())
+        CsrGraph::from_rows(n, |_| 0, |_, _| {})
     }
 
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.n
     }
 
     /// Number of undirected edges `m` (each edge counted once).
@@ -112,12 +114,7 @@ impl CsrGraph {
     /// The graph's rows, resolved for a loop: see [`CsrRows`].
     #[inline]
     pub fn rows(&self) -> CsrRows<'_> {
-        CsrRows {
-            offsets: &self.offsets,
-            adj: &self.adj,
-            filter: self.overlay.filter(),
-            overlay: &self.overlay,
-        }
+        CsrRows { chunks: &self.chunks, n: self.n }
     }
 
     /// The sorted neighbour list of `v`.
@@ -160,34 +157,41 @@ impl CsrGraph {
         }
     }
 
-    /// Bytes of the flat representation of the logical graph (adjacency +
-    /// offsets) — what [`folded`](Self::folded) would occupy.
-    ///
-    /// Matches the paper's `|G|` accounting: every edge appears in the
-    /// forward and reverse adjacency lists (`2m` 32-bit entries = 8 bytes
-    /// per undirected edge) plus the offset array.
+    /// Bytes of the chunks: the paper's `|G|` accounting, where every edge
+    /// appears in the forward and reverse adjacency lists (`2m` 32-bit
+    /// entries = 8 bytes per undirected edge), plus one 32-bit offset per
+    /// vertex and one more per chunk.
     pub fn memory_bytes(&self) -> usize {
-        2 * self.num_edges * std::mem::size_of::<VertexId>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
+        (2 * self.num_edges + self.n + self.chunks.len()) * std::mem::size_of::<u32>()
     }
 
-    /// Rows currently held in the overlay (0 for a flat graph).
-    pub fn overlay_rows(&self) -> usize {
-        self.overlay.len()
+    /// Number of chunks, `⌈n / CHUNK_VERTICES⌉`.
+    pub fn num_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Chunks of `self` that are not the same allocation as the chunk in
+    /// the same place of `other`: for a graph edited from `other`, the
+    /// chunks the edits copied.
+    pub fn chunks_not_shared_with(&self, other: &CsrGraph) -> usize {
+        let shared = |(c, chunk): &(usize, &Chunk)| {
+            other.chunks.get(*c).is_some_and(|theirs| Arc::ptr_eq(chunk, theirs))
+        };
+        self.chunks.iter().enumerate().filter(|c| !shared(c)).count()
     }
 
     /// This graph with the undirected edge `{u, v}` added, sharing every
-    /// other row with `self`. Returns `None` when the edge cannot be
-    /// added: a self-loop, an endpoint out of range, or the edge already
-    /// present.
+    /// chunk but the endpoints' with `self`. Returns `None` when the edge
+    /// cannot be added: a self-loop, an endpoint out of range, or the edge
+    /// already present.
     pub fn with_edge(&self, u: VertexId, v: VertexId) -> Option<CsrGraph> {
         self.edited(u, v, true)
     }
 
     /// This graph with the undirected edge `{u, v}` removed, sharing every
-    /// other row with `self`. Returns `None` when there is nothing to
-    /// remove: a self-loop, an endpoint out of range, or the edge not
-    /// present.
+    /// chunk but the endpoints' with `self`. Returns `None` when there is
+    /// nothing to remove: a self-loop, an endpoint out of range, or the
+    /// edge not present.
     pub fn without_edge(&self, u: VertexId, v: VertexId) -> Option<CsrGraph> {
         self.edited(u, v, false)
     }
@@ -197,120 +201,161 @@ impl CsrGraph {
         if u == v || u as usize >= n || v as usize >= n || self.has_edge(u, v) == add {
             return None;
         }
-        let new_row = |w: VertexId, other: VertexId| -> Arc<[VertexId]> {
-            let old = self.neighbors(w);
-            let at = old.partition_point(|&x| x < other);
-            let mut row = Vec::with_capacity(old.len() + 1);
-            row.extend_from_slice(&old[..at]);
-            if add {
-                row.push(other);
-                row.extend_from_slice(&old[at..]);
-            } else {
-                row.extend_from_slice(&old[at + 1..]);
+        let mut chunks: Arc<[Chunk]> = self.chunks.iter().cloned().collect();
+        let table = Arc::get_mut(&mut chunks).expect("a new table is unshared");
+        // Two endpoints in one chunk copy it twice; that is rare enough
+        // not to be worth a two-row splice.
+        for (w, other) in [(u, v), (v, u)] {
+            let c = (w >> CHUNK_SHIFT) as usize;
+            table[c] = spliced(&table[c], (w & CHUNK_MASK) as usize, other, add);
+        }
+        let num_edges = if add { self.num_edges + 1 } else { self.num_edges - 1 };
+        Some(CsrGraph { chunks, n, num_edges })
+    }
+
+    /// Builds a graph of `n` vertices row by row: row `v` has `degree(v)`
+    /// slots, and `fill(v, row)` writes them, sorted and duplicate-free.
+    /// Each chunk is allocated once, at its final size.
+    pub(crate) fn from_rows(
+        n: usize,
+        degree: impl Fn(usize) -> usize,
+        mut fill: impl FnMut(VertexId, &mut [VertexId]),
+    ) -> Self {
+        let mut chunks = sized_chunks(n, degree);
+        for (c, chunk) in chunks.iter_mut().enumerate() {
+            let words = Arc::get_mut(chunk).expect("a new chunk is unshared");
+            for i in 0..words[0] as usize - 1 {
+                let (lo, hi) = (words[i] as usize, words[i + 1] as usize);
+                fill(((c << CHUNK_SHIFT) + i) as VertexId, &mut words[lo..hi]);
             }
-            row.into()
-        };
-        let mut next = self.clone();
-        next.overlay.insert(u, new_row(u, v));
-        next.overlay.insert(v, new_row(v, u));
-        next.num_edges = if add { self.num_edges + 1 } else { self.num_edges - 1 };
-        Some(if next.overlay.len() > Self::OVERLAY_MAX_ROWS { next.folded() } else { next })
+        }
+        CsrGraph::from_chunks(n, chunks)
     }
 
-    /// The same logical graph as flat arrays with an empty overlay: the
-    /// base adjacency is copied in bulk chunks between the replaced rows
-    /// and the offsets are shifted in one linear pass — `O(n + m)` memcpy
-    /// work, no builder re-sort and no per-row loop. A flat graph folds to
-    /// a handle on the same arrays.
-    pub fn folded(&self) -> CsrGraph {
-        if self.overlay.is_empty() {
-            return self.clone();
-        }
-        let mut adj = Vec::with_capacity(2 * self.num_edges);
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        // Base offsets of vertices `from..=v` move by the rows replaced
-        // before them; `shift` wraps instead of going signed.
-        let (mut src, mut from, mut shift) = (0usize, 0usize, 0usize);
-        for (v, row) in self.overlay.sorted() {
-            let v = v as usize;
-            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            adj.extend_from_slice(&self.adj[src..lo]);
-            adj.extend_from_slice(row);
-            src = hi;
-            offsets.extend(self.offsets[from..=v].iter().map(|&o| o.wrapping_add(shift)));
-            shift = shift.wrapping_add(row.len()).wrapping_sub(hi - lo);
-            from = v + 1;
-        }
-        adj.extend_from_slice(&self.adj[src..]);
-        offsets.extend(self.offsets[from..].iter().map(|&o| o.wrapping_add(shift)));
-        CsrGraph::from_parts(offsets, adj)
+    fn from_chunks(n: usize, chunks: Vec<Chunk>) -> Self {
+        debug_assert_eq!(chunks.len(), n.div_ceil(Self::CHUNK_VERTICES));
+        let entries: usize = chunks.iter().map(|c| c.len() - c[0] as usize).sum();
+        CsrGraph { chunks: chunks.into(), n, num_edges: entries / 2 }
     }
+}
 
-    /// Internal: construct directly from parts. `offsets` must be monotone
-    /// with `offsets[0] == 0` and `offsets[n] == adj.len()`, and each
-    /// adjacency range must be sorted and duplicate-free.
-    pub(crate) fn from_parts(offsets: Vec<usize>, adj: Vec<VertexId>) -> Self {
-        debug_assert!(!offsets.is_empty() && offsets[0] == 0);
-        debug_assert_eq!(*offsets.last().unwrap(), adj.len());
-        let num_edges = adj.len() / 2;
-        CsrGraph {
-            offsets: Arc::new(offsets),
-            adj: Arc::new(adj),
-            overlay: RowOverlay::default(),
-            num_edges,
+/// A zeroed chunk of `len` words, unshared.
+fn zeroed_chunk(len: usize) -> Chunk {
+    assert!(u32::try_from(len).is_ok(), "a chunk holds at most u32::MAX words");
+    std::iter::repeat_n(0, len).collect()
+}
+
+/// The chunks of an `n`-vertex graph whose row `v` has `degree(v)` slots:
+/// offsets written, rows zeroed, every chunk unshared.
+fn sized_chunks(n: usize, degree: impl Fn(usize) -> usize) -> Vec<Chunk> {
+    let size = CsrGraph::CHUNK_VERTICES;
+    (0..n.div_ceil(size))
+        .map(|c| {
+            let vertices = c * size..n.min((c + 1) * size);
+            let k = vertices.len();
+            let mut chunk = zeroed_chunk(k + 1 + vertices.clone().map(&degree).sum::<usize>());
+            let words = Arc::get_mut(&mut chunk).expect("a new chunk is unshared");
+            let mut end = k + 1;
+            for (i, v) in vertices.enumerate() {
+                words[i] = end as u32;
+                end += degree(v);
+            }
+            words[k] = end as u32;
+            chunk
+        })
+        .collect()
+}
+
+/// `words` as a new chunk, with local row `i` gaining `other` (`add`) or
+/// losing it.
+fn spliced(words: &[u32], i: usize, other: VertexId, add: bool) -> Chunk {
+    let k = words[0] as usize - 1;
+    let (lo, hi) = (words[i] as usize, words[i + 1] as usize);
+    let at = lo + words[lo..hi].partition_point(|&x| x < other);
+    let len = if add { words.len() + 1 } else { words.len() - 1 };
+    assert!(u32::try_from(len).is_ok(), "a chunk holds at most u32::MAX words");
+    let mut chunk = Arc::<[u32]>::new_uninit_slice(len);
+    let out = Arc::get_mut(&mut chunk).expect("a new chunk is unshared");
+    // The rows after `i` move by one word.
+    let shift = if add { 1 } else { u32::MAX };
+    out[..=i].write_copy_of_slice(&words[..=i]);
+    for (o, &w) in out[i + 1..=k].iter_mut().zip(&words[i + 1..=k]) {
+        o.write(w.wrapping_add(shift));
+    }
+    out[k + 1..at].write_copy_of_slice(&words[k + 1..at]);
+    if add {
+        out[at].write(other);
+        out[at + 1..].write_copy_of_slice(&words[at..]);
+    } else {
+        out[at..].write_copy_of_slice(&words[at + 1..]);
+    }
+    // SAFETY: the writes above cover `out` whole and in order — `..=i`,
+    // `i + 1..=k`, `k + 1..at`, then the rest from `at` — so every element
+    // is initialised. (Zeroing first would double the cost of an edit.)
+    unsafe { chunk.assume_init() }
+}
+
+/// Sorts every row of a chunk and drops repeated neighbours — a duplicate
+/// edge repeats in both its rows, so the result stays symmetric. Rows move
+/// down only after the first duplicate. Returns the words the chunk keeps.
+fn sort_and_dedup(words: &mut [u32]) -> usize {
+    let k = words[0] as usize - 1;
+    // `end` is where the deduplicated rows end so far; rows start at their
+    // counted offset until a duplicate has been dropped.
+    let mut end = k + 1;
+    for i in 0..k {
+        let (lo, hi) = (words[i] as usize, words[i + 1] as usize);
+        words[i] = end as u32;
+        words[lo..hi].sort_unstable();
+        if end == lo && words[lo..hi].windows(2).all(|p| p[0] != p[1]) {
+            end = hi;
+            continue;
+        }
+        let start = end;
+        for j in lo..hi {
+            if end == start || words[end - 1] != words[j] {
+                words[end] = words[j];
+                end += 1;
+            }
         }
     }
+    words[k] = end as u32;
+    end
 }
 
 /// Borrowed row access to a [`CsrGraph`] with the shared-ownership
-/// indirections already followed: the two base slices and, when rows are
-/// replaced, the overlay's filter. A traversal takes one at its start and
-/// fetches rows through it, so the per-row cost on a graph that was never
-/// edited is a test of a local `Option` — no pointer chasing — and
-/// the searches run the same code on flat and edited graphs.
+/// indirection already followed: the chunk table as a local slice. A
+/// traversal takes one at its start and fetches rows through it, so a row
+/// costs a shift and a mask into the table and two offset loads in the
+/// chunk, with no branch.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrRows<'a> {
-    offsets: &'a [usize],
-    adj: &'a [VertexId],
-    filter: Option<&'a RowFilter>,
-    overlay: &'a RowOverlay<Arc<[VertexId]>>,
+    chunks: &'a [Chunk],
+    n: usize,
 }
 
 impl<'a> CsrRows<'a> {
-    #[inline]
-    fn replaced(&self, v: VertexId) -> Option<&'a [VertexId]> {
-        if self.filter?.may_contain(v) {
-            self.overlay.probe(v).map(|row| &**row)
-        } else {
-            None
-        }
-    }
-
     /// The sorted neighbour list of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
-        if let Some(row) = self.replaced(v) {
-            return row;
-        }
-        let v = v as usize;
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+        let chunk = &self.chunks[(v >> CHUNK_SHIFT) as usize];
+        let i = (v & CHUNK_MASK) as usize;
+        &chunk[chunk[i] as usize..chunk[i + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        if let Some(row) = self.replaced(v) {
-            return row.len();
-        }
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        let chunk = &self.chunks[(v >> CHUNK_SHIFT) as usize];
+        let i = (v & CHUNK_MASK) as usize;
+        (chunk[i + 1] - chunk[i]) as usize
     }
 }
 
 impl Adjacency for CsrRows<'_> {
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.n
     }
 
     #[inline]
@@ -324,17 +369,13 @@ impl Adjacency for CsrRows<'_> {
     }
 }
 
-/// Equality of the logical graphs, however their rows are split between
-/// base and overlay.
+/// Equality of the logical graphs, whatever chunks the two share: chunks
+/// are canonical, so unshared ones compare word for word.
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &CsrGraph) -> bool {
-        if self.num_vertices() != other.num_vertices() || self.num_edges != other.num_edges {
-            return false;
-        }
-        if self.overlay.is_empty() && other.overlay.is_empty() {
-            return self.offsets == other.offsets && self.adj == other.adj;
-        }
-        self.vertices().all(|v| self.neighbors(v) == other.neighbors(v))
+        self.n == other.n
+            && self.num_edges == other.num_edges
+            && self.chunks.iter().zip(other.chunks.iter()).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 }
 
@@ -459,55 +500,47 @@ impl GraphBuilder {
         }
     }
 
-    /// Produces the final CSR graph: counts degrees, scatters each edge
-    /// into both endpoints' rows, then sorts each row and drops repeated
-    /// neighbours — a duplicate edge repeats in both its rows, so the
-    /// result stays symmetric. Rows move down only after the first
-    /// duplicate; a duplicate-free edge list is never copied.
+    /// Produces the final CSR graph: counts degrees, sizes each chunk from
+    /// them, scatters each edge into both endpoints' rows, then sorts each
+    /// row and drops repeated neighbours. A chunk that dropped a duplicate
+    /// is copied once to its final size; a duplicate-free edge list is
+    /// never copied.
     pub fn build(self) -> CsrGraph {
         let n = self.n;
-        let mut offsets = vec![0usize; n + 1];
+        // The degrees, until the chunks are sized from them.
+        let mut cursor = vec![0usize; n];
         for &(u, v) in &self.edges {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut adj = vec![0 as VertexId; offsets[n]];
-        // `cursor[v]` tracks the next free slot in v's adjacency range.
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        for &(u, v) in &self.edges {
-            adj[cursor[u as usize]] = v;
             cursor[u as usize] += 1;
-            adj[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        drop((cursor, self.edges));
-        // `end` is where the deduplicated rows end so far; rows start at
-        // their counted offset until a duplicate has been dropped.
-        let mut end = 0usize;
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            offsets[v] = end;
-            adj[lo..hi].sort_unstable();
-            if end == lo && adj[lo..hi].windows(2).all(|p| p[0] != p[1]) {
-                end = hi;
-                continue;
+        let mut chunks = sized_chunks(n, |v| cursor[v]);
+        {
+            let mut rows: Vec<&mut [u32]> = chunks
+                .iter_mut()
+                .map(|c| Arc::get_mut(c).expect("a new chunk is unshared"))
+                .collect();
+            // `cursor[v]` tracks the next free slot in v's row, within its
+            // chunk.
+            for (v, at) in cursor.iter_mut().enumerate() {
+                *at = rows[v >> CHUNK_SHIFT][v & CHUNK_MASK as usize] as usize;
             }
-            for i in lo..hi {
-                if end == offsets[v] || adj[end - 1] != adj[i] {
-                    adj[end] = adj[i];
-                    end += 1;
+            for &(u, v) in &self.edges {
+                for (a, b) in [(u, v), (v, u)] {
+                    let a = a as usize;
+                    rows[a >> CHUNK_SHIFT][cursor[a]] = b;
+                    cursor[a] += 1;
                 }
             }
         }
-        offsets[n] = end;
-        if end < adj.len() {
-            adj.truncate(end);
-            adj.shrink_to_fit();
+        drop((cursor, self.edges));
+        for chunk in &mut chunks {
+            let words = Arc::get_mut(chunk).expect("a new chunk is unshared");
+            let end = sort_and_dedup(words);
+            if end < words.len() {
+                *chunk = Arc::from(&words[..end]);
+            }
         }
-        CsrGraph::from_parts(offsets, adj)
+        CsrGraph::from_chunks(n, chunks)
     }
 }
 
@@ -625,32 +658,40 @@ mod tests {
 
     #[test]
     fn an_edited_graph_shares_its_parents_arrays_and_leaves_it_untouched() {
-        let g = crate::generate::barabasi_albert(60, 3, 1);
-        let (u, v) = (58u32, 59u32);
+        let size = CsrGraph::CHUNK_VERTICES as u32;
+        let n = 2 * size + 60;
+        let g = crate::generate::barabasi_albert(n as usize, 3, 1);
+        assert_eq!(g.num_chunks(), 3);
+        let (u, v) = (n - 2, n - 1);
         assert!(!g.has_edge(u, v));
         let before: Vec<Vec<VertexId>> = g.vertices().map(|w| g.neighbors(w).to_vec()).collect();
         let added = g.with_edge(u, v).unwrap();
-        assert_eq!(added.overlay_rows(), 2);
-        assert!(Arc::ptr_eq(&added.adj, &g.adj) && Arc::ptr_eq(&added.offsets, &g.offsets));
+        assert_eq!(added.chunks_not_shared_with(&g), 1, "both endpoints in the last chunk");
+        assert!(Arc::ptr_eq(&added.chunks[0], &g.chunks[0]));
         assert!(added.has_edge(v, u));
         assert_eq!(added.num_edges(), g.num_edges() + 1);
         assert_eq!(added.degree(u), g.degree(u) + 1);
         assert_eq!(added.memory_bytes(), g.memory_bytes() + 8);
         assert_eq!(added.edges().count(), added.num_edges());
         // The parent still answers for the old graph.
-        assert_eq!(g.overlay_rows(), 0);
+        assert_eq!(g.chunks_not_shared_with(&g), 0);
         for w in g.vertices() {
             assert_eq!(g.neighbors(w), before[w as usize].as_slice(), "parent row {w}");
         }
-        // Removing the edge again re-replaces the same two rows.
+        // Removing the edge again copies the same chunk back.
         let back = added.without_edge(v, u).unwrap();
-        assert_eq!(back.overlay_rows(), 2);
+        assert_eq!(back.chunks_not_shared_with(&added), 1);
         assert_eq!(back, g);
         assert_ne!(added, g);
+        // Endpoints in two chunks copy both, and only them.
+        let w = (0..size).find(|&w| !g.has_edge(w, n - 1)).unwrap();
+        let across = g.with_edge(n - 1, w).unwrap();
+        assert_eq!(across.chunks_not_shared_with(&g), 2);
+        assert!(Arc::ptr_eq(&across.chunks[1], &g.chunks[1]));
     }
 
     #[test]
-    fn folding_rebuilds_flat_arrays_for_the_same_logical_graph() {
+    fn an_edited_graph_is_word_for_word_a_fresh_build() {
         let g = crate::generate::erdos_renyi(40, 90, 5);
         let mut edited = g.clone();
         let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
@@ -668,38 +709,30 @@ mod tests {
             edited = edited.with_edge(39, 38).unwrap();
             edges.push((38, 39));
         }
-        assert!(edited.overlay_rows() > 2);
-        let flat = edited.folded();
-        assert_eq!(flat.overlay_rows(), 0);
+        assert_eq!(edited.chunks_not_shared_with(&g), 1);
         let rebuilt = CsrGraph::from_edges(40, &edges);
-        assert_eq!(flat, rebuilt);
-        assert_eq!(edited, rebuilt, "equality is logical, not structural");
-        assert_eq!(flat.offsets, rebuilt.offsets);
-        assert_eq!(flat.adj, rebuilt.adj);
+        assert_eq!(edited, rebuilt);
+        assert_eq!(edited.chunks[0][..], rebuilt.chunks[0][..], "chunks are canonical");
+        assert_eq!(edited.num_edges(), rebuilt.num_edges());
+        assert_eq!(edited.memory_bytes(), rebuilt.memory_bytes());
         assert_eq!(edited.max_degree(), rebuilt.max_degree());
         assert_eq!(edited.avg_degree(), rebuilt.avg_degree());
-        // Folding a flat graph copies nothing.
-        assert!(Arc::ptr_eq(&flat.folded().adj, &flat.adj));
     }
 
     #[test]
-    fn the_edit_that_crosses_the_overlay_bound_folds() {
-        let n = CsrGraph::OVERLAY_MAX_ROWS as u32 + 10;
+    fn a_long_edit_chain_copies_only_the_endpoints_chunks() {
+        let size = CsrGraph::CHUNK_VERTICES as u32;
+        let n = 3 * size + 10;
         let mut g = crate::generate::path(n as usize);
         let flat = g.clone();
-        let mut folds = 0;
-        // Chords {i, i + 2} touch two fresh rows each until rows repeat.
+        // Chords {i, i + 2}: most in one chunk, four across a boundary.
         for i in 0..n - 2 {
-            let before = g.overlay_rows();
-            g = g.with_edge(i, i + 2).unwrap();
-            assert!(g.overlay_rows() <= CsrGraph::OVERLAY_MAX_ROWS);
-            if g.overlay_rows() < before {
-                folds += 1;
-                assert_eq!(g.overlay_rows(), 0, "a fold leaves nothing behind");
-                assert!(!Arc::ptr_eq(&g.adj, &flat.adj));
-            }
+            let next = g.with_edge(i, i + 2).unwrap();
+            let chunks = if i / size == (i + 2) / size { 1 } else { 2 };
+            assert_eq!(next.chunks_not_shared_with(&g), chunks, "chord {i}");
+            g = next;
         }
-        assert_eq!(folds, 1);
+        assert_eq!(g.chunks_not_shared_with(&flat), 4, "every chunk was edited");
         let mut edges: Vec<(VertexId, VertexId)> = flat.edges().collect();
         edges.extend((0..n - 2).map(|i| (i, i + 2)));
         assert_eq!(g, CsrGraph::from_edges(n as usize, &edges));
@@ -714,7 +747,7 @@ mod tests {
     #[test]
     fn memory_bytes_counts_both_directions() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        // 4 adjacency entries * 4 bytes + 4 offsets * 8 bytes.
-        assert_eq!(g.memory_bytes(), 4 * 4 + 4 * std::mem::size_of::<usize>());
+        // 4 adjacency entries + 3 row offsets + 1 chunk end, 4 bytes each.
+        assert_eq!(g.memory_bytes(), 4 * 4 + 4 * 4);
     }
 }

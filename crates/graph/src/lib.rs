@@ -3,7 +3,8 @@
 //! This crate provides everything the distance-query methods are built on:
 //!
 //! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row
-//!   representation of an undirected, unweighted graph, plus
+//!   representation of an undirected, unweighted graph, cut into shared
+//!   vertex chunks so an edge edit copies two of them, plus
 //!   [`GraphBuilder`] for constructing one from an edge list.
 //! * [`traversal`] — breadth-first search, bidirectional BFS, the
 //!   *distance-bounded* bidirectional BFS at the heart of the paper's
@@ -18,8 +19,8 @@
 //!   extraction (the paper assumes connected graphs).
 //! * [`io`] — plain-text edge-list parsing and a compact binary format.
 //! * [`order`] — degree orderings (landmark selection and PLL vertex orders).
-//! * [`overlay`] — the replaced-row map behind cheaply editable, structure-
-//!   sharing values ([`CsrGraph`] here, the label store in `hcl-core`).
+//! * [`overlay`] — the replaced-row map behind the cheaply editable,
+//!   structure-sharing label store in `hcl-core`.
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait that
 //!   every method (HL, PLL, FD, IS-L, online searches) implements.
 

@@ -1,22 +1,19 @@
 //! The overlay half of a *base + overlay* value: a small map from vertex id
 //! to a replacement row.
 //!
-//! [`CsrGraph`](crate::CsrGraph) (adjacency rows) and `hcl-core`'s label
-//! store (label rows) are immutable flat arrays behind shared ownership.
-//! An edge edit replaces a handful of their rows, so the edited value keeps
-//! the parent's arrays and records only the replaced rows here; every
-//! accessor consults the overlay first. The map is cloned once per edit and
-//! probed on the query hot path (the bounded search fetches hundreds of
-//! adjacency rows per query), which fixes its shape: rows are shared
-//! (`Arc`-like) so a clone copies no row data, and the index is an
-//! open-addressed table behind a bit filter — one load and one
-//! well-predicted bit test to learn that a vertex is *not* in the overlay,
-//! which is the common answer. (Probing the table directly
-//! costs a branch on whether the first slot happens to be occupied, taken
-//! at the load factor: measured at a quarter of the in-cache query rate.)
-//! A value that was never edited has no filter and pays one pointer test;
-//! a hot loop takes the filter into a local first ([`RowOverlay::filter`])
-//! and so tests a register.
+//! `hcl-core`'s label store is an immutable flat array behind shared
+//! ownership. An edge edit replaces a handful of its rows, so the edited
+//! store keeps the parent's arrays and records only the replaced rows
+//! here; every accessor consults the overlay first. The map is cloned once
+//! per edit and probed on the query hot path (every label merge fetches
+//! two rows), which fixes its shape: rows are shared (`Arc`-like) so a
+//! clone copies no row data, and the index is an open-addressed table
+//! behind a bit filter — one load and one well-predicted bit test to learn
+//! that a vertex is *not* in the overlay, which is the common answer.
+//! (Probing the table directly costs a branch on whether the first slot
+//! happens to be occupied, taken at the load factor: measured at a quarter
+//! of the in-cache query rate.) A value that was never edited has no
+//! filter and pays one pointer test.
 
 use crate::VertexId;
 
@@ -60,7 +57,7 @@ fn hash(v: VertexId) -> u32 {
 /// `(word, mask)` of `v`'s filter bit: the low bits of the id itself. The
 /// filter wants spread, not avalanche — ids that differ in their low 14
 /// bits, consecutive ones included, never share a bit — and skipping the
-/// multiply is a measurable part of what an edited graph pays per row
+/// multiply is a measurable part of what an edited value pays per row
 /// (about 1% of the in-cache query rate).
 #[inline]
 fn filter_bit(v: VertexId) -> (usize, u64) {
@@ -70,12 +67,12 @@ fn filter_bit(v: VertexId) -> (usize, u64) {
 
 /// The bit filter in front of a [`RowOverlay`]'s table.
 #[derive(Clone, Debug)]
-pub struct RowFilter([u64; FILTER_WORDS]);
+struct RowFilter([u64; FILTER_WORDS]);
 
 impl RowFilter {
     /// Whether `v` may have a replacement row (no false negatives).
     #[inline]
-    pub fn may_contain(&self, v: VertexId) -> bool {
+    fn may_contain(&self, v: VertexId) -> bool {
         let (word, mask) = filter_bit(v);
         self.0[word] & mask != 0
     }
@@ -109,18 +106,11 @@ impl<R> RowOverlay<R> {
         self.probe(v)
     }
 
-    /// The filter, for a loop that wants it in a local: `None` while the
-    /// overlay is empty.
-    #[inline]
-    pub fn filter(&self) -> Option<&RowFilter> {
-        self.filter.as_deref()
-    }
-
     /// [`get`](Self::get) without the filter: the table probe itself. Kept
-    /// out of line so that a loop testing the filter inline carries no
+    /// out of line so that a caller testing the filter inline carries no
     /// probe code (and none of its register pressure) on its hot path.
     #[inline(never)]
-    pub fn probe(&self, v: VertexId) -> Option<&R> {
+    fn probe(&self, v: VertexId) -> Option<&R> {
         let mask = self.slots.len() - 1;
         let mut i = self.first_slot(v);
         loop {

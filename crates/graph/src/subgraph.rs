@@ -25,30 +25,54 @@ impl CsrGraph {
     ///
     /// Built in one `O(n + m)` pass over the CSR (no re-sort): each kept
     /// vertex's adjacency is the original sorted list with removed
-    /// neighbours filtered out.
+    /// neighbours filtered out, written into a row sized beforehand from
+    /// the removed vertices' rows.
     ///
     /// # Panics
     ///
     /// Panics if a removed vertex id is out of range.
     pub fn without_vertices(&self, removed: &[VertexId]) -> CsrGraph {
-        let n = self.num_vertices();
-        let mut is_removed = vec![false; n];
-        for &v in removed {
-            is_removed[v as usize] = true;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut adj = Vec::with_capacity(self.num_edges() * 2);
+        let (degrees, is_removed) = sparsified_degrees(self, removed);
         let rows = self.rows();
-        for v in self.vertices() {
-            if !is_removed[v as usize] {
-                adj.extend(rows.neighbors(v).iter().copied().filter(|&w| !is_removed[w as usize]));
-            }
-            offsets.push(adj.len());
-        }
-        adj.shrink_to_fit();
-        CsrGraph::from_parts(offsets, adj)
+        CsrGraph::from_rows(
+            self.num_vertices(),
+            |v| degrees[v] as usize,
+            |v, row| {
+                let kept = rows.neighbors(v).iter().copied().filter(|&w| !is_removed[w as usize]);
+                write_row(row, kept);
+            },
+        )
     }
+}
+
+/// Degrees in `g` with every edge incident to `removed` dropped (0 for a
+/// removed vertex), counted from the removed vertices' rows alone, and
+/// the removed set as a mask.
+fn sparsified_degrees(g: &CsrGraph, removed: &[VertexId]) -> (Vec<u32>, Vec<bool>) {
+    let rows = g.rows();
+    let mut degrees: Vec<u32> = g.vertices().map(|v| rows.degree(v) as u32).collect();
+    let mut is_removed = vec![false; g.num_vertices()];
+    for &r in removed {
+        if !std::mem::replace(&mut is_removed[r as usize], true) {
+            for &w in rows.neighbors(r) {
+                degrees[w as usize] -= 1;
+            }
+        }
+    }
+    for &r in removed {
+        degrees[r as usize] = 0;
+    }
+    (degrees, is_removed)
+}
+
+/// Writes `entries` into `row`, which they must fill exactly.
+fn write_row(row: &mut [VertexId], entries: impl Iterator<Item = VertexId>) {
+    let mut len = 0;
+    for (slot, w) in row.iter_mut().zip(entries) {
+        *slot = w;
+        len += 1;
+    }
+    debug_assert_eq!(len, row.len(), "a row sized from its degree");
 }
 
 /// Extracts the subgraph induced by `keep` (vertices for which
@@ -100,17 +124,15 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
         assert_eq!(new_id[old as usize], u32::MAX, "duplicate vertex in order");
         new_id[old as usize] = new as u32;
     }
-    let mut offsets = Vec::with_capacity(order.len() + 1);
-    offsets.push(0usize);
-    let mut adj: Vec<VertexId> = Vec::with_capacity(2 * g.num_edges());
     let rows = g.rows();
-    for &old in order {
-        let start = adj.len();
-        adj.extend(rows.neighbors(old).iter().map(|&w| new_id[w as usize]));
-        adj[start..].sort_unstable();
-        offsets.push(adj.len());
-    }
-    CsrGraph::from_parts(offsets, adj)
+    CsrGraph::from_rows(
+        order.len(),
+        |new| rows.degree(order[new]),
+        |new, row| {
+            write_row(row, rows.neighbors(order[new as usize]).iter().map(|&w| new_id[w as usize]));
+            row.sort_unstable();
+        },
+    )
 }
 
 /// `g` with every edge incident to a vertex in `removed` dropped, then
@@ -131,40 +153,27 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
 /// Panics if a removed vertex id is out of range.
 pub fn degree_ordered_without(g: &CsrGraph, removed: &[VertexId]) -> (CsrGraph, Vec<VertexId>) {
     let n = g.num_vertices();
-    let rows = g.rows();
-    let mut degrees: Vec<u32> = g.vertices().map(|v| rows.degree(v) as u32).collect();
-    let mut is_removed = vec![false; n];
-    for &r in removed {
-        if !std::mem::replace(&mut is_removed[r as usize], true) {
-            for &w in rows.neighbors(r) {
-                degrees[w as usize] -= 1;
-            }
-        }
-    }
-    for &r in removed {
-        degrees[r as usize] = 0;
-    }
+    let (degrees, is_removed) = sparsified_degrees(g, removed);
     let order = crate::order::by_count_descending(&degrees);
     // New ids of kept vertices; `u32::MAX` marks a removed one.
     let mut new_id = crate::order::ranks(n, &order);
     for &r in removed {
         new_id[r as usize] = u32::MAX;
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut adj: Vec<VertexId> =
-        Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum::<usize>());
-    for &old in &order {
-        if !is_removed[old as usize] {
-            let start = adj.len();
-            adj.extend(
-                rows.neighbors(old).iter().map(|&w| new_id[w as usize]).filter(|&w| w != u32::MAX),
-            );
-            adj[start..].sort_unstable();
-        }
-        offsets.push(adj.len());
-    }
-    (CsrGraph::from_parts(offsets, adj), order)
+    let rows = g.rows();
+    let graph = CsrGraph::from_rows(
+        n,
+        |new| degrees[order[new] as usize] as usize,
+        |new, row| {
+            let old = order[new as usize];
+            if !is_removed[old as usize] {
+                let kept = rows.neighbors(old).iter().map(|&w| new_id[w as usize]);
+                write_row(row, kept.filter(|&w| w != u32::MAX));
+                row.sort_unstable();
+            }
+        },
+    );
+    (graph, order)
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ fn assert_built_like_global_sort(g: &CsrGraph, n: usize, edges: &[(VertexId, Ver
     let (m, rows) = rows_by_global_sort(n, edges);
     assert_eq!(g.num_vertices(), n);
     assert_eq!(g.num_edges(), m);
-    assert_eq!(g.memory_bytes(), 8 * m + (n + 1) * std::mem::size_of::<usize>());
+    assert_eq!(g.memory_bytes(), 8 * m + 4 * (n + n.div_ceil(CsrGraph::CHUNK_VERTICES)));
     for v in g.vertices() {
         assert_eq!(g.neighbors(v), rows[v as usize].as_slice(), "row {v}");
     }
@@ -114,12 +114,12 @@ fn builder_edge_cases_match_the_global_sort() {
 #[test]
 fn one_pass_view_matches_composition_on_every_family() {
     let ba = generate::barabasi_albert(400, 3, 11);
-    let mut overlaid = ba.clone();
+    let mut edited = ba.clone();
     for (u, v) in [(399, 398), (0, 399), (5, 250), (17, 18)] {
-        overlaid = overlaid.with_edge(u, v).or_else(|| overlaid.without_edge(u, v)).unwrap();
+        edited = edited.with_edge(u, v).or_else(|| edited.without_edge(u, v)).unwrap();
     }
-    overlaid = overlaid.without_edge(ba.neighbors(0)[0], 0).unwrap();
-    assert!(overlaid.overlay_rows() > 0);
+    edited = edited.without_edge(ba.neighbors(0)[0], 0).unwrap();
+    assert!(edited.chunks_not_shared_with(&ba) > 0);
     let disconnected =
         CsrGraph::from_edges(14, &[(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 5), (9, 10)]);
     let families = [
@@ -127,7 +127,7 @@ fn one_pass_view_matches_composition_on_every_family() {
         ("erdos_renyi", generate::erdos_renyi(300, 700, 12)),
         ("grid", generate::grid(12, 17)),
         ("disconnected", disconnected),
-        ("overlay", overlaid),
+        ("edited", edited),
         ("edgeless", CsrGraph::empty(7)),
         ("no_vertices", CsrGraph::empty(0)),
     ];
@@ -382,6 +382,89 @@ proptest! {
                 );
                 prop_assert_eq!(via_skip, dist[t_new as usize]);
             }
+        }
+    }
+}
+
+/// Per-test case count: the default for tier-1, `HCL_PROPTEST_CASES` for
+/// the soak job.
+fn cases(default: u32) -> ProptestConfig {
+    let n =
+        std::env::var("HCL_PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(n)
+}
+
+/// The rows of `edges` (normalised `u < v`) built from scratch.
+fn fresh_build(n: usize, edges: &std::collections::BTreeSet<(VertexId, VertexId)>) -> CsrGraph {
+    let mut b = GraphBuilder::new(n);
+    for &(u, v) in edges {
+        b.add_edge(u, v).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn graphs_too_small_for_an_edge_refuse_every_edit() {
+    for n in [0usize, 1] {
+        let g = CsrGraph::empty(n);
+        assert_eq!(g.num_chunks(), n);
+        assert_eq!(g, fresh_build(n, &Default::default()));
+        for (u, v) in [(0, 0), (0, 1), (1, 0)] {
+            assert!(g.with_edge(u, v).is_none() && g.without_edge(u, v).is_none(), "n={n}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(cases(16))]
+
+    /// Random ADD/DEL scripts over a BA graph of three to four chunks, the
+    /// last one partial: every edited graph equals a fresh build of its
+    /// edge set and shares every chunk with its parent but the one or two
+    /// its endpoints live in. Endpoints are drawn from the hub chunk (BA
+    /// puts the hubs at the lowest ids), from both sides of every chunk
+    /// boundary, from the last vertex, and at random.
+    #[test]
+    fn edit_scripts_copy_only_the_endpoints_chunks(
+        full_chunks in 2usize..4,
+        tail in 1usize..CsrGraph::CHUNK_VERTICES,
+        seed in 0u64..1 << 32,
+        script in proptest::collection::vec((0u8..4, 0u32..1 << 20, 0u8..4, 0u32..1 << 20), 1..40),
+    ) {
+        let size = CsrGraph::CHUNK_VERTICES;
+        let n = full_chunks * size + tail;
+        let mut g = generate::barabasi_albert(n, 2, seed);
+        prop_assert_eq!(g.num_chunks(), full_chunks + 1);
+        let mut edges: std::collections::BTreeSet<(VertexId, VertexId)> = g.edges().collect();
+        let boundaries: Vec<VertexId> =
+            (1..=full_chunks).flat_map(|c| [(c * size - 1) as VertexId, (c * size) as VertexId]).collect();
+        let pick = |kind: u8, x: u32| -> VertexId {
+            match kind {
+                0 => x % 16,
+                1 => boundaries[x as usize % boundaries.len()],
+                2 => n as VertexId - 1 - x % 2,
+                _ => x % n as VertexId,
+            }
+        };
+        for &(ku, xu, kv, xv) in &script {
+            let (u, v) = (pick(ku, xu), pick(kv, xv));
+            if u == v {
+                prop_assert!(g.with_edge(u, v).is_none() && g.without_edge(u, v).is_none());
+                continue;
+            }
+            let key = (u.min(v), u.max(v));
+            let next = if edges.remove(&key) {
+                prop_assert!(g.with_edge(u, v).is_none(), "{:?} is present", key);
+                g.without_edge(u, v).unwrap()
+            } else {
+                edges.insert(key);
+                prop_assert!(g.without_edge(u, v).is_none(), "{:?} is absent", key);
+                g.with_edge(u, v).unwrap()
+            };
+            let copied = if u as usize / size == v as usize / size { 1 } else { 2 };
+            prop_assert_eq!(next.chunks_not_shared_with(&g), copied, "edit {:?}", key);
+            prop_assert_eq!(&next, &fresh_build(n, &edges), "edit {:?}", key);
+            g = next;
         }
     }
 }

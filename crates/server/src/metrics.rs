@@ -146,11 +146,16 @@ counters! {
         /// (cache scan, `PairFilter` searches, retag; a skipped revalidation
         /// spends its scan) — off the reply path when serving.
         update_revalidate_ns: Sum,
-        /// Gauge: rows the serving generation holds in overlays (graph +
-        /// sparse view + labels) instead of its flat base arrays.
+        /// Cumulative adjacency chunks applied updates copied, graph and
+        /// sparse view together: one or two per graph edit, as many again
+        /// for the view unless an endpoint is a landmark.
+        update_chunks_copied: Sum,
+        /// Gauge: label rows the serving generation holds in the label
+        /// store's overlay instead of its flat lanes (the graph and view
+        /// have no overlay: an edit copies their chunks).
         overlay_rows: Sum,
-        /// Updates whose generation came back with an overlay folded into
-        /// fresh flat arrays (the `O(n + m)` edits).
+        /// Updates whose generation came back with the label overlay folded
+        /// into fresh flat lanes (the `O(n)` edits).
         overlay_folds: Sum,
         /// Revalidations that found no cache entry under the old epoch and
         /// skipped their two searches.

@@ -202,14 +202,16 @@ impl PendingRevalidation {
     }
 }
 
-/// Rows a generation holds in overlays rather than in flat base arrays:
-/// graph, sparse view, labels.
-fn overlay_rows(oracle: &SharedOracle) -> [usize; 3] {
-    [
-        oracle.graph().overlay_rows(),
-        oracle.sparse_view().graph().overlay_rows(),
-        oracle.labelling().labels().overlay_rows(),
-    ]
+/// Label rows a generation holds in its overlay rather than in flat lanes.
+fn overlay_rows(oracle: &SharedOracle) -> usize {
+    oracle.labelling().labels().overlay_rows()
+}
+
+/// Adjacency chunks `next` holds that `prev` does not share: what an edit
+/// copied, graph and sparse view together.
+fn chunks_copied(prev: &SharedOracle, next: &SharedOracle) -> usize {
+    next.graph().chunks_not_shared_with(prev.graph())
+        + next.sparse_view().graph().chunks_not_shared_with(prev.sparse_view().graph())
 }
 
 impl QueryService {
@@ -434,11 +436,13 @@ impl QueryService {
 
     /// The reply-path half of an update: patches the current in-memory
     /// generation and publishes the result as a new epoch, in
-    /// `O(affected rows + deg(u) + deg(v))` — the new generation is the
-    /// old one plus an overlay, sharing its arrays, its rank table and its
-    /// context pool (only the edit that overflows an overlay folds, see
-    /// `hcl_core::update`). Queries pin either the old generation or the
-    /// new one, never a half-patched index.
+    /// `O(affected rows + n / CHUNK_VERTICES + two chunks)` — the new
+    /// generation is the old one with the endpoints' adjacency chunks
+    /// copied and the changed label rows in an overlay, sharing every other
+    /// chunk, its rank table and its context pool (only the edit that
+    /// overflows the label overlay folds, see `hcl_core::update`). Queries
+    /// pin either the old generation or the new one, never a half-patched
+    /// index.
     ///
     /// Returns `(new_epoch, affected_vertices, pending)`. Nothing in the
     /// cache carries the new epoch's tag yet, so every cached answer is
@@ -462,14 +466,16 @@ impl QueryService {
             Arc::new(result.sparse),
         );
         let (rows_before, rows) = (overlay_rows(oracle), overlay_rows(&next));
+        let copied = chunks_copied(oracle, &next);
         let new_epoch = self.index.swap(ServingIndex::Memory(next)).epoch();
         ServeMetrics::bump(&self.metrics.updates_applied);
         ServeMetrics::add(&self.metrics.update_affected_vertices, affected);
-        // An overlay only grows between folds, so fewer rows means it folded.
-        if rows.iter().zip(&rows_before).any(|(now, before)| now < before) {
+        ServeMetrics::add(&self.metrics.update_chunks_copied, copied as u64);
+        // The overlay only grows between folds, so fewer rows means it folded.
+        if rows < rows_before {
             ServeMetrics::bump(&self.metrics.overlay_folds);
         }
-        self.metrics.overlay_rows.store(rows.iter().sum::<usize>() as u64, Ordering::Relaxed);
+        self.metrics.overlay_rows.store(rows as u64, Ordering::Relaxed);
         ServeMetrics::add(&self.metrics.update_publish_ns, started.elapsed().as_nanos() as u64);
         let pending = PendingRevalidation { old_epoch: snap.epoch(), new_epoch, scope };
         Ok((new_epoch, affected, pending))
@@ -837,8 +843,13 @@ mod tests {
             .flat_map(|a| ((a + 1)..400).map(move |b| (a, b)))
             .filter(|&(a, b)| !g.has_edge(a, b))
             .step_by(397)
-            .take(CsrGraph::OVERLAY_MAX_ROWS)
+            .take(64)
             .collect();
+        // A graph of one chunk: every edit copies it, and the view's too
+        // unless an endpoint is a landmark.
+        let highway = service.snapshot().index().as_memory().unwrap().labelling().highway().clone();
+        let copies =
+            |(a, b): (u32, u32)| 1 + !(highway.is_landmark(a) || highway.is_landmark(b)) as u64;
 
         // Nothing cached: the first revalidation has nothing to certify,
         // and its one cache scan is all it spends.
@@ -848,7 +859,8 @@ mod tests {
         assert!(snap.update_revalidate_ns > 0, "the scan is timed: {snap:?}");
         assert_eq!(snap.revalidate_vertices_reached, 0);
         let scan_ns = snap.update_revalidate_ns;
-        assert!(snap.overlay_rows >= 2, "the endpoints' rows at least: {snap:?}");
+        assert_eq!(snap.update_chunks_copied, copies(absent[0]), "{snap:?}");
+        assert!(snap.overlay_rows <= 400, "label rows only: {snap:?}");
         assert!(snap.update_publish_ns > 0);
 
         // Something cached: the next one runs its filter.
@@ -859,14 +871,18 @@ mod tests {
         assert!(snap.update_revalidate_ns > scan_ns);
         assert!(snap.revalidate_vertices_reached >= 2, "both endpoints at least: {snap:?}");
 
-        // Enough distinct endpoints to overflow the graph's overlay.
+        // As many distinct edits as a graph overlay once held before it
+        // folded: the chunk count grows by the same one or two per edit.
+        let mut copied = 2 * copies(absent[0]);
         for &(a, b) in &absent[1..] {
             service.apply_update(EdgeEdit::Add(a, b)).unwrap();
-            let rows = service.metrics_snapshot().overlay_rows as usize;
-            assert!(rows <= 2 * CsrGraph::OVERLAY_MAX_ROWS + HighwayLabels::OVERLAY_MAX_ROWS);
+            copied += copies((a, b));
+            let snap = service.metrics_snapshot();
+            assert_eq!(snap.update_chunks_copied, copied, "{snap:?}");
+            assert!(snap.overlay_rows as usize <= HighwayLabels::OVERLAY_MAX_ROWS);
         }
         let snap = service.metrics_snapshot();
-        assert!(snap.overlay_folds >= 1, "{snap:?}");
+        assert_eq!(snap.overlay_folds, 0, "400 label rows never overflow the overlay: {snap:?}");
         assert_eq!(snap.updates_applied, absent.len() as u64 + 1);
         assert_eq!(snap.revalidations_dropped, 0, "only the reactor's queue drops");
         let truth = hcl_graph::traversal::bfs_distances(
