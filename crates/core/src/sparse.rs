@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// the two id translation arrays between original and view space.
 ///
 /// Memory cost: one extra CSR of at most `2m` 32-bit adjacency entries plus
-/// the `n + 1` offset array and two `n`-entry permutations — never larger
+/// its 32-bit chunk offsets and two `n`-entry permutations — never larger
 /// than the input graph plus `8n` bytes, and in practice much smaller on
 /// power-law graphs because the removed landmark rows are the largest ones.
 /// [`memory_bytes`](SparseView::memory_bytes) reports the exact figure
@@ -48,7 +48,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseView {
     /// The sparsified graph in view (degree-ordered) id space; shares its
-    /// arrays with every view edited from this one (see [`CsrGraph`]).
+    /// unedited chunks with every view edited from this one (see
+    /// [`CsrGraph`]).
     graph: CsrGraph,
     /// `to_view[original] = view` (total permutation). An edit never moves
     /// a vertex, so [`with_edit`](Self::with_edit) shares both
@@ -82,11 +83,11 @@ impl SparseView {
 
     /// Patches the view for a single edge edit (given in **original** ids)
     /// without re-running the sparsification pass or the degree
-    /// relabelling: the result shares the permutations and every untouched
-    /// adjacency row with `self` ([`CsrGraph::with_edge`]). The existing
-    /// degree-order permutation is kept — after an edit it may be slightly
-    /// stale as an *ordering* (a vertex whose degree changed keeps its old
-    /// slot), which costs nothing for correctness: the bounded searches
+    /// relabelling: the result shares the permutations and every adjacency
+    /// chunk but the endpoints' with `self` ([`CsrGraph::with_edge`]). The
+    /// existing degree-order permutation is kept — after an edit it may be
+    /// slightly stale as an *ordering* (a vertex whose degree changed keeps
+    /// its old slot), which costs nothing for correctness: the bounded searches
     /// only require the view to contain exactly the edges of `G[V∖R]`, and
     /// the next full build re-sorts.
     ///

@@ -239,12 +239,6 @@ impl CsrGraph {
     }
 }
 
-/// A zeroed chunk of `len` words, unshared.
-fn zeroed_chunk(len: usize) -> Chunk {
-    assert!(u32::try_from(len).is_ok(), "a chunk holds at most u32::MAX words");
-    std::iter::repeat_n(0, len).collect()
-}
-
 /// The chunks of an `n`-vertex graph whose row `v` has `degree(v)` slots:
 /// offsets written, rows zeroed, every chunk unshared.
 fn sized_chunks(n: usize, degree: impl Fn(usize) -> usize) -> Vec<Chunk> {
@@ -253,7 +247,9 @@ fn sized_chunks(n: usize, degree: impl Fn(usize) -> usize) -> Vec<Chunk> {
         .map(|c| {
             let vertices = c * size..n.min((c + 1) * size);
             let k = vertices.len();
-            let mut chunk = zeroed_chunk(k + 1 + vertices.clone().map(&degree).sum::<usize>());
+            let len = k + 1 + vertices.clone().map(&degree).sum::<usize>();
+            assert!(u32::try_from(len).is_ok(), "a chunk holds at most u32::MAX words");
+            let mut chunk: Chunk = std::iter::repeat_n(0, len).collect();
             let words = Arc::get_mut(&mut chunk).expect("a new chunk is unshared");
             let mut end = k + 1;
             for (i, v) in vertices.enumerate() {

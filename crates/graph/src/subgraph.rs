@@ -65,7 +65,8 @@ fn sparsified_degrees(g: &CsrGraph, removed: &[VertexId]) -> (Vec<u32>, Vec<bool
     (degrees, is_removed)
 }
 
-/// Writes `entries` into `row`, which they must fill exactly.
+/// Writes `entries` into `row`, which they must fill exactly. A row of
+/// length zero draws nothing from `entries`.
 fn write_row(row: &mut [VertexId], entries: impl Iterator<Item = VertexId>) {
     let mut len = 0;
     for (slot, w) in row.iter_mut().zip(entries) {
@@ -153,7 +154,7 @@ pub fn relabel(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
 /// Panics if a removed vertex id is out of range.
 pub fn degree_ordered_without(g: &CsrGraph, removed: &[VertexId]) -> (CsrGraph, Vec<VertexId>) {
     let n = g.num_vertices();
-    let (degrees, is_removed) = sparsified_degrees(g, removed);
+    let (degrees, _) = sparsified_degrees(g, removed);
     let order = crate::order::by_count_descending(&degrees);
     // New ids of kept vertices; `u32::MAX` marks a removed one.
     let mut new_id = crate::order::ranks(n, &order);
@@ -165,12 +166,9 @@ pub fn degree_ordered_without(g: &CsrGraph, removed: &[VertexId]) -> (CsrGraph, 
         n,
         |new| degrees[order[new] as usize] as usize,
         |new, row| {
-            let old = order[new as usize];
-            if !is_removed[old as usize] {
-                let kept = rows.neighbors(old).iter().map(|&w| new_id[w as usize]);
-                write_row(row, kept.filter(|&w| w != u32::MAX));
-                row.sort_unstable();
-            }
+            let kept = rows.neighbors(order[new as usize]).iter().map(|&w| new_id[w as usize]);
+            write_row(row, kept.filter(|&w| w != u32::MAX));
+            row.sort_unstable();
         },
     );
     (graph, order)

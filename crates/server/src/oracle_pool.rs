@@ -871,8 +871,7 @@ mod tests {
         assert!(snap.update_revalidate_ns > scan_ns);
         assert!(snap.revalidate_vertices_reached >= 2, "both endpoints at least: {snap:?}");
 
-        // As many distinct edits as a graph overlay once held before it
-        // folded: the chunk count grows by the same one or two per edit.
+        // 64 distinct edits: the chunk count grows by one or two each.
         let mut copied = 2 * copies(absent[0]);
         for &(a, b) in &absent[1..] {
             service.apply_update(EdgeEdit::Add(a, b)).unwrap();

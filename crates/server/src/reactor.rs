@@ -418,10 +418,11 @@ impl DriverHooks for ServerHooks {
             }
             Frame::Update { add, u, v } => {
                 // An incremental edit is orders of magnitude cheaper than
-                // a rebuild, but its affected-set search is unbounded and
-                // the edit that folds an overlay is index-sized work, so
-                // it runs off-reactor, serialised with RELOAD through the
-                // same busy gate. Unlike RELOAD, concurrent and pipelined
+                // a rebuild, but its affected-set search is unbounded, it
+                // clones the chunk tables and copies adjacency chunks,
+                // and the edit that folds the label overlay is
+                // index-sized work, so it runs off-reactor, serialised
+                // with RELOAD through the same busy gate. Unlike RELOAD, concurrent and pipelined
                 // UPDATEs queue instead of being refused: each is applied
                 // in arrival order and publishes its own epoch.
                 let seq = conn.push_waiting();
