@@ -8,7 +8,7 @@
 //! chunked ([`CsrGraph`]: an edit copies the chunk table and the
 //! endpoints' chunks), and the labels are a base + overlay value
 //! ([`HighwayLabels`](crate::labels::HighwayLabels)), so [`apply_edit`]
-//! costs `O(affected rows + n / CHUNK_VERTICES + two chunks)` and its three
+//! costs `O(affected rows + n / CHUNK_VERTICES + four chunks)` and its three
 //! results share every untouched chunk and row with their inputs. Only the
 //! edit that overflows the label overlay pays an `O(n)` fold of the labels.
 //!

@@ -69,8 +69,11 @@ impl CsrGraph {
     /// Vertices per chunk. An edit clones the table, `n / CHUNK_VERTICES`
     /// handles, and copies the endpoints' chunks, each about
     /// `CHUNK_VERTICES` times the average degree in words; the figure
-    /// balances the two. On BA 1M with m 8 a chunk averages 64 KB, and the
-    /// hub chunk is about 2 MB.
+    /// balances the two. On BA 1M with m 8 and 20 landmarks, where a chunk
+    /// averages 64 KB and the hub chunk is about 2 MB, the mean
+    /// `apply_edit` (graph, view and labels, the parent dropped) measured
+    /// 103 µs at 512, 60–75 µs at 1024 and 87–97 µs at 2048, on one core
+    /// of a 2-vCPU x86-64 host.
     pub const CHUNK_VERTICES: usize = 1 << CHUNK_SHIFT;
 
     /// Builds a graph with `n` vertices from an edge list. Self-loops and
@@ -174,10 +177,9 @@ impl CsrGraph {
     /// the same place of `other`: for a graph edited from `other`, the
     /// chunks the edits copied.
     pub fn chunks_not_shared_with(&self, other: &CsrGraph) -> usize {
-        let shared = |(c, chunk): &(usize, &Chunk)| {
-            other.chunks.get(*c).is_some_and(|theirs| Arc::ptr_eq(chunk, theirs))
-        };
-        self.chunks.iter().enumerate().filter(|c| !shared(c)).count()
+        let shared =
+            |c: usize, chunk: &Chunk| other.chunks.get(c).is_some_and(|o| Arc::ptr_eq(chunk, o));
+        self.chunks.iter().enumerate().filter(|&(c, chunk)| !shared(c, chunk)).count()
     }
 
     /// This graph with the undirected edge `{u, v}` added, sharing every

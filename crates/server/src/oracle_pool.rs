@@ -436,7 +436,7 @@ impl QueryService {
 
     /// The reply-path half of an update: patches the current in-memory
     /// generation and publishes the result as a new epoch, in
-    /// `O(affected rows + n / CHUNK_VERTICES + two chunks)` — the new
+    /// `O(affected rows + n / CHUNK_VERTICES + four chunks)` — the new
     /// generation is the old one with the endpoints' adjacency chunks
     /// copied and the changed label rows in an overlay, sharing every other
     /// chunk, its rank table and its context pool (only the edit that
