@@ -23,13 +23,18 @@
 //!   disk, rebuild the sparsified view) vs packed reload (map the `.hclx`
 //!   and validate), best of several runs each;
 //! * **incremental update latency** — median single-edge `UPDATE ADD` /
-//!   `DEL` through `hcl_core::update::apply_edit` (including the
-//!   `PairFilter` the server builds to retag its cache) against the full
-//!   `build_parallel` the update replaces (`update_speedup`), and the
-//!   `apply_edit` half alone (`update_publish_ms`: what the reply to an
-//!   `UPDATE` waits for, now that the filter runs after it), and the
-//!   slowest single `apply_edit` of the run (`update_max_ms`: an edit
-//!   that rewrote index-sized arrays would show here, not in a median);
+//!   `DEL` through `hcl_core::update::apply_edit` plus the unbounded
+//!   `PairFilter::for_edit` (`update_add_ms`, `update_del_ms`), and
+//!   `apply_edit` alone: the median (`update_publish_ms`, what an
+//!   `UPDATE` reply waits for) and the slowest (`update_max_ms`: an edit
+//!   that rewrote index-sized arrays would show here, not in a median).
+//!   `update_speedup` is the median of 5 rebuilds (`build_parallel` plus
+//!   the sparse view, `rebuild_ms`) over the slower of the ADD and DEL
+//!   medians of `apply_edit` alone over all the run's edits;
+//! * **highway edit latency** — `apply_edit` of the DEL of the first
+//!   adjacent landmark pair in rank order and of its re-ADD: the slower
+//!   time (`update_highway_ms`) and label chunk count
+//!   (`update_highway_label_chunks`) of the two;
 //! * **cache revalidation latency** — median time the server's
 //!   revalidation of one `ADD` takes: the bounded `PairFilter` (on
 //!   `G[V∖R]` for an edit that moves no landmark distance, to the radius
@@ -37,9 +42,8 @@
 //!   keep pass over the sample's answers as the cache (`revalidate_ms`);
 //! * **patched-over-flat query ratio** — sequential queries/sec on a
 //!   generation 32 `ADD`/`DEL` pairs away from the built one — the same
-//!   logical index, its graph and view holding the chunks those edits
-//!   copied (`patched_chunks_copied`) and its labels an overlay — over
-//!   the built one: the median of the per-round ratios of interleaved
+//!   logical index, its graph, view and labels holding the chunks those
+//!   edits copied (`patched_chunks_copied`) — over the built one: the median of the per-round ratios of interleaved
 //!   rounds, at least 9 of them (`patched_query_ratio`: what an edited
 //!   generation costs the hot path);
 //! * sizes — labelling bytes, sparsified-view bytes/edges, graph bytes,
@@ -212,10 +216,9 @@ fn main() {
         (batch_passes as f64 * pairs.len() as f64) / batch_start.elapsed().as_secs_f64();
 
     // Incremental update latency: median wall time for one edge insert /
-    // delete through `hcl_core::update::apply_edit`, *including* the
-    // `PairFilter` construction the server pays to retag its cache —
-    // the full cost of publishing a patched generation — against the
-    // from-scratch `build_parallel` the update replaces.
+    // delete through `hcl_core::update::apply_edit`, alone and followed by
+    // the unbounded `PairFilter`, and the bounded revalidation the server
+    // runs after the publish.
     use hcl_core::update::{apply_edit, EdgeEdit, PairFilter};
     let absent: Vec<(u32, u32)> = sample_pairs(g.num_vertices(), 1024, 13)
         .into_iter()
@@ -223,14 +226,15 @@ fn main() {
         .collect();
     let mut add_ms: Vec<f64> = Vec::new();
     let mut del_ms: Vec<f64> = Vec::new();
-    let mut publish_ms: Vec<f64> = Vec::new();
+    let mut add_publish_ms: Vec<f64> = Vec::new();
+    let mut del_publish_ms: Vec<f64> = Vec::new();
     let mut revalidate_ms: Vec<f64> = Vec::new();
     let radius = answers.iter().flatten().max().map_or(0, |&d| d.saturating_sub(2));
     for &(s, t) in absent.iter().take(7) {
         let t0 = Instant::now();
         let added =
             apply_edit(&g, oracle.labelling(), oracle.sparse_view(), EdgeEdit::Add(s, t)).unwrap();
-        publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        add_publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         black_box(PairFilter::for_edit(&g, &added.graph, EdgeEdit::Add(s, t)));
         add_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
@@ -243,7 +247,7 @@ fn main() {
         let deleted =
             apply_edit(&added.graph, &added.labelling, &added.sparse, EdgeEdit::Delete(s, t))
                 .unwrap();
-        publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        del_publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         black_box(PairFilter::for_edit(&added.graph, &deleted.graph, EdgeEdit::Delete(s, t)));
         del_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
@@ -253,25 +257,49 @@ fn main() {
     };
     let update_add_ms = median(&mut add_ms);
     let update_del_ms = median(&mut del_ms);
-    let update_publish_ms = median(&mut publish_ms);
+    let update_publish_ms = median(&mut [add_publish_ms.clone(), del_publish_ms.clone()].concat());
     let revalidate_ms = median(&mut revalidate_ms);
 
-    // Patched over flat: add and delete 32 distinct absent edges. The
-    // generation then equals `oracle`'s logically, with the graph and the
-    // view the searches traverse made partly of the chunks those 64 edits
-    // copied — same pairs, passes interleaved.
+    // The edit that moves a landmark distance: DEL the first adjacent
+    // landmark pair in rank order, then ADD it back.
+    let lm = oracle.labelling().highway().landmarks();
+    let (a, b) = (0..lm.len())
+        .flat_map(|i| (i + 1..lm.len()).map(move |j| (lm[i], lm[j])))
+        .find(|&(a, b)| g.has_edge(a, b))
+        .expect("the fixture has two adjacent landmarks");
+    let (mut update_highway_ms, mut update_highway_label_chunks) = (0.0f64, 0);
     let mut parts = ((*g).clone(), oracle.labelling().clone(), oracle.sparse_view().clone());
+    for edit in [EdgeEdit::Delete(a, b), EdgeEdit::Add(a, b)] {
+        let t0 = Instant::now();
+        let r = apply_edit(&parts.0, &parts.1, &parts.2, edit).unwrap();
+        update_highway_ms = update_highway_ms.max(t0.elapsed().as_secs_f64() * 1e3);
+        let copied = r.labelling.labels().chunks_not_shared_with(parts.1.labels());
+        update_highway_label_chunks = update_highway_label_chunks.max(copied);
+        assert!(r.highway_changed, "{edit} moves a landmark distance");
+        parts = (r.graph, r.labelling, r.sparse);
+    }
+
+    // Patched over flat: add and delete 32 distinct absent edges. The
+    // generation then equals `oracle`'s logically, with its graph, view and
+    // labels made partly of the chunks those 64 edits copied — same pairs,
+    // passes interleaved.
+    parts = ((*g).clone(), oracle.labelling().clone(), oracle.sparse_view().clone());
     for &(s, t) in absent.iter().take(32) {
         for edit in [EdgeEdit::Add(s, t), EdgeEdit::Delete(s, t)] {
             let t0 = Instant::now();
             let r = apply_edit(&parts.0, &parts.1, &parts.2, edit).unwrap();
+            let publish_ms = if edit.is_add() { &mut add_publish_ms } else { &mut del_publish_ms };
             publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             parts = (r.graph, r.labelling, r.sparse);
         }
     }
-    let update_max_ms = publish_ms.iter().copied().fold(0.0, f64::max);
+    let update_max_ms = add_publish_ms.iter().chain(&del_publish_ms).copied().fold(0.0, f64::max);
+    // The gate's denominator: 39 edits a side, so one slow edit moves it
+    // no more than any other.
+    let publish_denominator_ms = median(&mut add_publish_ms).max(median(&mut del_publish_ms));
     let patched_chunks_copied = parts.0.chunks_not_shared_with(&g)
-        + parts.2.graph().chunks_not_shared_with(oracle.sparse_view().graph());
+        + parts.2.graph().chunks_not_shared_with(oracle.sparse_view().graph())
+        + parts.1.labels().chunks_not_shared_with(oracle.labelling().labels());
     assert!(parts.0 == *g && parts.2 == *oracle.sparse_view(), "ADD then DEL is a no-op");
     let patched = SharedOracle::from_parts(Arc::new(parts.0), Arc::new(parts.1), Arc::new(parts.2));
     // Interleaved rounds of one pass per side, the side that goes first
@@ -302,11 +330,18 @@ fn main() {
     let patched_query_ratio = median(&mut ratios);
     // The update patches the sparse view in place, so the rebuild it is
     // measured against must pay for re-sparsifying too — the same pair of
-    // steps a server runs on RELOAD.
-    let t0 = Instant::now();
-    black_box(hcl_core::SparseView::build(&g, oracle.labelling().highway()));
-    let rebuild_ms = build_secs * 1e3 + t0.elapsed().as_secs_f64() * 1e3;
-    let update_speedup = rebuild_ms / update_add_ms.max(update_del_ms).max(1e-9);
+    // steps a server runs on RELOAD. One rebuild on a shared host spreads
+    // by half its time; the median of 5 does not.
+    let mut rebuilds: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (rebuilt, _) = HighwayCoverLabelling::build_parallel(&g, &landmark_set, 0).unwrap();
+            black_box(hcl_core::SparseView::build(&g, rebuilt.highway()));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let rebuild_ms = median(&mut rebuilds);
+    let update_speedup = rebuild_ms / publish_denominator_ms.max(1e-9);
     let reload_speedup = reload_deser_secs / reload_mmap_secs.max(1e-9);
 
     let view = oracle.sparse_view();
@@ -329,6 +364,7 @@ fn main() {
          \"reload_speedup\": {:.1},\n  \
          \"update_add_ms\": {:.3},\n  \"update_del_ms\": {:.3},\n  \
          \"update_publish_ms\": {:.4},\n  \"update_max_ms\": {:.3},\n  \
+         \"update_highway_ms\": {:.3},\n  \"update_highway_label_chunks\": {},\n  \
          \"revalidate_ms\": {:.3},\n  \
          \"rebuild_ms\": {:.1},\n  \"update_speedup\": {:.1},\n  \
          \"patched_chunks_copied\": {},\n  \"patched_query_ratio\": {:.3}\n}}",
@@ -363,6 +399,8 @@ fn main() {
         update_del_ms,
         update_publish_ms,
         update_max_ms,
+        update_highway_ms,
+        update_highway_label_chunks,
         revalidate_ms,
         rebuild_ms,
         update_speedup,
@@ -386,6 +424,8 @@ fn main() {
              \"reload_speedup\": {reload_speedup:.1}, \
              \"update_publish_ms\": {update_publish_ms:.4}, \
              \"update_max_ms\": {update_max_ms:.3}, \
+             \"update_highway_ms\": {update_highway_ms:.3}, \
+             \"update_highway_label_chunks\": {update_highway_label_chunks}, \
              \"update_add_ms\": {update_add_ms:.3}, \"update_del_ms\": {update_del_ms:.3}, \
              \"revalidate_ms\": {revalidate_ms:.3}, \
              \"rebuild_ms\": {rebuild_ms:.1}, \"update_speedup\": {update_speedup:.1}, \

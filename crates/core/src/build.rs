@@ -30,7 +30,7 @@
 //! the per-landmark BFSs produce, entry for entry; the tests hold the
 //! per-landmark BFS as the reference.
 //!
-//! Assembly places each label entry directly in the flat store: the groups
+//! Assembly places each label entry directly in flat lanes: the groups
 //! are contiguous rank ranges, so a vertex's entries from earlier groups
 //! precede its entries from this one, and within a group they are ordered
 //! by bit.

@@ -6,11 +6,13 @@
 //! cells that actually moved, plus the edge edit — and a new generation is
 //! the old one with the patch laid over it. Graph and sparse view are
 //! chunked ([`CsrGraph`]: an edit copies the chunk table and the
-//! endpoints' chunks), and the labels are a base + overlay value
-//! ([`HighwayLabels`](crate::labels::HighwayLabels)), so [`apply_edit`]
-//! costs `O(affected rows + n / CHUNK_VERTICES + four chunks)` and its three
-//! results share every untouched chunk and row with their inputs. Only the
-//! edit that overflows the label overlay pays an `O(n)` fold of the labels.
+//! endpoints' chunks), and the labels are chunked the same way
+//! ([`HighwayLabels`](crate::labels::HighwayLabels): an edit copies the
+//! chunks that hold a changed row), so [`apply_edit`] costs
+//! `O(affected rows + n / CHUNK_VERTICES + copied chunks)` and its three
+//! results share every untouched chunk with their inputs. An edit that
+//! moves a landmark distance re-derives every label row, and so copies
+//! every label chunk that holds a changed one.
 //!
 //! # Why this is tractable for highway cover labels
 //!

@@ -12,12 +12,12 @@
 //! landmark-incident edges, and inserts re-join components (exercising
 //! highway-matrix changes in both directions).
 //!
-//! A generation is its parent with the endpoints' adjacency chunks copied
-//! and the replaced label rows in an overlay, folded into fresh flat lanes
-//! when the overlay outgrows its bound. The long scripts run hundreds of
-//! edits down one chain and hold every step to the rebuild, to a flat
-//! model of the graph and of the view, to BFS truth, and to at most two
-//! copied chunks per graph — and hold the *parent* to its own model after
+//! A generation is its parent with the endpoints' adjacency chunks and the
+//! label chunks that hold a replaced row copied. The long scripts run
+//! hundreds of edits down one chain and hold every step to the rebuild, to
+//! a flat model of the graph and of the view, to BFS truth, to at most two
+//! copied chunks per graph and to exactly the label chunks its patch
+//! touches — and hold the *parent* to its own model after
 //! the child was derived, since structural sharing must never alias a
 //! write. Beside the chain runs a replica: an independently loaded copy
 //! of the base that only ever sees the [`LabelPatch`]es.
@@ -370,7 +370,8 @@ impl Generation {
 struct Coverage {
     applied: usize,
     chunks_copied: usize,
-    label_folds: usize,
+    label_rows: usize,
+    label_chunks: usize,
     highway_moves: usize,
     landmark_incident: usize,
     disconnections: usize,
@@ -410,8 +411,11 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
         let r = apply_edit(&current.graph, &current.labelling, &current.sparse, edit)
             .unwrap_or_else(|e| panic!("{tag}: rejected: {e}"));
 
-        let label_rows = |g: &Generation| g.labelling.labels().overlay_rows();
-        let before = (current.graph.clone(), current.sparse.clone(), label_rows(&current));
+        let before =
+            (current.graph.clone(), current.sparse.clone(), current.labelling.labels().clone());
+        let touched: BTreeSet<usize> =
+            r.patch.rows().iter().map(|&(x, _)| x as usize / CsrGraph::CHUNK_VERTICES).collect();
+        seen.label_rows += r.patch.rows().len();
         let reached =
             |g: &Generation| g.labelling.highway().row(0).iter().filter(|&&d| d != INF).count();
         let (u, v) = edit.endpoints();
@@ -432,7 +436,8 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
         current.assert_matches_models(&mut stream, &format!("{tag}, parent"));
         assert_eq!(current.graph.chunks_not_shared_with(&before.0), 0, "{tag}: parent graph");
         assert_eq!(current.sparse, before.1, "{tag}: parent view");
-        assert_eq!(label_rows(&current), before.2, "{tag}: parent labels");
+        let parent_labels = current.labelling.labels();
+        assert_eq!(parent_labels.chunks_not_shared_with(&before.2), 0, "{tag}: parent labels");
 
         // The graph copies the endpoints' chunks, the view the same or
         // none (a landmark-incident edit leaves it alone); nothing else.
@@ -440,7 +445,10 @@ fn run_fold_script(g: CsrGraph, k: usize, seed: u64, steps: usize, tag: &str) ->
         let view_chunks = child.sparse.graph().chunks_not_shared_with(current.sparse.graph());
         assert!((1..=2).contains(&graph_chunks) && view_chunks <= 2, "{tag}: chunks copied");
         seen.chunks_copied += graph_chunks + view_chunks;
-        seen.label_folds += (label_rows(&child) < before.2) as usize;
+        // The labels copy the chunks that hold a changed row, and only them.
+        let label_chunks = child.labelling.labels().chunks_not_shared_with(parent_labels);
+        assert_eq!(label_chunks, touched.len(), "{tag}: label chunks copied");
+        seen.label_chunks += label_chunks;
         if !landmarks.is_empty() {
             seen.disconnections += (reached(&child) < reached(&current)) as usize;
             seen.reconnections += (reached(&child) > reached(&current)) as usize;
@@ -463,20 +471,54 @@ fn a_long_script_stays_equivalent_across_folds() {
     assert!(seen.disconnections > 0 && seen.reconnections > 0, "{seen:?}");
 }
 
-/// The label overlay folds too. On a long cycle every chord shortens the
-/// way to each landmark for a good share of the vertices (and removing it
-/// lengthens it again), so a few dozen edits replace more label rows than
-/// the overlay holds. A pendant vertex on every `n / k`-th cycle vertex
-/// makes those the landmarks: spread out, they keep every label distance
-/// well inside a byte while edges come and go.
+/// Label rows change by the thousand and in every chunk. On a long cycle
+/// every chord shortens the way to each landmark for a good share of the
+/// vertices (and removing it lengthens it again), so a few dozen edits
+/// replace more label rows than a chunk holds, on both sides of the chunk
+/// boundary. A pendant vertex on every `n / k`-th cycle vertex makes those
+/// the landmarks: spread out, they keep every label distance well inside a
+/// byte while edges come and go.
 #[test]
-fn label_overlay_folds_and_stays_equivalent() {
-    let (n, k) = (hcl_core::HighwayLabels::OVERLAY_MAX_ROWS + 300, 16);
+fn label_rows_across_chunks_stay_equivalent() {
+    let (n, k) = (CsrGraph::CHUNK_VERTICES + 300, 16);
     let mut edges: Vec<(VertexId, VertexId)> =
         (0..n).map(|i| (i as VertexId, ((i + 1) % n) as VertexId)).collect();
     edges.extend((0..k).map(|i| ((i * n / k) as VertexId, (n + i) as VertexId)));
     let seen = run_fold_script(CsrGraph::from_edges(n + k, &edges), k, 0x1ABE1, 40, "cycle");
-    assert!(seen.label_folds >= 1, "{seen:?}");
+    assert!(seen.label_rows > CsrGraph::CHUNK_VERTICES, "{seen:?}");
+    assert!(seen.label_chunks > seen.applied, "edits copied both label chunks: {seen:?}");
+}
+
+/// The edit that moves a landmark distance: DEL the first adjacent
+/// landmark pair in rank order on a BA graph of five chunks. Every label
+/// row that depends on the cut distance is re-derived, the labels copy
+/// exactly the chunks those rows live in, and the result is the rebuild;
+/// ADDing the edge back copies the same chunks and restores the built
+/// labels.
+#[test]
+fn a_landmark_landmark_delete_copies_the_chunks_of_its_changed_rows() {
+    let g = generate::barabasi_albert(5 * CsrGraph::CHUNK_VERTICES - 100, 4, 7);
+    let landmarks = hcl_graph::order::top_degree(&g, 12);
+    let (hcl, _) = HighwayCoverLabelling::build_parallel(&g, &landmarks, 1).unwrap();
+    let sparse = SparseView::build(&g, hcl.highway());
+    let ranked = hcl.highway().landmarks().to_vec();
+    let (a, b) = (0..ranked.len())
+        .flat_map(|i| (i + 1..ranked.len()).map(move |j| (i, j)))
+        .map(|(i, j)| (ranked[i], ranked[j]))
+        .find(|&(a, b)| g.has_edge(a, b))
+        .expect("the hubs are adjacent");
+    let cut = apply_edit(&g, &hcl, &sparse, EdgeEdit::Delete(a, b)).unwrap();
+    assert!(cut.highway_changed);
+    let touched: BTreeSet<usize> =
+        cut.patch.rows().iter().map(|&(x, _)| x as usize / CsrGraph::CHUNK_VERTICES).collect();
+    let copied = cut.labelling.labels().chunks_not_shared_with(hcl.labels());
+    assert_eq!(copied, touched.len());
+    assert!(copied > 1, "the changed rows spread over the chunks: {copied}");
+    let (fresh, _) = HighwayCoverLabelling::build_parallel(&cut.graph, &ranked, 1).unwrap();
+    assert_eq!(cut.labelling, fresh);
+    let back = apply_edit(&cut.graph, &cut.labelling, &cut.sparse, EdgeEdit::Add(a, b)).unwrap();
+    assert_eq!(back.labelling.labels().chunks_not_shared_with(cut.labelling.labels()), copied);
+    assert_eq!(back.labelling, hcl);
 }
 
 proptest! {

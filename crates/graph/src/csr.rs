@@ -10,30 +10,20 @@
 //!
 //! # Chunks
 //!
-//! The vertices are cut into runs of [`CsrGraph::CHUNK_VERTICES`], and each
-//! run is one shared allocation: its chunk-local offsets followed by its
-//! rows. The graph is a table of handles on those chunks, and a row is
-//! found with a shift and a mask through the table. Cloning a graph copies
-//! no adjacency. [`with_edge`](CsrGraph::with_edge) and
+//! The graph is a [`ChunkTable`](crate::chunks): the vertices are cut into
+//! runs of [`CsrGraph::CHUNK_VERTICES`], and each run is one shared
+//! allocation holding `k + 1` offsets into the chunk itself (so the first
+//! is `k + 1`), then its `k` rows back to back. Two chunks holding the same
+//! rows hold the same words. Cloning a graph copies no adjacency.
+//! [`with_edge`](CsrGraph::with_edge) and
 //! [`without_edge`](CsrGraph::without_edge) copy the table and the chunks
 //! that hold the two endpoints, and share every other chunk with the
 //! parent: an edit costs `n / CHUNK_VERTICES` handles plus at most two
 //! chunks, however many edits came before it, and there is nothing to fold.
 
+use crate::chunks::{self, Chunk, ChunkTable, CHUNK_SHIFT};
 use crate::{GraphError, VertexId};
 use std::sync::Arc;
-
-/// One chunk of `k` rows: `k + 1` offsets into the chunk itself (so the
-/// first is `k + 1`), then the rows back to back. The layout is canonical —
-/// two chunks holding the same rows hold the same words — which is what
-/// lets equality compare words.
-type Chunk = Arc<[u32]>;
-
-/// `log2` of [`CsrGraph::CHUNK_VERTICES`].
-const CHUNK_SHIFT: u32 = 10;
-
-/// A vertex's row index within its chunk.
-const CHUNK_MASK: VertexId = (1 << CHUNK_SHIFT) - 1;
 
 /// An immutable undirected graph in compressed sparse row form.
 ///
@@ -52,13 +42,16 @@ const CHUNK_MASK: VertexId = (1 << CHUNK_SHIFT) - 1;
 /// assert_eq!(g.neighbors(2), &[0, 1, 3]);
 /// assert_eq!(g.degree(3), 1);
 /// ```
-#[derive(Clone, Debug)]
+///
+/// Equality is of the logical graphs, whatever chunks the two share:
+/// chunks are canonical, so unshared ones compare word for word.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
-    /// `chunks[v >> CHUNK_SHIFT]` holds the row of `v`, at local index
-    /// `v & CHUNK_MASK`; every chunk but the last holds `CHUNK_VERTICES`
-    /// rows. Each chunk is shared with every graph edited from this one
-    /// that did not edit a row in it.
-    chunks: Arc<[Chunk]>,
+    /// `chunks[c]` holds the rows of the vertices [`chunks::locate`] puts
+    /// in chunk `c`; every chunk but the last holds `CHUNK_VERTICES` rows.
+    /// Each chunk is shared with every graph edited from this one that did
+    /// not edit a row in it.
+    chunks: ChunkTable,
     /// Number of vertices `n`.
     n: usize,
     /// Undirected edges.
@@ -66,15 +59,9 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Vertices per chunk. An edit clones the table, `n / CHUNK_VERTICES`
-    /// handles, and copies the endpoints' chunks, each about
-    /// `CHUNK_VERTICES` times the average degree in words; the figure
-    /// balances the two. On BA 1M with m 8 and 20 landmarks, where a chunk
-    /// averages 64 KB and the hub chunk is about 2 MB, the mean
-    /// `apply_edit` (graph, view and labels, the parent dropped) measured
-    /// 103 µs at 512, 60–75 µs at 1024 and 87–97 µs at 2048, on one core
-    /// of a 2-vCPU x86-64 host.
-    pub const CHUNK_VERTICES: usize = 1 << CHUNK_SHIFT;
+    /// Vertices per chunk: [`chunks::CHUNK_VERTICES`], where the figure is
+    /// measured.
+    pub const CHUNK_VERTICES: usize = chunks::CHUNK_VERTICES;
 
     /// Builds a graph with `n` vertices from an edge list. Self-loops and
     /// duplicate edges (in either direction) are dropped.
@@ -165,7 +152,7 @@ impl CsrGraph {
     /// entries = 8 bytes per undirected edge), plus one 32-bit offset per
     /// vertex and one more per chunk.
     pub fn memory_bytes(&self) -> usize {
-        (2 * self.num_edges + self.n + self.chunks.len()) * std::mem::size_of::<u32>()
+        self.chunks.bytes()
     }
 
     /// Number of chunks, `⌈n / CHUNK_VERTICES⌉`.
@@ -177,9 +164,7 @@ impl CsrGraph {
     /// the same place of `other`: for a graph edited from `other`, the
     /// chunks the edits copied.
     pub fn chunks_not_shared_with(&self, other: &CsrGraph) -> usize {
-        let shared =
-            |c: usize, chunk: &Chunk| other.chunks.get(c).is_some_and(|o| Arc::ptr_eq(chunk, o));
-        self.chunks.iter().enumerate().filter(|&(c, chunk)| !shared(c, chunk)).count()
+        self.chunks.not_shared_with(&other.chunks)
     }
 
     /// This graph with the undirected edge `{u, v}` added, sharing every
@@ -203,14 +188,14 @@ impl CsrGraph {
         if u == v || u as usize >= n || v as usize >= n || self.has_edge(u, v) == add {
             return None;
         }
-        let mut chunks: Arc<[Chunk]> = self.chunks.iter().cloned().collect();
-        let table = Arc::get_mut(&mut chunks).expect("a new table is unshared");
-        // Two endpoints in one chunk copy it twice; that is rare enough
-        // not to be worth a two-row splice.
-        for (w, other) in [(u, v), (v, u)] {
-            let c = (w >> CHUNK_SHIFT) as usize;
-            table[c] = spliced(&table[c], (w & CHUNK_MASK) as usize, other, add);
-        }
+        let chunks = self.chunks.edited(|table| {
+            // Two endpoints in one chunk copy it twice; that is rare enough
+            // not to be worth a two-row splice.
+            for (w, other) in [(u, v), (v, u)] {
+                let (c, i) = chunks::locate(w);
+                table[c] = spliced(&table[c], i, other, add);
+            }
+        });
         let num_edges = if add { self.num_edges + 1 } else { self.num_edges - 1 };
         Some(CsrGraph { chunks, n, num_edges })
     }
@@ -237,7 +222,7 @@ impl CsrGraph {
     fn from_chunks(n: usize, chunks: Vec<Chunk>) -> Self {
         debug_assert_eq!(chunks.len(), n.div_ceil(Self::CHUNK_VERTICES));
         let entries: usize = chunks.iter().map(|c| c.len() - c[0] as usize).sum();
-        CsrGraph { chunks: chunks.into(), n, num_edges: entries / 2 }
+        CsrGraph { chunks: ChunkTable::new(chunks), n, num_edges: entries / 2 }
     }
 }
 
@@ -336,16 +321,16 @@ impl<'a> CsrRows<'a> {
     /// The sorted neighbour list of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
-        let chunk = &self.chunks[(v >> CHUNK_SHIFT) as usize];
-        let i = (v & CHUNK_MASK) as usize;
+        let (c, i) = chunks::locate(v);
+        let chunk = &self.chunks[c];
         &chunk[chunk[i] as usize..chunk[i + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let chunk = &self.chunks[(v >> CHUNK_SHIFT) as usize];
-        let i = (v & CHUNK_MASK) as usize;
+        let (c, i) = chunks::locate(v);
+        let chunk = &self.chunks[c];
         (chunk[i + 1] - chunk[i]) as usize
     }
 }
@@ -366,18 +351,6 @@ impl Adjacency for CsrRows<'_> {
         CsrRows::degree(self, v)
     }
 }
-
-/// Equality of the logical graphs, whatever chunks the two share: chunks
-/// are canonical, so unshared ones compare word for word.
-impl PartialEq for CsrGraph {
-    fn eq(&self, other: &CsrGraph) -> bool {
-        self.n == other.n
-            && self.num_edges == other.num_edges
-            && self.chunks.iter().zip(other.chunks.iter()).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-    }
-}
-
-impl Eq for CsrGraph {}
 
 /// Read-only adjacency access, the storage-backend seam of the query fast
 /// path.
@@ -520,7 +493,8 @@ impl GraphBuilder {
             // `cursor[v]` tracks the next free slot in v's row, within its
             // chunk.
             for (v, at) in cursor.iter_mut().enumerate() {
-                *at = rows[v >> CHUNK_SHIFT][v & CHUNK_MASK as usize] as usize;
+                let (c, i) = chunks::locate(v as VertexId);
+                *at = rows[c][i] as usize;
             }
             for &(u, v) in &self.edges {
                 for (a, b) in [(u, v), (v, u)] {

@@ -19,18 +19,18 @@
 //!   extraction (the paper assumes connected graphs).
 //! * [`io`] — plain-text edge-list parsing and a compact binary format.
 //! * [`order`] — degree orderings (landmark selection and PLL vertex orders).
-//! * [`overlay`] — the replaced-row map behind the cheaply editable,
-//!   structure-sharing label store in `hcl-core`.
+//! * [`chunks`] — the copy-on-write vertex chunks behind every editable
+//!   per-vertex store: [`CsrGraph`] and the label store in `hcl-core`.
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait that
 //!   every method (HL, PLL, FD, IS-L, online searches) implements.
 
+pub mod chunks;
 pub mod connectivity;
 pub mod csr;
 pub mod generate;
 pub mod io;
 pub mod oracle;
 pub mod order;
-pub mod overlay;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;

@@ -139,24 +139,20 @@ counters! {
         /// applied updates (the work an `O(affected)` update actually did;
         /// divide by `updates_applied` for the mean edit footprint).
         update_affected_vertices: Sum,
-        /// Cumulative nanoseconds applied updates spent publishing — patch,
-        /// overlay, swap: the part of an `UPDATE` its reply waits for.
+        /// Cumulative nanoseconds applied updates spent publishing — affected
+        /// sets, chunk copies, swap: the part of an `UPDATE` its reply waits
+        /// for.
         update_publish_ns: Sum,
         /// Cumulative nanoseconds spent revalidating the cache after updates
         /// (cache scan, `PairFilter` searches, retag; a skipped revalidation
         /// spends its scan) — off the reply path when serving.
         update_revalidate_ns: Sum,
-        /// Cumulative adjacency chunks applied updates copied, graph and
-        /// sparse view together: one or two per graph edit, as many again
-        /// for the view unless an endpoint is a landmark.
+        /// Cumulative chunks applied updates copied, graph, sparse view and
+        /// labels together: one or two per graph edit, as many again for
+        /// the view unless an endpoint is a landmark, and one per label
+        /// chunk holding a changed row (none for most edits, every chunk
+        /// for one that moves a landmark distance).
         update_chunks_copied: Sum,
-        /// Gauge: label rows the serving generation holds in the label
-        /// store's overlay instead of its flat lanes (the graph and view
-        /// have no overlay: an edit copies their chunks).
-        overlay_rows: Sum,
-        /// Updates whose generation came back with the label overlay folded
-        /// into fresh flat lanes (the `O(n)` edits).
-        overlay_folds: Sum,
         /// Revalidations that found no cache entry under the old epoch and
         /// skipped their two searches.
         revalidations_skipped: Sum,

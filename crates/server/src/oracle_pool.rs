@@ -202,16 +202,12 @@ impl PendingRevalidation {
     }
 }
 
-/// Label rows a generation holds in its overlay rather than in flat lanes.
-fn overlay_rows(oracle: &SharedOracle) -> usize {
-    oracle.labelling().labels().overlay_rows()
-}
-
-/// Adjacency chunks `next` holds that `prev` does not share: what an edit
-/// copied, graph and sparse view together.
+/// Chunks `next` holds that `prev` does not share: what an edit copied,
+/// graph, sparse view and labels together.
 fn chunks_copied(prev: &SharedOracle, next: &SharedOracle) -> usize {
     next.graph().chunks_not_shared_with(prev.graph())
         + next.sparse_view().graph().chunks_not_shared_with(prev.sparse_view().graph())
+        + next.labelling().labels().chunks_not_shared_with(prev.labelling().labels())
 }
 
 impl QueryService {
@@ -436,12 +432,11 @@ impl QueryService {
 
     /// The reply-path half of an update: patches the current in-memory
     /// generation and publishes the result as a new epoch, in
-    /// `O(affected rows + n / CHUNK_VERTICES + four chunks)` — the new
-    /// generation is the old one with the endpoints' adjacency chunks
-    /// copied and the changed label rows in an overlay, sharing every other
-    /// chunk, its rank table and its context pool (only the edit that
-    /// overflows the label overlay folds, see `hcl_core::update`). Queries
-    /// pin either the old generation or the new one, never a half-patched
+    /// `O(n / CHUNK_VERTICES + copied chunks)` — the new generation is the
+    /// old one with the endpoints' adjacency chunks and the label chunks
+    /// that hold a changed row copied, sharing every other chunk, its rank
+    /// table and its context pool (see `hcl_core::update`). Queries pin
+    /// either the old generation or the new one, never a half-patched
     /// index.
     ///
     /// Returns `(new_epoch, affected_vertices, pending)`. Nothing in the
@@ -465,17 +460,11 @@ impl QueryService {
             Arc::new(result.labelling),
             Arc::new(result.sparse),
         );
-        let (rows_before, rows) = (overlay_rows(oracle), overlay_rows(&next));
         let copied = chunks_copied(oracle, &next);
         let new_epoch = self.index.swap(ServingIndex::Memory(next)).epoch();
         ServeMetrics::bump(&self.metrics.updates_applied);
         ServeMetrics::add(&self.metrics.update_affected_vertices, affected);
         ServeMetrics::add(&self.metrics.update_chunks_copied, copied as u64);
-        // The overlay only grows between folds, so fewer rows means it folded.
-        if rows < rows_before {
-            ServeMetrics::bump(&self.metrics.overlay_folds);
-        }
-        self.metrics.overlay_rows.store(rows as u64, Ordering::Relaxed);
         ServeMetrics::add(&self.metrics.update_publish_ns, started.elapsed().as_nanos() as u64);
         let pending = PendingRevalidation { old_epoch: snap.epoch(), new_epoch, scope };
         Ok((new_epoch, affected, pending))
@@ -605,7 +594,6 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcl_core::HighwayLabels;
 
     fn oracle(n: usize, seed: u64, k: usize) -> SharedOracle {
         let (g, labelling) = hcl_core::testing::ba_fixture(n, 4, seed, k);
@@ -836,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn update_metrics_account_for_publish_folds_and_skipped_revalidations() {
+    fn update_metrics_account_for_publish_chunks_and_skipped_revalidations() {
         let (g, labelling) = hcl_core::testing::ba_fixture(400, 4, 21, 10);
         let service = QueryService::from_parts(Arc::clone(&g), labelling, 1 << 10);
         let absent: Vec<(u32, u32)> = (0..400u32)
@@ -845,43 +833,47 @@ mod tests {
             .step_by(397)
             .take(64)
             .collect();
-        // A graph of one chunk: every edit copies it, and the view's too
-        // unless an endpoint is a landmark.
-        let highway = service.snapshot().index().as_memory().unwrap().labelling().highway().clone();
-        let copies =
-            |(a, b): (u32, u32)| 1 + !(highway.is_landmark(a) || highway.is_landmark(b)) as u64;
+        // A graph of one chunk: every edit copies it, the view's too unless
+        // an endpoint is a landmark, and the labels' when a row changed.
+        let memory =
+            |service: &QueryService| service.snapshot().index().as_memory().unwrap().clone();
+        let highway = memory(&service).labelling().highway().clone();
+        let (mut label_copies, mut copied) = (0, 0);
+        let mut update = |edit: EdgeEdit| {
+            let before = memory(&service);
+            service.apply_update(edit).unwrap();
+            let (a, b) = edit.endpoints();
+            let relabelled = memory(&service).labelling().labels() != before.labelling().labels();
+            label_copies += relabelled as u64;
+            copied += 1 + !(highway.is_landmark(a) || highway.is_landmark(b)) as u64;
+            copied += relabelled as u64;
+            (service.metrics_snapshot(), copied)
+        };
 
         // Nothing cached: the first revalidation has nothing to certify,
         // and its one cache scan is all it spends.
-        service.apply_update(EdgeEdit::Add(absent[0].0, absent[0].1)).unwrap();
-        let snap = service.metrics_snapshot();
+        let (snap, copied_so_far) = update(EdgeEdit::Add(absent[0].0, absent[0].1));
         assert_eq!(snap.revalidations_skipped, 1);
         assert!(snap.update_revalidate_ns > 0, "the scan is timed: {snap:?}");
         assert_eq!(snap.revalidate_vertices_reached, 0);
         let scan_ns = snap.update_revalidate_ns;
-        assert_eq!(snap.update_chunks_copied, copies(absent[0]), "{snap:?}");
-        assert!(snap.overlay_rows <= 400, "label rows only: {snap:?}");
+        assert_eq!(snap.update_chunks_copied, copied_so_far, "{snap:?}");
         assert!(snap.update_publish_ns > 0);
 
         // Something cached: the next one runs its filter.
         service.distance(1, 2).unwrap();
-        service.apply_update(EdgeEdit::Delete(absent[0].0, absent[0].1)).unwrap();
-        let snap = service.metrics_snapshot();
+        let (snap, _) = update(EdgeEdit::Delete(absent[0].0, absent[0].1));
         assert_eq!(snap.revalidations_skipped, 1);
         assert!(snap.update_revalidate_ns > scan_ns);
         assert!(snap.revalidate_vertices_reached >= 2, "both endpoints at least: {snap:?}");
 
-        // 64 distinct edits: the chunk count grows by one or two each.
-        let mut copied = 2 * copies(absent[0]);
+        // 64 distinct edits: the chunk count grows by one to three each.
         for &(a, b) in &absent[1..] {
-            service.apply_update(EdgeEdit::Add(a, b)).unwrap();
-            copied += copies((a, b));
-            let snap = service.metrics_snapshot();
-            assert_eq!(snap.update_chunks_copied, copied, "{snap:?}");
-            assert!(snap.overlay_rows as usize <= HighwayLabels::OVERLAY_MAX_ROWS);
+            let (snap, copied_so_far) = update(EdgeEdit::Add(a, b));
+            assert_eq!(snap.update_chunks_copied, copied_so_far, "{snap:?}");
         }
+        assert!(label_copies > 0, "some edit changed a label row");
         let snap = service.metrics_snapshot();
-        assert_eq!(snap.overlay_folds, 0, "400 label rows never overflow the overlay: {snap:?}");
         assert_eq!(snap.updates_applied, absent.len() as u64 + 1);
         assert_eq!(snap.revalidations_dropped, 0, "only the reactor's queue drops");
         let truth = hcl_graph::traversal::bfs_distances(

@@ -419,10 +419,10 @@ impl DriverHooks for ServerHooks {
             Frame::Update { add, u, v } => {
                 // An incremental edit is orders of magnitude cheaper than
                 // a rebuild, but its affected-set search is unbounded, it
-                // clones the chunk tables and copies adjacency chunks,
-                // and the edit that folds the label overlay is
-                // index-sized work, so it runs off-reactor, serialised
-                // with RELOAD through the same busy gate. Unlike RELOAD, concurrent and pipelined
+                // clones the chunk tables and copies chunks, and the edit
+                // that moves a landmark distance rewrites every label
+                // chunk, so it runs off-reactor, serialised with RELOAD
+                // through the same busy gate. Unlike RELOAD, concurrent and pipelined
                 // UPDATEs queue instead of being refused: each is applied
                 // in arrival order and publishes its own epoch.
                 let seq = conn.push_waiting();
