@@ -91,7 +91,10 @@ impl<'a> LabelRef<'a> {
     /// Iterates the entries by value, sorted by rank.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = LabelEntry> + 'a {
-        self.into_iter()
+        self.ranks
+            .iter()
+            .zip(self.dists.iter())
+            .map(|(&landmark, &dist)| LabelEntry { landmark, dist })
     }
 
     /// Collects the entries into a `Vec` (test / debug helper).
@@ -160,6 +163,7 @@ impl HighwayLabels {
                 let spans = &offsets[c * CHUNK_VERTICES..=n.min((c + 1) * CHUNK_VERTICES)];
                 let (head, base) = (4 * spans.len(), spans[0] as usize);
                 let end = head + 2 * (spans[spans.len() - 1] as usize - base);
+                assert!(u32::try_from(end).is_ok(), "a chunk's byte offsets fit in 32 bits");
                 let mut chunk: Chunk = std::iter::repeat_n(0, end.div_ceil(4)).collect();
                 let words = Arc::get_mut(&mut chunk).expect("a new chunk is unshared");
                 for (word, &o) in words.iter_mut().zip(spans) {
@@ -313,8 +317,7 @@ impl HighwayLabels {
 /// `old` with the rows of `group` — vertices of its chunk, ascending —
 /// in place of its own: the kept rows between two replaced ones move as
 /// one byte run, and the offsets after a replaced row shift by the bytes
-/// it gained or lost. Labels hold at most [`MAX_LANDMARKS`] entries, so
-/// every byte offset of a chunk fits in 32 bits.
+/// it gained or lost.
 fn patched_chunk(old: &[u32], group: &[(VertexId, Vec<(u8, u8)>)]) -> Chunk {
     let k = old[0] as usize / 4 - 1;
     let local = |v: VertexId| chunks::locate(v).1;
@@ -322,6 +325,7 @@ fn patched_chunk(old: &[u32], group: &[(VertexId, Vec<(u8, u8)>)]) -> Chunk {
     let end = group
         .iter()
         .fold(old[k] as usize, |end, (v, row)| end + 2 * row.len() - row_bytes(local(*v)));
+    assert!(u32::try_from(end).is_ok(), "a chunk's byte offsets fit in 32 bits");
     let mut chunk: Chunk = std::iter::repeat_n(0, end.div_ceil(4)).collect();
     let words = Arc::get_mut(&mut chunk).expect("a new chunk is unshared");
     // `shift` wraps instead of going signed.
