@@ -215,10 +215,8 @@ fn main() {
     let batch_qps =
         (batch_passes as f64 * pairs.len() as f64) / batch_start.elapsed().as_secs_f64();
 
-    // Incremental update latency: median wall time for one edge insert /
-    // delete through `hcl_core::update::apply_edit`, alone and followed by
-    // the unbounded `PairFilter`, and the bounded revalidation the server
-    // runs after the publish.
+    // Incremental update latency: `apply_edit` alone and followed by the
+    // unbounded `PairFilter`, and the revalidation the server runs after.
     use hcl_core::update::{apply_edit, EdgeEdit, PairFilter};
     let absent: Vec<(u32, u32)> = sample_pairs(g.num_vertices(), 1024, 13)
         .into_iter()
@@ -311,8 +309,6 @@ fn main() {
     }
     rebuilds.push(rebuild());
     let update_max_ms = add_publish_ms.iter().chain(&del_publish_ms).copied().fold(0.0, f64::max);
-    // The gate's denominator: 39 edits a side, so one slow edit moves it
-    // no more than any other.
     let publish_denominator_ms = median(&mut add_publish_ms).max(median(&mut del_publish_ms));
     let patched_chunks_copied = parts.0.chunks_not_shared_with(&g)
         + parts.2.graph().chunks_not_shared_with(oracle.sparse_view().graph())
